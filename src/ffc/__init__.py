@@ -2,7 +2,8 @@
 
 Everything numeric here is exact unless a name says otherwise: polynomials
 and matrices live over the rationals, root locations are decided by Sturm
-counts with endpoints in a real quadratic extension, and floating point
+counts with endpoints in a real quadratic extension or, for the real
+spectra of the certifier, by Descartes counts on integers, and floating point
 appears only in clearly-marked estimators (inverse Cauchy transforms, the
 Jacobi pre-screen, Fourier sweeps) that never decide a verdict.
 """

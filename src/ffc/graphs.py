@@ -5,25 +5,34 @@ m permutation-conjugates of one fixed matching on d vertices, in bipartite
 mode the sum of m permutation matchings across a (d, d) bipartition.  Edge
 entries count multiplicity, so samples are multigraphs.
 
-Certification is exact.  The characteristic polynomial is computed over the
-rationals, the trivial eigenvalue m (and -m in bipartite mode) is divided
-out once, and the remaining roots are located by Sturm counts against the
-algebraic bound 2*sqrt(m-1).  A float eigensolver is provided as a cheap
-pre-screen only; no verdict depends on it.
+Certification is exact and runs on integers.  The adjacency spectrum is real,
+so the verdict is a statement about the squared nontrivial eigenvalues
+against the rational threshold 4(m-1), and Descartes' rule of signs counts
+real-rooted polynomials exactly.  In bipartite mode the squared spectrum is
+that of the d x d Gram matrix N N^T of the biadjacency N, whose
+characteristic polynomial q gives char(A) = q(x**2); the trivial root m**2
+is divided out of q.  In nonbipartite mode the trivial root m is divided out
+of char(A) and the Graeffe square of the rest has the squared eigenvalues as
+roots.  A float eigensolver is provided as a cheap pre-screen only; no
+verdict depends on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import sqrt
 
 from .errors import ContractError, ParameterError
 from .matrix import RatMatrix, char_poly, dilation
 from .perms import Permutation, relabel_grid, uniform_permutation
-from .poly import RatPoly
+from .poly import RatPoly, to_primitive_int
 from .quadfield import QuadScalar, as_quad
 from .rng import SplitMix64
-from .sturm import count_roots_in_mult, root_multiplicity_at
+
+# certify no longer counts roots with these; bench/tracing.py still looks
+# them up in this module, so the names stay importable here
+from .sturm import count_roots_in_mult, root_multiplicity_at  # noqa: F401
 from .transforms import ramanujan_bound
 
 MODES = ("bipartite", "nonbipartite")
@@ -77,11 +86,12 @@ class MatchingUnion:
     def n_vertices(self) -> int:
         return self.d if self.mode == "nonbipartite" else 2 * self.d
 
-    def adjacency(self) -> RatMatrix:
-        """Symmetric integer adjacency with entries counting parallel edges."""
+    def grid(self) -> list[list[int]]:
+        """Integer adjacency (nonbipartite) or d x d biadjacency N (bipartite),
+        entries counting parallel edges."""
+        total = [[0] * self.d for _ in range(self.d)]
         if self.mode == "nonbipartite":
             base = matching_grid(self.d)
-            total = [[0] * self.d for _ in range(self.d)]
             for p in self.perms:
                 placed = relabel_grid(base, p.image)
                 for i in range(self.d):
@@ -89,12 +99,21 @@ class MatchingUnion:
                     out = total[i]
                     for j in range(self.d):
                         out[j] += row[j]
-            return RatMatrix.from_rows(total)
-        biadj = [[0] * self.d for _ in range(self.d)]
-        for p in self.perms:
-            for i, j in enumerate(p.image):
-                biadj[j][i] += 1
-        return dilation(RatMatrix.from_rows(biadj))
+        else:
+            for p in self.perms:
+                for i, j in enumerate(p.image):
+                    total[j][i] += 1
+        return total
+
+    def adjacency(self) -> RatMatrix:
+        """Symmetric integer adjacency with entries counting parallel edges."""
+        a = RatMatrix.from_rows(self.grid())
+        return a if self.mode == "nonbipartite" else dilation(a)
+
+
+def _gram(n: list[list[int]]) -> list[list[int]]:
+    """N N^T: its eigenvalues are the squared singular values of N."""
+    return [[sum(a * b for a, b in zip(ri, rj)) for rj in n] for ri in n]
 
 
 def sample_nonbipartite(d: int, m: int, rng: SplitMix64) -> MatchingUnion:
@@ -161,28 +180,60 @@ class RamanujanCertificate:
         return self.verdict in (STRICT, WITH_BOUNDARY)
 
 
+def _graeffe_square(p: tuple[int, ...]) -> tuple[int, ...]:
+    """(-1)**n p(sqrt(y)) p(-sqrt(y)) for p of degree n: its roots are the
+    squares of the roots of p, with multiplicity."""
+    even, odd = p[0::2], p[1::2]
+    out = [0] * len(p)
+    for i, a in enumerate(even):
+        for j, b in enumerate(even):
+            out[i + j] += a * b
+    for i, a in enumerate(odd):
+        for j, b in enumerate(odd):
+            out[i + j + 1] -= a * b
+    return tuple(out) if len(p) % 2 else tuple(-v for v in out)
+
+
+def _split_at(q: tuple[int, ...], t: int) -> tuple[int, int]:
+    """(roots below t, roots at t), with multiplicity, of a real-rooted q.
+
+    Shifts q to q(z + t); its trailing zeros count the roots at t, and for a
+    real-rooted polynomial Descartes' rule counts the positive roots exactly.
+    """
+    c = list(q)
+    n = len(c) - 1
+    for i in range(n):
+        for k in range(n - 1, i - 1, -1):
+            c[k] += t * c[k + 1]
+    at = next(k for k, v in enumerate(c) if v)
+    signs = [v > 0 for v in c[at:] if v]
+    above = sum(a != b for a, b in zip(signs, signs[1:]))
+    return n - above - at, at
+
+
 def certify(g: MatchingUnion) -> RamanujanCertificate:
     """Certify whether all nontrivial eigenvalues lie within 2*sqrt(m-1).
 
-    All counts are exact Sturm counts with endpoints in Q(sqrt(m-1)).
-    Verdicts: strictly-ramanujan when every deflated root is interior,
-    ramanujan-with-boundary when the rest sit exactly at the bound, else
-    not-ramanujan.
+    All counts are exact root counts of integer polynomials in the squared
+    eigenvalue y against 4(m-1).  Verdicts: strictly-ramanujan when every
+    deflated root is interior, ramanujan-with-boundary when the rest sit
+    exactly at the bound, else not-ramanujan.
     """
-    cp = char_poly(g.adjacency())
-    deflated = deflate_trivial(cp, g.m, g.mode == "bipartite")
     # m = 1 degenerates to bound 0; the general formula needs m >= 2
     bound = ramanujan_bound(g.m) if g.m >= 2 else as_quad(0)
-    if deflated.degree == 0:
-        interior = boundary = 0
-    elif g.m == 1:
-        interior = 0
-        boundary = root_multiplicity_at(deflated, Fraction(0))
+    if g.mode == "bipartite":
+        q = char_poly(RatMatrix.from_rows(_gram(g.grid())))
+        # one copy of the trivial eigenvalue m**2 of N N^T, i.e. of +-m
+        squared = deflate_trivial(q, g.m * g.m, bipartite=False)
+        cp, deflated = q.substitute_square(), squared.substitute_square()
+        below, at = _split_at(to_primitive_int(squared), 4 * (g.m - 1))
+        # each squared singular value y stands for the pair +-sqrt(y)
+        interior, boundary = 2 * below, 2 * at
     else:
-        interior = count_roots_in_mult(deflated, -bound, bound, open_interval=True)
-        boundary = root_multiplicity_at(deflated, bound) + root_multiplicity_at(
-            deflated, -bound
-        )
+        cp = char_poly(RatMatrix.from_rows(g.grid()))
+        deflated = deflate_trivial(cp, g.m, bipartite=False)
+        squares = _graeffe_square(to_primitive_int(deflated))
+        interior, boundary = _split_at(squares, 4 * (g.m - 1))
     if interior == deflated.degree:
         verdict = STRICT
     elif boundary and interior + boundary == deflated.degree:
@@ -202,15 +253,22 @@ def certify(g: MatchingUnion) -> RamanujanCertificate:
     )
 
 
-def jacobi_eigenvalues(grid: list[list[float]], tol: float = 1e-10) -> list[float]:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations, ascending."""
+# cap on Jacobi sweeps; a screen that has not converged by then never skips
+_JACOBI_SWEEPS = 100
+
+
+def jacobi_eigenvalues(
+    grid: list[list[float]], tol: float = 1e-10
+) -> tuple[list[float], bool]:
+    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations, ascending,
+    and whether every off-diagonal entry fell below tol within the sweep cap."""
     n = len(grid)
     a = [[float(x) for x in row] for row in grid]
-    for _ in range(100):
+    for sweep in range(_JACOBI_SWEEPS + 1):
         off = max(
             (abs(a[p][q]) for p in range(n) for q in range(p + 1, n)), default=0.0
         )
-        if off < tol:
+        if off < tol or sweep == _JACOBI_SWEEPS:
             break
         for p in range(n):
             for q in range(p + 1, n):
@@ -230,15 +288,23 @@ def jacobi_eigenvalues(grid: list[list[float]], tol: float = 1e-10) -> list[floa
                     apk, aqk = a[p][k], a[q][k]
                     a[p][k] = c * apk - s * aqk
                     a[q][k] = s * apk + c * aqk
-    return sorted(a[i][i] for i in range(n))
+    return sorted(a[i][i] for i in range(n)), off < tol
 
 
-def float_filter(g: MatchingUnion) -> float:
-    """Approximate second-largest adjacency eigenvalue.
+def float_filter(g: MatchingUnion) -> float | None:
+    """Approximate largest absolute nontrivial adjacency eigenvalue, or None
+    when the eigensolver did not converge.
 
-    Pre-screen only: callers may skip exact certification when this is far
-    from the bound, and must never base a verdict on it.
+    Bipartite mode: sigma_2, the second singular value of the biadjacency,
+    from the d x d Gram matrix.  Nonbipartite mode: the larger of the second
+    eigenvalue and minus the smallest one.  Pre-screen only: callers may skip
+    exact certification when this is far above the bound, and must never
+    base a verdict on it.
     """
-    rows = [[float(x) for x in row] for row in g.adjacency().rows]
-    eigs = jacobi_eigenvalues(rows)
-    return eigs[-2]
+    if g.mode == "bipartite":
+        eigs, converged = jacobi_eigenvalues(_gram(g.grid()))
+        value = sqrt(max(eigs[-2], 0.0)) if g.d > 1 else 0.0
+    else:
+        eigs, converged = jacobi_eigenvalues(g.grid())
+        value = max(eigs[-2], -eigs[0])
+    return value if converged else None

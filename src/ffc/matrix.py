@@ -1,15 +1,21 @@
 """Exact rational matrices and characteristic polynomials.
 
-Characteristic polynomials come from the Faddeev-LeVerrier recurrence, which
-needs only ring operations plus divisions that are guaranteed exact.  Integer
-matrices (the common case in permutation enumerations) run on a plain-int
-fast path; everything else runs on Fractions.  Both paths are exact.
+One characteristic-polynomial kernel serves every caller.  An integer matrix
+is reduced to upper Hessenberg form modulo word-size primes, its
+characteristic polynomial is read off the Hessenberg recurrence modulo each
+prime, and the integer coefficients are rebuilt by the Chinese remainder
+theorem.  The number of primes comes from the a-priori bound
+|c_k| <= prod_i (1 + ||row_i||_2), so the result is exact, not probable.  A
+rational matrix clears its denominators first:
+det(xI - B/s) = s**-n * det(s x I - B).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import isqrt, lcm
 from typing import Iterable, Optional
 
 from .errors import ContractError, ParameterError
@@ -170,74 +176,120 @@ def dilation(m: RatMatrix) -> RatMatrix:
 
 # -- characteristic polynomials ---------------------------------------------
 
+_PRIME_CEILING = 1 << 62
+# deterministic Miller-Rabin witnesses for every n < 3.3e24
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin primality for odd n > 41, deterministic below 3.3e24."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _prime(i: int) -> int:
+    """The i-th prime below 2**62, counting down; found on first use."""
+    c = (_prime(i - 1) if i else _PRIME_CEILING + 1) - 2
+    while not _is_prime(c):
+        c -= 2
+    return c
+
+
+def _charpoly_mod(rows: list[list[int]], p: int) -> list[int]:
+    """Ascending coefficients of det(xI - A) modulo the prime p."""
+    n = len(rows)
+    h = [[v % p for v in row] for row in rows]
+    # Hessenberg reduction by similarity: clear column j below the subdiagonal
+    for j in range(n - 2):
+        j1 = j + 1
+        pivot = next((i for i in range(j1, n) if h[i][j]), None)
+        if pivot is None:
+            continue
+        if pivot != j1:
+            h[pivot], h[j1] = h[j1], h[pivot]
+            for row in h:
+                row[pivot], row[j1] = row[j1], row[pivot]
+        top = h[j1]
+        inv = pow(top[j], -1, p)
+        # the row eliminations all use the original row j1; the matching
+        # column operations commute, so they are applied together afterwards
+        multipliers = []
+        for i in range(j + 2, n):
+            row = h[i]
+            u = row[j] * inv % p
+            if u:
+                row[j:] = [(a - u * b) % p for a, b in zip(row[j:], top[j:])]
+                multipliers.append((i, u))
+        if multipliers:
+            for row in h:
+                row[j1] = (row[j1] + sum(u * row[i] for i, u in multipliers)) % p
+    # charpolys of the leading principal submatrices, each from the
+    # earlier ones through the last column and the subdiagonal
+    polys = [[1]]
+    for k in range(1, n + 1):
+        prev = polys[-1]
+        diag = h[k - 1][k - 1]
+        cur = [0] + prev
+        for e, c in enumerate(prev):
+            cur[e] -= diag * c
+        sub = 1
+        for i in range(k - 1, 0, -1):
+            sub = sub * h[i][i - 1] % p
+            c = h[i - 1][k - 1] * sub % p
+            if c:
+                for e, v in enumerate(polys[i - 1]):
+                    cur[e] -= c * v
+        polys.append([v % p for v in cur])
+    return polys[-1]
+
 
 def charpoly_int_coeffs(rows: list[list[int]]) -> tuple[int, ...]:
     """Ascending coefficients of det(xI - A) for an integer matrix A."""
-    n = len(rows)
-    c = [0] * (n + 1)
-    c[n] = 1
-    work = [[0] * n for _ in range(n)]
-    rng = range(n)
-    for k in range(1, n + 1):
-        # work <- A @ work + c[n-k+1] * I
-        if k == 1:
-            nxt = [[c[n] if i == j else 0 for j in rng] for i in rng]
+    bound = 1
+    for row in rows:
+        sq = sum(v * v for v in row)
+        r = isqrt(sq)
+        bound *= 1 + r + (r * r < sq)  # 1 + ceil(||row||_2)
+    coeffs: list[int] = []
+    modulus, i = 1, 0
+    while modulus <= 2 * bound:
+        p = _prime(i)
+        i += 1
+        residues = _charpoly_mod(rows, p)
+        if coeffs:
+            inv = pow(modulus, -1, p)
+            coeffs = [a + modulus * ((b - a) * inv % p) for a, b in zip(coeffs, residues)]
         else:
-            cols = list(zip(*work))
-            nxt = [
-                [
-                    sum(a * b for a, b in zip(row, cols[j]))
-                    for j in rng
-                ]
-                for row in rows
-            ]
-            add = c[n - k + 1]
-            for i in rng:
-                nxt[i][i] += add
-        work = nxt
-        t = sum(
-            rows[i][j] * work[j][i] for i in rng for j in rng
-        )
-        if t % k:
-            raise ContractError("Faddeev-LeVerrier trace division not exact")
-        c[n - k] = -(t // k)
-    return tuple(c)
-
-
-def charpoly_fraction_coeffs(rows) -> tuple[Fraction, ...]:
+            coeffs = residues
+        modulus *= p
+    half = modulus // 2
+    out = tuple(c - modulus if c > half else c for c in coeffs)
     n = len(rows)
-    c: list[Fraction] = [Fraction(0)] * (n + 1)
-    c[n] = Fraction(1)
-    work = [[Fraction(0)] * n for _ in range(n)]
-    rng = range(n)
-    for k in range(1, n + 1):
-        if k == 1:
-            nxt = [[c[n] if i == j else Fraction(0) for j in rng] for i in rng]
-        else:
-            cols = list(zip(*work))
-            nxt = [
-                [
-                    sum((a * b for a, b in zip(row, cols[j])), Fraction(0))
-                    for j in rng
-                ]
-                for row in rows
-            ]
-            add = c[n - k + 1]
-            for i in rng:
-                nxt[i][i] += add
-        work = nxt
-        t = sum(
-            (rows[i][j] * work[j][i] for i in rng for j in rng), Fraction(0)
-        )
-        c[n - k] = -t / k
-    return tuple(c)
+    if -out[n - 1] != sum(rows[k][k] for k in range(n)):
+        raise ContractError("modular characteristic polynomial fails the trace check")
+    return out
 
 
 def char_poly(m: RatMatrix) -> RatPoly:
     """Monic characteristic polynomial det(xI - M), exactly."""
     if not m.is_square:
         raise ParameterError("characteristic polynomial needs a square matrix")
-    ints = m.int_rows()
-    if ints is not None:
-        return RatPoly.from_coeffs(charpoly_int_coeffs(ints))
-    return RatPoly(charpoly_fraction_coeffs(m.rows))
+    s = lcm(*(v.denominator for row in m.rows for v in row))
+    scaled = [[v.numerator * (s // v.denominator) for v in row] for row in m.rows]
+    b = charpoly_int_coeffs(scaled)
+    n = m.nrows
+    return RatPoly(tuple(Fraction(c, s ** (n - k)) for k, c in enumerate(b)))

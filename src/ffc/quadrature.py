@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations as all_permutations
@@ -29,12 +30,7 @@ from typing import Optional, Sequence
 from .config import DEFAULT_BUDGETS, Budgets
 from .convolution import asym_convolve, sym_convolve
 from .errors import BudgetError, ContractError, ParameterError
-from .matrix import (
-    RatMatrix,
-    char_poly,
-    charpoly_fraction_coeffs,
-    charpoly_int_coeffs,
-)
+from .matrix import RatMatrix, char_poly, charpoly_int_coeffs
 from .perms import (
     Permutation,
     SwapProgram,
@@ -117,7 +113,9 @@ def _grid_sum(grids: list) -> list:
 
 
 def _charpoly_grid(grid: list, is_int: bool):
-    return charpoly_int_coeffs(grid) if is_int else charpoly_fraction_coeffs(grid)
+    if is_int:
+        return charpoly_int_coeffs(grid)
+    return char_poly(RatMatrix.from_rows(grid)).coeffs
 
 
 # -- exact enumeration ------------------------------------------------------------
@@ -358,6 +356,11 @@ def verify_bip_quadrature(
 # -- structural probes ----------------------------------------------------------------
 
 
+# Multiple of d * eps * (Hadamard bound) below which a Fourier coefficient of
+# the sampled determinants is indistinguishable from rounding.
+_FOURIER_ROUNDING_SLACK = 64.0
+
+
 def _float_det(rows: list[list[float]]) -> float:
     """Determinant by LU with partial pivoting; plenty for small probes."""
     n = len(rows)
@@ -385,7 +388,13 @@ def fourier_degree_test(
 ) -> FourierReport:
     """Sweep a plane rotation G(theta) acting on the first two coordinates and
     check that theta -> det(A + G B G^T) has no Fourier content beyond the
-    second harmonic (relative to the largest coefficient)."""
+    second harmonic (relative to the largest coefficient).
+
+    The scale is never taken below the rounding noise of the sampled
+    determinants divided by ``rel_tol``: the noise is bounded by a multiple of
+    machine epsilon times the Hadamard bound of the sampled matrices, so a
+    determinant that vanishes identically (whose coefficients are all noise)
+    passes instead of comparing noise with noise."""
     if not a.is_square or not b.is_square or a.nrows != b.nrows:
         raise ParameterError("need square matrices of equal size")
     d = a.nrows
@@ -393,9 +402,12 @@ def fourier_degree_test(
         raise ParameterError("rotation sweep needs dimension at least 2")
     if samples < 8:
         raise ParameterError("need at least 8 samples")
+    if not rel_tol > 0:
+        raise ParameterError("rel_tol must be positive")
     fa = [[float(v) for v in row] for row in a.rows]
     fb = [[float(v) for v in row] for row in b.rows]
     values = []
+    hadamard = 0.0
     for j in range(samples):
         theta = 2.0 * math.pi * j / samples
         c, s = math.cos(theta), math.sin(theta)
@@ -408,16 +420,17 @@ def fourier_degree_test(
             ]
             for i in range(d)
         ]
-        values.append(
-            _float_det([[fa[i][k] + gb[i][k] for k in range(d)] for i in range(d)])
-        )
+        m = [[fa[i][k] + gb[i][k] for k in range(d)] for i in range(d)]
+        hadamard = max(hadamard, math.prod(math.hypot(*row) for row in m))
+        values.append(_float_det(m))
     coeffs = []
     for k in range(samples):
         acc = 0j
         for j, v in enumerate(values):
             acc += v * cmath.exp(-2j * math.pi * k * j / samples)
         coeffs.append(abs(acc) / samples)
-    scale = max(max(coeffs), 1e-300)
+    noise = _FOURIER_ROUNDING_SLACK * d * sys.float_info.epsilon * hadamard
+    scale = max(max(coeffs), noise / rel_tol, 1e-300)
     tail = 0.0
     second = 0.0
     for k in range(samples):

@@ -10,8 +10,9 @@ smaller largest nontrivial root.  In exact strategy the conditionals are
 full leaf enumerations and the greedy choice provably never increases that
 root, so the terminal graph beats the expected polynomial; this is
 exponential and meant for tiny sizes.  The sampled strategy substitutes
-per-program empirical suffix distributions (a product distribution, so the
-averages stay real-rooted) and offers no guarantee.
+per-program empirical suffix distributions.  These are not products of
+independent swaps, so the averages form no interlacing family and need not
+be real-rooted, or have any real root; the strategy offers no guarantee.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .perms import (
 )
 from .poly import RatPoly
 from .rng import SplitMix64, derive_seed
-from .sturm import compare_max_roots
+from .sturm import compare_max_roots, sturm_chain
 from .transforms import (
     bip_matching_nontrivial_poly,
     matching_nontrivial_poly,
@@ -118,8 +119,9 @@ def rejection_search(
 
     Trial t uses the substream derived from (seed, t), so the first success
     and its graph are reproducible.  The float filter only skips samples
-    whose second eigenvalue clearly exceeds the bound; every returned
-    success carries an exact certificate.
+    with a nontrivial eigenvalue clearly outside the bound, and only when its
+    eigensolver converged; every returned success carries an exact
+    certificate.
     """
     if mode not in MODES:
         raise ParameterError(f"unknown mode {mode!r}")
@@ -131,8 +133,10 @@ def rejection_search(
     for trial in range(max_trials):
         rng = SplitMix64(derive_seed(seed, trial))
         g = sampler(d, m, rng)
-        if g.n_vertices > 2 and float_filter(g) > bound_f + FLOAT_SKIP_MARGIN:
-            continue
+        if g.n_vertices > 2:
+            screened = float_filter(g)
+            if screened is not None and screened > bound_f + FLOAT_SKIP_MARGIN:
+                continue
         cert = certify(g)
         if cert.verdict == STRICT or (allow_boundary and cert.verdict == WITH_BOUNDARY):
             return SearchReport(
@@ -242,6 +246,21 @@ class _ConditionalAverager:
         return RatPoly(tuple(acc))
 
 
+def _fired_wins(fired: RatPoly, unfired: RatPoly) -> bool:
+    """True when the fired branch's conditional has the smaller largest real
+    root; ties go to the unfired branch.
+
+    Exact conditionals are real-rooted.  Sampled ones average over empirical
+    suffix distributions, which form no interlacing family, and may have no
+    real root at all: such a candidate loses, and when neither has one the
+    unfired branch wins.
+    """
+    fired_real = sturm_chain(fired).count_all() > 0
+    if fired_real and sturm_chain(unfired).count_all() > 0:
+        return compare_max_roots(fired, unfired) < 0
+    return fired_real
+
+
 def interlacing_descent(
     mode: str,
     d: int,
@@ -253,7 +272,7 @@ def interlacing_descent(
 ) -> SearchReport:
     """Fix the swaps of m uniform-permutation programs one at a time, always
     taking the branch whose conditional expectation has the smaller largest
-    deflated root (ties go to the unfired branch).
+    deflated root (see ``_fired_wins``).
 
     Exact strategy enumerates every remaining suffix, so each chosen
     conditional root is at most the previous one and the terminal graph
@@ -351,7 +370,7 @@ def interlacing_descent(
             trial_images[i] = img
             poly = conditional(i, trial_images)
             candidates[fired] = (img, deflate_trivial(poly, m, bipartite))
-        fired = compare_max_roots(candidates[True][1], candidates[False][1]) < 0
+        fired = _fired_wins(candidates[True][1], candidates[False][1])
         fixed[i] = candidates[fired][0]
         previous = candidates[fired][1]
         steps.append(DescentStep(i, j, fired, previous))

@@ -11,7 +11,6 @@ irrational endpoints, never float comparisons.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +18,7 @@ from typing import Sequence
 
 from .config import worker_count
 from .convolution import asym_convolve, m_fold_asym, m_fold_sym, sym_convolve
-from .errors import ContractError, ParameterError, PoleError
+from .errors import ParameterError, PoleError
 from .poly import RatPoly, cauchy_root_bound
 from .quadfield import QuadScalar
 from .sturm import count_roots_in, is_real_rooted, max_root_bracket
@@ -143,28 +142,10 @@ def bip_matching_nontrivial_poly(d: int) -> RatPoly:
 
 
 def ramanujan_bound(m: int) -> QuadScalar:
-    """Exact 2*sqrt(m-1), cross-checked against a float minimization of
-    (x**2 + (m-1)) / x over x > 0."""
+    """Exact 2*sqrt(m-1), the minimum of (x**2 + (m-1)) / x over x > 0."""
     if m < 2:
         raise ParameterError("need m >= 2")
-    exact = QuadScalar(0, 2, m - 1)
-    lo, hi = 1e-9, float(2 * m)
-    for _ in range(300):
-        m1 = lo + (hi - lo) / 3
-        m2 = hi - (hi - lo) / 3
-        f1 = (m1 * m1 + (m - 1)) / m1
-        f2 = (m2 * m2 + (m - 1)) / m2
-        if f1 <= f2:
-            hi = m2
-        else:
-            lo = m1
-    x = 0.5 * (lo + hi)
-    numeric = (x * x + (m - 1)) / x
-    if abs(numeric - float(exact)) > 1e-12 * max(1.0, float(exact)):
-        raise ContractError(
-            f"float cross-check of the spectral bound failed for m={m}"
-        )
-    return exact
+    return QuadScalar(0, 2, m - 1)
 
 
 @dataclass(frozen=True)

@@ -242,6 +242,14 @@ class TestUsage:
         assert proc.returncode == 0
         assert proc.stdout.strip() == "ffc 0.1.0"
 
+    def test_module_entry_point(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ffc", "--version"],
+            capture_output=True, text=True, env=subprocess_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "ffc 0.1.0"
+
     def test_no_arguments_is_a_usage_error(self):
         proc = subprocess.run(
             [sys.executable, "-m", "ffc.cli"],

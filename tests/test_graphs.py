@@ -1,11 +1,13 @@
 """Unions of perfect matchings and exact spectral certification."""
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from ffc import graphs, search
 from ffc import (
     ContractError,
     MatchingUnion,
@@ -21,10 +23,13 @@ from ffc import (
     jacobi_eigenvalues,
     matching_grid,
     ramanujan_bound,
+    rejection_search,
     sample_bipartite,
     sample_nonbipartite,
 )
-from support import grid_matrix
+from ffc.graphs import NOT_RAMANUJAN, STRICT, WITH_BOUNDARY
+from ffc.search import FLOAT_SKIP_MARGIN
+from support import grid_matrix, sturm_certify
 
 
 def poly(*descending):
@@ -143,6 +148,63 @@ class TestCertify:
         assert cert.verdict == "not-ramanujan"
 
 
+def sampler(mode):
+    return sample_bipartite if mode == "bipartite" else sample_nonbipartite
+
+
+SMALL_CASES = [
+    (mode, d, m)
+    for mode, ds in (("bipartite", (1, 2, 3, 4, 6, 8)), ("nonbipartite", (2, 4, 6, 8, 12)))
+    for d in ds
+    for m in (1, 2, 3, 4)
+]
+LARGE_CASES = [
+    ("bipartite", 20, 3),
+    ("bipartite", 16, 4),
+    ("nonbipartite", 24, 3),
+    ("nonbipartite", 16, 4),
+]
+
+
+class TestCertifyAgainstSturmOracle:
+    """The squared-spectrum certifier against the Sturm-count certifier it
+    replaced: identical certificates, field by field."""
+
+    def test_sampled_unions(self):
+        verdicts = Counter()
+        for seed in range(6 * len(SMALL_CASES)):
+            mode, d, m = SMALL_CASES[seed % len(SMALL_CASES)]
+            g = sampler(mode)(d, m, SplitMix64(seed))
+            cert = certify(g)
+            assert cert == sturm_certify(g), (mode, d, m, seed)
+            verdicts[cert.verdict] += 1
+        for seed, (mode, d, m) in enumerate(LARGE_CASES * 2):
+            g = sampler(mode)(d, m, SplitMix64(seed))
+            assert certify(g) == sturm_certify(g), (mode, d, m, seed)
+        assert set(verdicts) == {STRICT, WITH_BOUNDARY, NOT_RAMANUJAN}
+
+    def test_bipartite_boundary_cases(self):
+        verdicts = Counter()
+        for seed in range(100):
+            g = sample_bipartite(4, 2, SplitMix64(seed))
+            cert = certify(g)
+            assert cert == sturm_certify(g), seed
+            verdicts[cert.verdict] += 1
+        assert verdicts[WITH_BOUNDARY] >= 50
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_disconnected_unions(self, m):
+        split = Permutation((1, 0, 3, 2))  # keeps {0, 1} and {2, 3} apart
+        for mode in ("bipartite", "nonbipartite"):
+            for perms in ((Permutation.identity(4),) * m, (split,) * m):
+                g = MatchingUnion(mode, 4, m, perms)
+                cert = certify(g)
+                assert cert == sturm_certify(g)
+                # one copy of the trivial eigenvalue m survives deflation
+                assert cert.deflated(Fraction(m)) == 0
+                assert cert.verdict == (WITH_BOUNDARY if m == 2 else NOT_RAMANUJAN)
+
+
 class TestSampling:
     def test_nonbipartite_shape(self):
         rng = SplitMix64(11)
@@ -175,9 +237,35 @@ class TestFloatFilter:
         for _ in range(20):
             sym = rng.integers(-4, 5, size=(5, 5))
             sym = sym + sym.T
-            mine = jacobi_eigenvalues([[int(v) for v in row] for row in sym])
+            mine, converged = jacobi_eigenvalues([[int(v) for v in row] for row in sym])
             ref = np.linalg.eigvalsh(sym.astype(float))
+            assert converged
             assert np.allclose(mine, ref, atol=1e-8)
+
+    def test_unconverged_screen_never_skips(self, monkeypatch):
+        # uncapped, the screen skips two of the three trials at this seed
+        certified = []
+        monkeypatch.setattr(search, "certify", lambda g: certified.append(g) or certify(g))
+        uncapped = rejection_search("bipartite", 10, 3, 100, 0)
+        assert (uncapped.trials_run, len(certified)) == (3, 1)
+        monkeypatch.setattr(graphs, "_JACOBI_SWEEPS", 0)
+        g = sample_bipartite(10, 3, SplitMix64(0))
+        assert jacobi_eigenvalues(g.grid())[1] is False
+        assert float_filter(g) is None
+        certified.clear()
+        capped = rejection_search("bipartite", 10, 3, 100, 0)
+        assert len(certified) == capped.trials_run == 3
+        assert capped.certificate == uncapped.certificate
+
+    def test_lowest_eigenvalue_alone_can_skip(self):
+        g = sample_nonbipartite(12, 3, SplitMix64(3))
+        bound_f = float(ramanujan_bound(3))
+        eigs, converged = jacobi_eigenvalues(g.grid())
+        assert converged
+        assert eigs[-2] < bound_f + FLOAT_SKIP_MARGIN
+        assert eigs[0] < -bound_f - FLOAT_SKIP_MARGIN
+        assert float_filter(g) > bound_f + FLOAT_SKIP_MARGIN
+        assert certify(g).verdict == NOT_RAMANUJAN
 
     def test_agrees_with_the_exact_verdict_away_from_the_margin(self):
         rng = SplitMix64(77)

@@ -6,9 +6,18 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ffc import RatMatrix, RatPoly, char_poly, dilation
+from ffc import RatMatrix, RatPoly, SplitMix64, char_poly, dilation
 from ffc.matrix import charpoly_int_coeffs
-from support import grid_matrix, symmetric_grid_st
+from support import faddeev_leverrier, fractions_st, grid_matrix, symmetric_grid_st
+
+
+def square_st(entries, max_n: int):
+    """Square matrices, not necessarily symmetric, of side 1..max_n."""
+    return st.integers(min_value=1, max_value=max_n).flatmap(
+        lambda n: st.lists(
+            st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
 
 
 def poly(*descending):
@@ -37,6 +46,27 @@ class TestCharPoly:
     def test_trace_is_second_coefficient(self, m):
         p = char_poly(m)
         assert p.coeff(2) == -m.trace()
+
+
+class TestAgainstFaddeevLeVerrier:
+    @given(square_st(st.integers(min_value=-50, max_value=50), 7))
+    def test_integer_matrices(self, rows):
+        assert charpoly_int_coeffs(rows) == faddeev_leverrier(rows)
+
+    def test_entries_that_need_several_primes(self):
+        rng = SplitMix64(5)
+        for n in (2, 5, 8):
+            rows = [[rng.below(2 * 10**15) - 10**15 for _ in range(n)] for _ in range(n)]
+            assert charpoly_int_coeffs(rows) == faddeev_leverrier(rows)
+
+    def test_sparse_matrices_that_need_pivot_swaps(self):
+        rows = [[0, 0, 1, 0], [0, 0, 0, 2], [3, 0, 0, 0], [0, 4, 0, 5]]
+        assert charpoly_int_coeffs(rows) == faddeev_leverrier(rows)
+        assert charpoly_int_coeffs([[7]]) == (-7, 1)
+
+    @given(square_st(fractions_st(max_num=9, max_den=7), 5))
+    def test_fraction_matrices(self, rows):
+        assert char_poly(RatMatrix.from_rows(rows)).coeffs == faddeev_leverrier(rows)
 
 
 class TestDilation:

@@ -154,6 +154,15 @@ class TestFourier:
         assert report.passed
         assert all(mag < 1e-12 for mag in report.magnitudes[1:])
 
+    def test_identically_singular_pair_passes(self):
+        # det(0 + G diag(0, 1, 1) G^T) is zero for every angle, so every
+        # sampled coefficient is rounding noise; noise must not fail the test.
+        b = grid_matrix([[0, 0, 0], [0, 1, 0], [0, 0, 1]])
+        report = fourier_degree_test(grid_matrix([[0] * 3] * 3), b)
+        assert max(report.magnitudes) < 1e-12
+        assert report.passed
+        assert report.max_tail_relative <= 1e-8
+
     @given(symmetric_grid_st(3), symmetric_grid_st(3))
     def test_high_harmonics_vanish(self, a, b):
         report = fourier_degree_test(a, b)

@@ -15,6 +15,7 @@ from ffc import (
     RatPoly,
     certify,
     char_poly,
+    bipartite_uniform_program,
     compare_max_roots,
     dilation,
     expected_poly_for_graph_model,
@@ -24,6 +25,7 @@ from ffc import (
     rejection_search,
     relabel_grid,
 )
+from ffc.search import _fired_wins
 from support import grid_matrix
 
 
@@ -137,6 +139,25 @@ class TestInterlacingDescent:
         report = interlacing_descent("bipartite", 2, 3, strategy="sampled", seed=3)
         assert report.certificate is not None
         assert report.steps is not None
+
+    def test_sampled_conditionals_without_real_roots(self):
+        # at this seed a step averages to x^4 - 55/8 x^2 + 99/8 against
+        # x^4 - 49/8 x^2 + 153/16, neither with a real root
+        report = interlacing_descent(
+            "bipartite", 3, 3, strategy="sampled",
+            seed=6028146191336245659, samples_per_program=4,
+        )
+        assert len(report.steps) == 3 * len(bipartite_uniform_program(3).swaps)
+        assert report.certificate == certify(report.graph)
+
+    def test_a_conditional_without_real_roots_loses(self):
+        no_real, small, large = poly(1, 0, 1), poly(1, 0, -1), poly(1, 0, -4)
+        assert _fired_wins(small, large)
+        assert not _fired_wins(large, small)
+        assert not _fired_wins(large, large)
+        assert _fired_wins(large, no_real)
+        assert not _fired_wins(no_real, small)
+        assert not _fired_wins(no_real, no_real)
 
     def test_determinant_budget_is_enforced(self):
         with pytest.raises(BudgetError, match="sampled"):
