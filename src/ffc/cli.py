@@ -189,6 +189,12 @@ def _random_program(d: int, swaps: int, rng: SplitMix64) -> SwapProgram:
 
 def _cmd_verify(args) -> int:
     seed = _checked_seed(args.seed)
+    if args.trials < 1:
+        raise ParameterError("need at least one trial")
+    if args.what == "swapreal" and args.d < 2:
+        raise ParameterError("swap programs need dimension at least 2")
+    if args.swaps < 0:
+        raise ParameterError("swap count must be nonnegative")
     failures = 0
     for t in range(args.trials):
         rng = SplitMix64(derive_seed(seed, t))

@@ -72,6 +72,8 @@ class MatchingUnion:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ParameterError(f"unknown mode {self.mode!r}")
+        if type(self.d) is not int or type(self.m) is not int:
+            raise ParameterError("d and m must be integers")
         if self.mode == "nonbipartite" and (self.d < 2 or self.d % 2):
             raise ParameterError("nonbipartite mode needs an even vertex count")
         if self.mode == "bipartite" and self.d < 1:

@@ -29,6 +29,8 @@ class Permutation:
     image: tuple[int, ...]
 
     def __post_init__(self):
+        if not all(type(v) is int for v in self.image):
+            raise ParameterError(f"permutation entries must be integers: {self.image}")
         if sorted(self.image) != list(range(len(self.image))):
             raise ParameterError(f"not a permutation image: {self.image}")
 

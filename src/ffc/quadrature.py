@@ -6,15 +6,24 @@ char(sum_i P_i A_i P_i^T) over independent uniform permutation matrices P_i.
 Conjugating the whole sum by P_1^T shows the average is unchanged when P_1 is
 pinned to the identity, so the enumeration walks (d!)**(m-1) tuples.
 
+Every exact average here, and the descent's conditional averages in
+``ffc.search``, runs through one kernel, ``weighted_charpoly_average``: one
+(image, weight) distribution per summand, the budget checked before any
+work, integer weights over each distribution's common denominator, integer
+characteristic polynomials, and one division at the end.  Rational matrices
+clear their denominators once per call.
+
 ``verify_sym_quadrature`` and ``verify_bip_quadrature`` compare such averages
 against the closed-form convolution predictions for constant-row-sum inputs;
 they are the ground truth the convolution weight formulas are accepted
-against.  ``expected_charpoly_swaps`` averages over swap-program outcomes
-instead of full permutation tuples, and ``expected_charpoly_mc`` estimates
-the same average by sampling.  ``fourier_degree_test`` and ``rank2_check``
-probe the two structural facts that drive real-rootedness of swap averages:
-rotation sweeps have no harmonics beyond the second, and conjugation
-differences A - S A S^T have rank at most two and trace zero.
+against.  The bipartite check averages char(N N^T) of the d x d biadjacency
+and substitutes x**2, since char([[0, N], [N^T, 0]]) = char(N N^T)(x**2).
+``expected_charpoly_swaps`` averages over swap-program outcomes instead of
+full permutation tuples, and ``expected_charpoly_mc`` estimates the same
+average by sampling.  ``fourier_degree_test`` and ``rank2_check`` probe the
+two structural facts that drive real-rootedness of swap averages: rotation
+sweeps have no harmonics beyond the second, and conjugation differences
+A - S A S^T have rank at most two and trace zero.
 """
 
 from __future__ import annotations
@@ -25,11 +34,13 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations as all_permutations
-from typing import Optional, Sequence
+from itertools import product
+from typing import Callable, Iterable, Optional, Sequence
 
 from .config import DEFAULT_BUDGETS, Budgets
 from .convolution import asym_convolve, sym_convolve
 from .errors import BudgetError, ContractError, ParameterError
+from .graphs import _gram
 from .matrix import RatMatrix, char_poly, charpoly_int_coeffs
 from .perms import (
     Permutation,
@@ -84,21 +95,90 @@ class Rank2Report:
         return self.rank in (0, 2) and self.trace == 0
 
 
-# -- grid plumbing ---------------------------------------------------------------
+# -- the weighted-average kernel ---------------------------------------------------
 
 
-def _grids(matrices: Sequence[RatMatrix]) -> tuple[list, bool]:
-    """Entry grids plus a flag for the all-integer fast path."""
+def weighted_charpoly_average(
+    dists: Sequence[Iterable[tuple]],
+    charpoly: Callable[[tuple], Sequence[int]],
+    max_evals: int,
+    scale: int = 1,
+) -> tuple[RatPoly, int]:
+    """Exact sum, over one outcome drawn from each distribution, of the
+    product of the outcomes' weights times a characteristic polynomial.
+
+    ``dists`` holds one sized collection of (image, weight) pairs per
+    summand; ``charpoly`` maps a tuple of images, one per summand, to the
+    ascending integer coefficients of det(x I - scale * M) for the summed
+    matrix M of size n.  Work over the budget is refused before any
+    evaluation.  Each distribution's weights are put over their common
+    denominator, so the sum runs on integers and is divided once at the end,
+    coefficient k also by scale**(n - k).  Returns the polynomial and the
+    number of terms.
+    """
+    count = math.prod(len(dist) for dist in dists)
+    if count > max_evals:
+        raise BudgetError(
+            f"enumeration needs {count} determinant evaluations, "
+            f"budget allows {max_evals}"
+        )
+    integer_dists = []
+    denominator = 1
+    for dist in dists:
+        pairs = list(dist)
+        den = math.lcm(*(w.denominator for _, w in pairs))
+        integer_dists.append(
+            [(image, w.numerator * (den // w.denominator)) for image, w in pairs]
+        )
+        denominator *= den
+    acc: list[int] = []
+    for combo in product(*integer_dists):
+        weight = 1
+        for _, w in combo:
+            weight *= w
+        coeffs = charpoly(tuple(image for image, _ in combo))
+        if not acc:
+            acc = [0] * len(coeffs)
+        for k, c in enumerate(coeffs):
+            acc[k] += weight * c
+    n = len(acc) - 1
+    poly = RatPoly.from_coeffs(
+        Fraction(c, denominator * scale ** (n - k)) for k, c in enumerate(acc)
+    )
+    return poly, count
+
+
+class _Uniform:
+    """Every permutation image of size n with weight 1/n!, listed lazily so a
+    budget check can refuse the distribution before n! images exist."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+
+    def __len__(self) -> int:
+        # len() must fit a machine word; that already exceeds any budget
+        return min(math.factorial(self.n), sys.maxsize)
+
+    def __iter__(self):
+        weight = Fraction(1, math.factorial(self.n))
+        return ((image, weight) for image in all_permutations(range(self.n)))
+
+
+def _grids(matrices: Sequence[RatMatrix]) -> tuple[list, int]:
+    """Integer grids of s * A_i for the lcm s of every denominator, and s:
+    det(x I - B / s) = s**-n det(s x I - B)."""
     if not matrices:
         raise ParameterError("need at least one matrix")
     n = matrices[0].nrows
     for m in matrices:
         if not m.is_square or m.nrows != n:
             raise ParameterError("matrices must be square and equally sized")
-    ints = [m.int_rows() for m in matrices]
-    if all(g is not None for g in ints):
-        return ints, True
-    return [[list(row) for row in m.rows] for m in matrices], False
+    s = math.lcm(*(v.denominator for m in matrices for row in m.rows for v in row))
+    grids = [
+        [[v.numerator * (s // v.denominator) for v in row] for row in m.rows]
+        for m in matrices
+    ]
+    return grids, s
 
 
 def _grid_sum(grids: list) -> list:
@@ -112,10 +192,11 @@ def _grid_sum(grids: list) -> list:
     return out
 
 
-def _charpoly_grid(grid: list, is_int: bool):
-    if is_int:
-        return charpoly_int_coeffs(grid)
-    return char_poly(RatMatrix.from_rows(grid)).coeffs
+def _conjugated_sum_charpoly(grids: list) -> Callable[[tuple], tuple[int, ...]]:
+    """Images -> integer charpoly of sum_i P_i G_i P_i^T."""
+    return lambda images: charpoly_int_coeffs(
+        _grid_sum([relabel_grid(g, image) for g, image in zip(grids, images)])
+    )
 
 
 # -- exact enumeration ------------------------------------------------------------
@@ -126,42 +207,13 @@ def expected_charpoly_perm(
 ) -> ExpectedPoly:
     """Exact average of char(sum_i P_i A_i P_i^T) over uniform independent
     permutations, with P_1 pinned to the identity by conjugation invariance."""
-    grids, is_int = _grids(matrices)
+    grids, s = _grids(matrices)
     n = len(grids[0])
-    m = len(grids)
-    count = math.factorial(n) ** (m - 1)
-    if count > budgets.max_det_evals:
-        raise BudgetError(
-            f"enumeration needs {count} determinant evaluations, "
-            f"budget allows {budgets.max_det_evals}"
-        )
-    acc = [Fraction(0)] * (n + 1)
-    images = list(all_permutations(range(n)))
-    if m == 1:
-        tuples = [()]
-    else:
-        from itertools import product
-
-        tuples = product(images, repeat=m - 1)
-    terms = 0
-    for tpl in tuples:
-        total = [row[:] for row in grids[0]]
-        for image, g in zip(tpl, grids[1:]):
-            conj = relabel_grid(g, image)
-            for i in range(n):
-                row, src = total[i], conj[i]
-                for j in range(n):
-                    row[j] += src[j]
-        coeffs = _charpoly_grid(total, is_int)
-        for k in range(n + 1):
-            acc[k] += coeffs[k]
-        terms += 1
-    inv = Fraction(1, terms)
-    return ExpectedPoly(
-        poly=RatPoly.from_coeffs([c * inv for c in acc]),
-        terms=terms,
-        method="enumeration",
+    dists = [[(tuple(range(n)), 1)]] + [_Uniform(n)] * (len(grids) - 1)
+    poly, terms = weighted_charpoly_average(
+        dists, _conjugated_sum_charpoly(grids), budgets.max_det_evals, s
     )
+    return ExpectedPoly(poly=poly, terms=terms, method="enumeration")
 
 
 def expected_charpoly_swaps(
@@ -173,45 +225,19 @@ def expected_charpoly_swaps(
     own swap program, weighted by the exact outcome probabilities."""
     if len(matrices) != len(programs):
         raise ParameterError("one program per matrix required")
-    grids, is_int = _grids(matrices)
+    grids, s = _grids(matrices)
     n = len(grids[0])
     for prog in programs:
         if prog.dimension != n:
             raise ParameterError("program dimension must match matrix size")
     dists = [
-        sorted(
-            leaf_distribution(prog, budgets.max_swaps).items(),
-            key=lambda kv: kv[0].image,
-        )
+        [(p.image, pr) for p, pr in leaf_distribution(prog, budgets.max_swaps).items()]
         for prog in programs
     ]
-    count = 1
-    for dist in dists:
-        count *= len(dist)
-    if count > budgets.max_det_evals:
-        raise BudgetError(
-            f"swap enumeration needs {count} determinant evaluations, "
-            f"budget allows {budgets.max_det_evals}"
-        )
-    acc = [Fraction(0)] * (n + 1)
-    from itertools import product
-
-    terms = 0
-    for combo in product(*dists):
-        weight = Fraction(1)
-        conjugated = []
-        for (perm, pr), g in zip(combo, grids):
-            weight *= pr
-            conjugated.append(relabel_grid(g, perm.image))
-        if weight == 0:
-            continue
-        coeffs = _charpoly_grid(_grid_sum(conjugated), is_int)
-        for k in range(n + 1):
-            acc[k] += weight * coeffs[k]
-        terms += 1
-    return ExpectedPoly(
-        poly=RatPoly.from_coeffs(acc), terms=terms, method="swaps"
+    poly, terms = weighted_charpoly_average(
+        dists, _conjugated_sum_charpoly(grids), budgets.max_det_evals, s
     )
+    return ExpectedPoly(poly=poly, terms=terms, method="swaps")
 
 
 def expected_charpoly_mc(
@@ -231,35 +257,30 @@ def expected_charpoly_mc(
             raise ParameterError("m disagrees with the number of matrices")
     if trials < 1:
         raise ParameterError("need at least one trial")
-    grids, is_int = _grids(mats)
+    grids, s = _grids(mats)
     n = len(grids[0])
-    sums = [Fraction(0)] * (n + 1)
-    sq_sums = [Fraction(0)] * (n + 1)
+    charpoly = _conjugated_sum_charpoly(grids)
+    identity = tuple(range(n))
+    sums = [0] * (n + 1)
+    sq_sums = [0] * (n + 1)
     for _ in range(trials):
-        conjugated = [grids[0]]
-        for g in grids[1:]:
-            image = uniform_permutation(n, rng).image
-            conjugated.append(relabel_grid(g, image))
-        coeffs = _charpoly_grid(_grid_sum(conjugated), is_int)
-        for k in range(n + 1):
-            c = Fraction(coeffs[k])
+        images = [identity]
+        images += [uniform_permutation(n, rng).image for _ in grids[1:]]
+        for k, c in enumerate(charpoly(images)):
             sums[k] += c
             sq_sums[k] += c * c
-    inv = Fraction(1, trials)
-    mean = [s * inv for s in sums]
-    if trials > 1:
-        stderr = tuple(
-            math.sqrt(max(0.0, float((sq - trials * mu * mu) / (trials - 1))))
-            / math.sqrt(trials)
-            for sq, mu in zip(sq_sums, mean)
-        )
-    else:
-        stderr = tuple(0.0 for _ in mean)
+    mean, stderr = [], []
+    for k, (t, q) in enumerate(zip(sums, sq_sums)):
+        unit = s ** (n - k)  # sampled coefficient k is c / unit
+        mean.append(Fraction(t, trials * unit))
+        # sample variance; with one trial the numerator is 0
+        var = Fraction(trials * q - t * t, trials * max(trials - 1, 1) * unit * unit)
+        stderr.append(math.sqrt(max(0.0, float(var))) / math.sqrt(trials))
     return ExpectedPoly(
         poly=RatPoly.from_coeffs(mean),
         terms=trials,
         method="monte-carlo",
-        stderr=stderr,
+        stderr=tuple(stderr),
     )
 
 
@@ -314,37 +335,22 @@ def verify_bip_quadrature(
     rb = b.constant_doubly_regular_sum()
     if ra is None or rb is None:
         raise ContractError("double regularity required and missing")
-    count = math.factorial(d) ** 2
-    if count > budgets.max_det_evals:
-        raise BudgetError(
-            f"pair enumeration needs {count} determinant evaluations, "
-            f"budget allows {budgets.max_det_evals}"
-        )
-    grids, is_int = _grids([a, b])
-    ga, gb = grids
-    acc = [Fraction(0)] * (2 * d + 1)
-    terms = 0
-    zero = 0 if is_int else Fraction(0)
-    images = list(all_permutations(range(d)))
-    for pimg in images:
-        for simg in images:
-            inner = [row[:] for row in ga]
-            for i in range(d):
-                src = gb[i]
-                dest = inner[pimg[i]]
-                for j in range(d):
-                    dest[simg[j]] += src[j]
-            total = [
-                [zero] * d + inner[i] for i in range(d)
-            ] + [
-                [inner[i][j] for i in range(d)] + [zero] * d for j in range(d)
-            ]
-            coeffs = _charpoly_grid(total, is_int)
-            for k in range(2 * d + 1):
-                acc[k] += coeffs[k]
-            terms += 1
-    inv = Fraction(1, terms)
-    lhs = RatPoly.from_coeffs([c * inv for c in acc])
+    # char(dilation N) = char(N N^T)(x**2): average the d x d Gram matrix
+    (ga, gb), s = _grids([a, b])
+
+    def gram_charpoly(images: tuple) -> tuple[int, ...]:
+        pimg, simg = images
+        n = [row[:] for row in ga]
+        for i in range(d):
+            src, dest = gb[i], n[pimg[i]]
+            for j in range(d):
+                dest[simg[j]] += src[j]
+        return charpoly_int_coeffs(_gram(n))
+
+    gram_avg, terms = weighted_charpoly_average(
+        [_Uniform(d), _Uniform(d)], gram_charpoly, budgets.max_det_evals, s * s
+    )
+    lhs = gram_avg.substitute_square()
     p = _strip_linear_root(char_poly(a @ a.transpose()), ra * ra)
     q = _strip_linear_root(char_poly(b @ b.transpose()), rb * rb)
     conv = asym_convolve(p, q, d - 1)

@@ -6,13 +6,16 @@ existence holds with nonzero probability, so exhausting the trial budget is
 reported rather than raised.  ``interlacing_descent`` walks the random-swap
 programs realizing the uniform distribution and greedily fixes each swap to
 the branch whose conditional expected characteristic polynomial has the
-smaller largest nontrivial root.  In exact strategy the conditionals are
-full leaf enumerations and the greedy choice provably never increases that
-root, so the terminal graph beats the expected polynomial; this is
-exponential and meant for tiny sizes.  The sampled strategy substitutes
-per-program empirical suffix distributions.  These are not products of
-independent swaps, so the averages form no interlacing family and need not
-be real-rooted, or have any real root; the strategy offers no guarantee.
+smaller largest nontrivial root.  Each conditional is one call of
+``quadrature.weighted_charpoly_average`` over the per-program suffix
+distributions, with characteristic polynomials cached by image multiset.  In
+exact strategy the conditionals are full leaf enumerations and the greedy
+choice provably never increases that root, so the terminal graph beats the
+expected polynomial; this is exponential and meant for tiny sizes.  The
+sampled strategy substitutes per-program empirical suffix distributions.
+These are not products of independent swaps, so the averages form no
+interlacing family and need not be real-rooted, or have any real root; the
+strategy offers no guarantee.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 
 from .config import DEFAULT_BUDGETS, Budgets
 from .convolution import m_fold_asym, m_fold_sym
@@ -40,16 +42,18 @@ from .graphs import (
     sample_bipartite,
     sample_nonbipartite,
 )
-from .matrix import charpoly_int_coeffs
+from .matrix import RatMatrix, charpoly_int_coeffs, dilation
 from .perms import (
     Permutation,
     SwapProgram,
     bipartite_uniform_program,
     leaf_distribution,
     relabel_grid,
+    sample,
     uniform_program,
 )
 from .poly import RatPoly
+from .quadrature import weighted_charpoly_average
 from .rng import SplitMix64, derive_seed
 from .sturm import compare_max_roots, sturm_chain
 from .transforms import (
@@ -179,23 +183,6 @@ def _compose_images(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[int
     return tuple(outer[v] for v in inner)
 
 
-def _sample_suffix(program: SwapProgram, start: int, rng: SplitMix64) -> tuple[int, ...]:
-    image = tuple(range(program.dimension))
-    for sw in program.swaps[start:]:
-        if rng.bernoulli(sw.prob):
-            image = Permutation(image).swap_values(sw.s, sw.t).image
-    return image
-
-
-def _bipartite_base_grid(d: int) -> list[list[int]]:
-    # dilation of the identity: left j matched to right j
-    grid = [[0] * (2 * d) for _ in range(2 * d)]
-    for i in range(d):
-        grid[i][d + i] = 1
-        grid[d + i][i] = 1
-    return grid
-
-
 class _ConditionalAverager:
     """Exact average of char(sum_i Q_i M Q_i^T) over per-program image
     distributions, with a cache keyed by the image multiset."""
@@ -225,25 +212,16 @@ class _ConditionalAverager:
         return coeffs
 
     def average(self, dists: list[dict[tuple[int, ...], Fraction]]) -> RatPoly:
-        cost = 1
-        for dist in dists:
-            cost *= len(dist)
-        if self.det_evals + cost > self.budgets.max_det_evals:
-            raise BudgetError(
-                f"conditional enumeration needs {cost} more determinant "
-                f"evaluations (budget {self.budgets.max_det_evals}); "
-                "use strategy='sampled'"
+        try:
+            poly, terms = weighted_charpoly_average(
+                [dist.items() for dist in dists],
+                self._charpoly,
+                self.budgets.max_det_evals - self.det_evals,
             )
-        self.det_evals += cost
-        acc = [Fraction(0)] * (self.n + 1)
-        for combo in product(*[d.items() for d in dists]):
-            weight = Fraction(1)
-            for _, pr in combo:
-                weight *= pr
-            coeffs = self._charpoly(tuple(img for img, _ in combo))
-            for k, c in enumerate(coeffs):
-                acc[k] += weight * c
-        return RatPoly(tuple(acc))
+        except BudgetError as exc:
+            raise BudgetError(f"conditional {exc}; use strategy='sampled'") from None
+        self.det_evals += terms
+        return poly
 
 
 def _fired_wins(fired: RatPoly, unfired: RatPoly) -> bool:
@@ -287,6 +265,8 @@ def interlacing_descent(
         raise ParameterError(f"unknown strategy {strategy!r}")
     if m < 1:
         raise ParameterError("need at least one matching")
+    if samples_per_program < 1:
+        raise ParameterError("need at least one sample per program")
     start = time.perf_counter()
     if mode == "nonbipartite":
         program = uniform_program(d)  # validates d
@@ -295,7 +275,7 @@ def interlacing_descent(
         base = matching_grid(d)
     else:
         program = bipartite_uniform_program(d)
-        base = _bipartite_base_grid(d)
+        base = dilation(RatMatrix.identity(d)).int_rows()
     averager = _ConditionalAverager(base, budgets)
     identity = tuple(range(len(base)))
     fixed: list[tuple[int, ...]] = [identity] * m
@@ -315,10 +295,8 @@ def interlacing_descent(
             raise BudgetError(f"{exc}; use strategy='sampled'") from None
 
     def empirical_suffix(start_index: int, rng: SplitMix64) -> tuple:
-        counts = Counter(
-            _sample_suffix(program, start_index, rng)
-            for _ in range(samples_per_program)
-        )
+        tail = SwapProgram(program.dimension, program.swaps[start_index:])
+        counts = Counter(sample(tail, rng).image for _ in range(samples_per_program))
         return tuple(
             (img, Fraction(c, samples_per_program)) for img, c in sorted(counts.items())
         )

@@ -1,19 +1,26 @@
 """Shared strategies and helpers for the tests."""
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import permutations, product
 
 from hypothesis import strategies as st
 
 from ffc import (
     RamanujanCertificate,
     RatMatrix,
+    RandomSwap,
     RatPoly,
+    SwapProgram,
     as_quad,
     count_roots_in_mult,
     deflate_trivial,
+    leaf_distribution,
     ramanujan_bound,
+    relabel_grid,
     root_multiplicity_at,
+    uniform_permutation,
 )
 from ffc.graphs import NOT_RAMANUJAN, STRICT, WITH_BOUNDARY
 
@@ -66,6 +73,26 @@ def symmetric_grid_st(d: int, span: int = 4):
         min_size=n_free,
         max_size=n_free,
     ).map(build)
+
+
+def square_grids_st(entries, d: int, count: int):
+    """``count`` square matrices of side d with entries from ``entries``."""
+    grid = st.lists(
+        st.lists(entries, min_size=d, max_size=d), min_size=d, max_size=d
+    )
+    return st.lists(grid.map(grid_matrix), min_size=count, max_size=count)
+
+
+def swap_program_st(d: int, max_swaps: int = 4):
+    """Programs on d points with rational swap probabilities."""
+    swap = st.tuples(
+        st.integers(min_value=0, max_value=d - 1),
+        st.integers(min_value=0, max_value=d - 1),
+        st.fractions(min_value=0, max_value=1, max_denominator=6),
+    ).filter(lambda raw: raw[0] != raw[1])
+    return st.lists(swap, max_size=max_swaps).map(
+        lambda raw: SwapProgram(d, tuple(RandomSwap(*sw) for sw in raw))
+    )
 
 
 # -- reference implementations of retired library paths --------------------------
@@ -128,3 +155,100 @@ def sturm_certify(g) -> RamanujanCertificate:
         boundary_count=boundary,
         verdict=verdict,
     )
+
+
+# The loops the permutation averages ran before the integer weighted-average
+# kernel: Fraction grids, a Fraction weight multiplied into every coefficient,
+# and Faddeev-LeVerrier for each characteristic polynomial.
+
+
+def _fraction_grid(m) -> list:
+    return [list(row) for row in m.rows]
+
+
+def _summed(grids) -> list:
+    n = len(grids[0])
+    return [[sum(g[i][j] for g in grids) for j in range(n)] for i in range(n)]
+
+
+def perm_average_oracle(matrices) -> tuple[RatPoly, int]:
+    """Average of char(sum_i P_i A_i P_i^T) over uniform permutations with
+    P_1 pinned to the identity, and the number of terms."""
+    grids = [_fraction_grid(m) for m in matrices]
+    n = len(grids[0])
+    acc = [Fraction(0)] * (n + 1)
+    terms = 0
+    for tpl in product(permutations(range(n)), repeat=len(grids) - 1):
+        conj = [grids[0]] + [relabel_grid(g, im) for g, im in zip(grids[1:], tpl)]
+        for k, c in enumerate(faddeev_leverrier(_summed(conj))):
+            acc[k] += c
+        terms += 1
+    return RatPoly.from_coeffs([c / terms for c in acc]), terms
+
+
+def swap_average_oracle(matrices, programs) -> tuple[RatPoly, int]:
+    """Average of char(sum_i Q_i A_i Q_i^T), Q_i from program i's leaf
+    distribution, and the number of nonzero-weight terms."""
+    grids = [_fraction_grid(m) for m in matrices]
+    n = len(grids[0])
+    dists = [leaf_distribution(prog).items() for prog in programs]
+    acc = [Fraction(0)] * (n + 1)
+    terms = 0
+    for combo in product(*dists):
+        weight = Fraction(1)
+        conj = []
+        for (perm, pr), g in zip(combo, grids):
+            weight *= pr
+            conj.append(relabel_grid(g, perm.image))
+        if weight == 0:
+            continue
+        for k, c in enumerate(faddeev_leverrier(_summed(conj))):
+            acc[k] += weight * c
+        terms += 1
+    return RatPoly.from_coeffs(acc), terms
+
+
+def bip_pair_average_oracle(a, b) -> tuple[RatPoly, int]:
+    """Average over permutation pairs (P, S) of char([[0, N], [N^T, 0]]) with
+    N = A + P B S^T, from the 2d x 2d dilation itself."""
+    ga, gb = _fraction_grid(a), _fraction_grid(b)
+    d = len(ga)
+    zero = Fraction(0)
+    acc = [Fraction(0)] * (2 * d + 1)
+    terms = 0
+    for pimg, simg in product(permutations(range(d)), repeat=2):
+        inner = [row[:] for row in ga]
+        for i in range(d):
+            for j in range(d):
+                inner[pimg[i]][simg[j]] += gb[i][j]
+        total = [[zero] * d + inner[i] for i in range(d)] + [
+            [inner[i][j] for i in range(d)] + [zero] * d for j in range(d)
+        ]
+        for k, c in enumerate(faddeev_leverrier(total)):
+            acc[k] += c
+        terms += 1
+    return RatPoly.from_coeffs([c / terms for c in acc]), terms
+
+
+def mc_oracle(matrices, trials: int, rng) -> tuple[RatPoly, tuple]:
+    """Monte Carlo mean and standard errors over Fraction sums."""
+    grids = [_fraction_grid(m) for m in matrices]
+    n = len(grids[0])
+    sums = [Fraction(0)] * (n + 1)
+    sq_sums = [Fraction(0)] * (n + 1)
+    for _ in range(trials):
+        conj = [grids[0]]
+        for g in grids[1:]:
+            conj.append(relabel_grid(g, uniform_permutation(n, rng).image))
+        for k, c in enumerate(faddeev_leverrier(_summed(conj))):
+            sums[k] += c
+            sq_sums[k] += c * c
+    mean = [t / trials for t in sums]
+    if trials == 1:
+        return RatPoly.from_coeffs(mean), tuple(0.0 for _ in mean)
+    stderr = tuple(
+        math.sqrt(max(0.0, float((sq - trials * mu * mu) / (trials - 1))))
+        / math.sqrt(trials)
+        for sq, mu in zip(sq_sums, mean)
+    )
+    return RatPoly.from_coeffs(mean), stderr

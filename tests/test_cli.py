@@ -131,6 +131,21 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "swapreal", "--d", "3", "--trials", "3", "--seed", "7")
         assert code == 0
 
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_nonpositive_trial_count_is_a_usage_error(self, capsys, trials):
+        code, out, err = run(capsys, "verify", "quadrature", "--trials", trials)
+        assert code == 2
+        assert "passed" not in out
+        assert "trial" in err
+
+    @pytest.mark.parametrize(
+        "args, reason", [(("--d", "1"), "dimension"), (("--swaps", "-1"), "swap count")]
+    )
+    def test_impossible_swap_programs_are_usage_errors(self, capsys, args, reason):
+        code, _, err = run(capsys, "verify", "swapreal", *args)
+        assert code == 2
+        assert reason in err
+
 
 class TestSampleAndCertify:
     def test_round_trip_through_files(self, tmp_path, capsys):
@@ -178,6 +193,24 @@ class TestSampleAndCertify:
         code, _, err = run(capsys, "certify", "/nonexistent/g.json")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("d", 1.0), ("d", True), ("m", 1.0), ("m", True), ("perm", 0.0), ("perm", False)],
+    )
+    def test_non_integer_fields_are_usage_errors(self, tmp_path, capsys, field, value):
+        from ffc import MatchingUnion, Permutation
+
+        obj = serial.graph_to_obj(MatchingUnion("bipartite", 1, 1, (Permutation((0,)),)))
+        if field == "perm":
+            obj["perms"][0][0] = value
+        else:
+            obj[field] = value
+        path = tmp_path / "g.json"
+        serial.write_text(path, serial.dumps(obj))
+        code, _, err = run(capsys, "certify", str(path))
+        assert code == 2
+        assert "integers" in err
+
     def test_version_mismatch_is_a_usage_error(self, tmp_path, capsys):
         path = tmp_path / "future.json"
         path.write_text('{"kind": "matching-union", "version": 99}\n')
@@ -224,6 +257,14 @@ class TestDescend:
         )
         assert code == 0
         assert "strictly-ramanujan" in out
+
+    def test_zero_samples_is_a_usage_error(self, capsys):
+        code, _, err = run(
+            capsys, "descend", "--mode", "bipartite", "--d", "2", "--m", "3",
+            "--strategy", "sampled", "--samples", "0",
+        )
+        assert code == 2
+        assert "sample" in err
 
 
 class TestExpected:

@@ -4,10 +4,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from hypothesis import given
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ffc import (
+    BudgetError,
     Budgets,
     Permutation,
     RandomSwap,
@@ -28,7 +30,17 @@ from ffc import (
     verify_sym_quadrature,
 )
 from ffc import RatMatrix
-from support import grid_matrix, symmetric_grid_st
+from support import (
+    bip_pair_average_oracle,
+    fractions_st,
+    grid_matrix,
+    mc_oracle,
+    perm_average_oracle,
+    square_grids_st,
+    swap_average_oracle,
+    swap_program_st,
+    symmetric_grid_st,
+)
 
 
 def poly(*descending):
@@ -129,6 +141,77 @@ class TestSwapAverage:
         swaps = tuple(RandomSwap(s, t, p) for s, t, p in raw if s != t)
         progs = [SwapProgram(3, ()), SwapProgram(3, swaps)]
         assert is_real_rooted(expected_charpoly_swaps([a, b], progs).poly)
+
+
+ENTRIES = pytest.mark.parametrize(
+    "entries",
+    [st.integers(min_value=-5, max_value=5), fractions_st(max_num=5, max_den=6)],
+    ids=["int", "fraction"],
+)
+
+
+class TestKernelAgainstRetiredLoops:
+    """The integer weighted-average kernel against the Fraction loops it
+    replaced (``tests/support.py``)."""
+
+    @ENTRIES
+    @given(data=st.data())
+    def test_perm_average(self, entries, data):
+        d = data.draw(st.integers(min_value=1, max_value=3))
+        m = data.draw(st.integers(min_value=1, max_value=3))
+        mats = data.draw(square_grids_st(entries, d, m))
+        out = expected_charpoly_perm(mats)
+        assert (out.poly, out.terms) == perm_average_oracle(mats)
+
+    @ENTRIES
+    @given(data=st.data())
+    def test_swap_average(self, entries, data):
+        d = data.draw(st.integers(min_value=2, max_value=3))
+        m = data.draw(st.integers(min_value=1, max_value=3))
+        mats = data.draw(square_grids_st(entries, d, m))
+        progs = [data.draw(swap_program_st(d)) for _ in range(m)]
+        out = expected_charpoly_swaps(mats, progs)
+        assert (out.poly, out.terms) == swap_average_oracle(mats, progs)
+
+    @ENTRIES
+    @settings(max_examples=12)
+    @given(data=st.data())
+    def test_bipartite_pair_average(self, entries, data):
+        d = data.draw(st.integers(min_value=2, max_value=3))
+
+        def doubly_regular():
+            # a weighted sum of permutation matrices
+            grid = [[Fraction(0)] * d for _ in range(d)]
+            for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+                w = data.draw(entries)
+                image = data.draw(st.permutations(range(d)))
+                for i, j in enumerate(image):
+                    grid[j][i] += w
+            return grid_matrix(grid)
+
+        a, b = doubly_regular(), doubly_regular()
+        report = verify_bip_quadrature(a, b)
+        assert (report.lhs, report.terms) == bip_pair_average_oracle(a, b)
+        assert report.passed
+
+    @ENTRIES
+    @given(data=st.data())
+    def test_monte_carlo(self, entries, data):
+        d = data.draw(st.integers(min_value=1, max_value=3))
+        m = data.draw(st.integers(min_value=1, max_value=3))
+        mats = data.draw(square_grids_st(entries, d, m))
+        trials = data.draw(st.integers(min_value=1, max_value=5))
+        seed = data.draw(st.integers(min_value=0, max_value=2**64 - 1))
+        out = expected_charpoly_mc(mats, trials, SplitMix64(seed))
+        assert (out.poly, out.stderr) == mc_oracle(mats, trials, SplitMix64(seed))
+
+    def test_over_budget_enumeration_is_refused_up_front(self):
+        # 21! does not fit a machine word; the refusal still comes first
+        big = RatMatrix.identity(21)
+        with pytest.raises(BudgetError):
+            expected_charpoly_perm([big, big])
+        with pytest.raises(BudgetError):
+            verify_bip_quadrature(big, big)
 
 
 class TestMonteCarlo:

@@ -5,6 +5,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ffc import (
     Budgets,
@@ -20,13 +22,14 @@ from ffc import (
     dilation,
     expected_poly_for_graph_model,
     interlacing_descent,
+    leaf_distribution,
     matching_grid,
     m_fold_asym,
     rejection_search,
     relabel_grid,
 )
-from ffc.search import _fired_wins
-from support import grid_matrix
+from ffc.search import _ConditionalAverager, _fired_wins
+from support import grid_matrix, square_grids_st, swap_average_oracle, swap_program_st
 
 
 def poly(*descending):
@@ -159,9 +162,37 @@ class TestInterlacingDescent:
         assert not _fired_wins(no_real, small)
         assert not _fired_wins(no_real, no_real)
 
+    @given(data=st.data())
+    def test_conditional_average_matches_the_retired_loop(self, data):
+        d = data.draw(st.integers(min_value=2, max_value=3))
+        m = data.draw(st.integers(min_value=1, max_value=3))
+        (base,) = data.draw(square_grids_st(st.integers(min_value=0, max_value=3), d, 1))
+        progs = [data.draw(swap_program_st(d)) for _ in range(m)]
+        dists = [
+            {p.image: pr for p, pr in leaf_distribution(prog).items()} for prog in progs
+        ]
+        averager = _ConditionalAverager(base.int_rows(), Budgets())
+        expected, terms = swap_average_oracle([base] * m, progs)
+        assert averager.average(dists) == expected
+        assert averager.det_evals == terms
+
     def test_determinant_budget_is_enforced(self):
         with pytest.raises(BudgetError, match="sampled"):
             interlacing_descent("bipartite", 3, 3, budgets=Budgets(max_det_evals=10, max_swaps=22))
+
+    def test_determinant_budget_covers_the_whole_descent(self):
+        # the first conditional takes exactly 4**3 evaluations, the next 32 more
+        with pytest.raises(BudgetError, match="sampled"):
+            interlacing_descent("bipartite", 2, 3, budgets=Budgets(max_det_evals=64))
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_sample_count_must_be_positive(self, samples):
+        from ffc import ParameterError
+
+        with pytest.raises(ParameterError, match="sample"):
+            interlacing_descent(
+                "bipartite", 2, 3, strategy="sampled", samples_per_program=samples
+            )
 
     def test_unknown_strategy_is_rejected(self):
         from ffc import ParameterError
