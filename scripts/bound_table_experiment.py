@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Sweep the exact root-bound table over a grid of multiplicities and sizes.
 
-Each cell folds the nontrivial matching polynomial m times, brackets its
-largest root, and compares against 2*sqrt(m-1) with an exact Sturm count.
-Prints TSV plus a timing line per multiplicity; nonzero exit if any cell
-ever reaches the bound.
+Each cell folds the nontrivial matching polynomial m times (one power
+series raised to the m-th power), brackets its largest root in the cell that
+Sturm bisection would end in (found from a float guess and proved on
+integers, so the bracket is the bisection's exactly), and compares it with
+2*sqrt(m-1) exactly: by the bracket alone when the bound lies outside it,
+else by a Sturm count.  Prints TSV plus a timing line per multiplicity;
+nonzero exit if any cell ever reaches the bound.
 """
 from __future__ import annotations
 

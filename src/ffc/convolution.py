@@ -15,13 +15,22 @@ with independent permutation-enumeration averages on random instances (see
 the quadrature module), plus the classical identities they must satisfy
 (unit element x**d, the derivative identity against x**(d-1) (x-d), and the
 degree-1 asymmetric case).
+
+Rescaled by the weight's own factors, r_i = a_i (d-i)!/d! (the factor
+squared for the asymmetric kind), both convolutions are truncated products
+of power series: the rescaled output is sum_{i+j=k} r_i s_j for k <= d
+(MSS, *Finite free convolutions of polynomials*, arXiv:1504.00350).  So a
+convolution is one series product and an m-fold convolution is one series
+raised to the m-th power, O(d**2) whatever m is.  Both run on integers:
+each input is put over one common denominator, and the result is divided
+once per coefficient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .errors import ParameterError
 from .poly import RatPoly
@@ -61,24 +70,58 @@ def _check_level(p: RatPoly, q: RatPoly, d: int) -> None:
         raise ParameterError("input degree exceeds convolution level")
 
 
+def _series(p: RatPoly, d: int, squared: bool) -> tuple[list[int], int]:
+    """Integers s_i and a denominator D > 0 with s_i / D = a_i (d-i)!/d!,
+    the factor squared for the asymmetric kind."""
+    a = SignedCoeffs.from_poly(p, d).a
+    e = 2 if squared else 1
+    den = lcm(*(c.denominator for c in a))
+    s = [
+        c.numerator * (den // c.denominator) * factorial(d - i) ** e
+        for i, c in enumerate(a)
+    ]
+    return s, den * factorial(d) ** e
+
+
+def _from_series(c: list[int], den: int, d: int, squared: bool) -> RatPoly:
+    """Invert ``_series``: the polynomial whose rescaled coefficients are
+    c_k / den."""
+    e = 2 if squared else 1
+    top = factorial(d) ** e
+    a = tuple(
+        Fraction(c[k] * top, den * factorial(d - k) ** e) for k in range(d + 1)
+    )
+    return SignedCoeffs(level=d, a=a).to_poly()
+
+
 def _convolve(p: RatPoly, q: RatPoly, d: int, squared: bool) -> RatPoly:
     _check_level(p, q, d)
-    ap = SignedCoeffs.from_poly(p, d).a
-    aq = SignedCoeffs.from_poly(q, d).a
-    fact = [factorial(k) for k in range(d + 1)]
-    out = []
-    for k in range(d + 1):
-        c = Fraction(0)
-        for i in range(k + 1):
-            j = k - i
-            if ap[i] == 0 or aq[j] == 0:
-                continue
-            w = Fraction(fact[d - i] * fact[d - j], fact[d] * fact[d - k])
-            if squared:
-                w *= w
-            c += w * ap[i] * aq[j]
-        out.append(c)
-    return SignedCoeffs(level=d, a=tuple(out)).to_poly()
+    s, ds = _series(p, d, squared)
+    t, dt = _series(q, d, squared)
+    c = [sum(s[i] * t[k - i] for i in range(k + 1)) for k in range(d + 1)]
+    return _from_series(c, ds * dt, d, squared)
+
+
+def _series_power(s: list[int], m: int) -> list[int]:
+    """The integer series s**m truncated to len(s) terms.
+
+    A leading zero run t**v is factored out first, so the rest b has b_0 != 0
+    and Miller's recurrence k b_0 c_k = sum_{j>=1} ((m+1) j - k) b_j c_{k-j}
+    (from b (b**m)' = m b' b**m) applies; every division in it is exact
+    because c = b**m has integer coefficients.
+    """
+    n = len(s)
+    v = next((i for i, x in enumerate(s) if x), n)
+    out = [0] * n
+    if v * m >= n:
+        return out
+    b = s[v:]
+    c = [b[0] ** m]
+    for k in range(1, n - v * m):
+        acc = sum(((m + 1) * j - k) * b[j] * c[k - j] for j in range(1, k + 1))
+        c.append(acc // (k * b[0]))
+    out[v * m:] = c
+    return out
 
 
 def sym_convolve(p: RatPoly, q: RatPoly, d: int) -> RatPoly:
@@ -95,10 +138,8 @@ def _m_fold(p: RatPoly, m: int, d: int, squared: bool) -> RatPoly:
     if m < 1:
         raise ParameterError("fold count must be at least 1")
     _check_level(p, p, d)
-    acc = p
-    for _ in range(m - 1):
-        acc = _convolve(acc, p, d, squared)
-    return acc
+    s, den = _series(p, d, squared)
+    return _from_series(_series_power(s, m), den ** m, d, squared)
 
 
 def m_fold_sym(p: RatPoly, m: int, d: int) -> RatPoly:

@@ -64,10 +64,16 @@ class RatPoly:
     @classmethod
     def from_roots(cls, roots: Iterable) -> "RatPoly":
         """Monic polynomial with the given rational roots (with repetition)."""
-        p = cls.one()
+        # multiply the integer factors (den*x - num), divide by prod(den) once
+        c, scale = [1], 1
         for r in roots:
-            p = p * cls((-_as_fraction(r), Fraction(1)))
-        return p
+            r = _as_fraction(r)
+            c = [
+                r.denominator * a - r.numerator * b
+                for a, b in zip([0] + c, c + [0])
+            ]
+            scale *= r.denominator
+        return cls(tuple(Fraction(v, scale) for v in c))
 
     # -- basic queries ------------------------------------------------------
 

@@ -15,10 +15,20 @@ of the polynomial or of a chain element.
 
 Endpoints may be rationals or QuadScalar values a + b*sqrt(r); their signs
 are decided by integer arithmetic after clearing denominators.
+
+Largest-root brackets usually need no chain.  The bracket is defined as the
+cell that Sturm bisection of the Cauchy interval ends in, and only one cell
+of that dyadic grid holds the largest root; a guess from Laguerre's method
+names a cell, and two integer checks prove that it holds the largest root
+(a sign change across it, and a Taylor shift at its right end with no sign
+variation, so by Descartes' rule no root lies beyond).  The guess only
+chooses which cell to check, so the bracket is the bisection's, bit for bit;
+the bisection itself runs only when the proof fails.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -285,14 +295,146 @@ def root_multiplicity_at(p: RatPoly, point) -> int:
 
 
 def max_root_bracket(p: RatPoly, width=Fraction(1, 1024)) -> tuple[Fraction, Fraction]:
-    """Rational (lo, hi] with hi - lo <= width containing the largest real root."""
+    """Rational (lo, hi] with hi - lo <= width containing the largest real root.
+
+    With B the Cauchy bound, (lo, hi] is the cell of the dyadic grid on
+    (-B-1, B] at the first level whose cells have width <= ``width`` that
+    holds the largest real root: the interval that bisection of (-B-1, B]
+    by Sturm counts ends in.  Exactly one cell holds that root, so proving
+    that a candidate cell holds it proves the candidate is that interval.
+    A guess at the root (``_top_root_guess``) picks the candidate; integer
+    arithmetic proves it (``_holds_top_root``).  Only when the proof fails
+    (a top root of even multiplicity, no real root, a float overflow or a
+    poor guess) does the Sturm bisection run, so no float reaches the
+    result.
+    """
     width = Fraction(width)
     if width <= 0:
         raise ParameterError("bracket width must be positive")
     if p.is_zero or p.degree == 0:
         raise ParameterError("bracket needs a nonconstant polynomial")
-    chain = sturm_chain(p)
     bound = cauchy_root_bound(p)
+    # In units of 1/scale the grid starts at start = -B-1 and its cells have
+    # width span; levels is the fewest halvings of 2B+1 down to width.
+    num, den = bound.numerator, bound.denominator
+    span = 2 * num + den
+    levels = (-(-span * width.denominator // (den * width.numerator)) - 1).bit_length()
+    scale = den << levels
+    start = -(num + den) << levels
+    coeffs = to_primitive_int(p)
+    if coeffs[-1] < 0:
+        coeffs = tuple(-c for c in coeffs)
+    guess = _top_root_guess(coeffs)
+    if guess is not None:
+        gnum, gden = guess
+        # the j with start + j*span < guess*scale <= start + (j+1)*span
+        j = -((start * gden - gnum * scale) // (span * gden)) - 1
+        lo = start + min(max(j, 0), (1 << levels) - 1) * span
+        if _holds_top_root(coeffs, lo, lo + span, scale):
+            return Fraction(lo, scale), Fraction(lo + span, scale)
+    return _bisect_max_root(p, bound, width)
+
+
+_GUESS_STEPS = 100
+_GUESS_BITS = 64
+
+
+def _homogenised(coeffs: tuple[int, ...], scale: int) -> list[int]:
+    """Coefficients of P(y) = scale**n * p(y / scale), ascending."""
+    out = []
+    power = 1
+    for c in reversed(coeffs):
+        out.append(c * power)
+        power *= scale
+    out.reverse()
+    return out
+
+
+def _top_root_guess(coeffs: tuple[int, ...]) -> tuple[int, int] | None:
+    """Numerator and denominator of a guess at the largest root of a
+    polynomial with positive leading coefficient, or None when floats
+    overflow.
+
+    Laguerre's method starts at the Laguerre-Samuelson bound
+    mean + sqrt((n-1) * variance) of the roots, at or above the largest root
+    of a real-rooted polynomial, and from there decreases monotonically to
+    that root in a few steps (Newton's method would take about n steps
+    before its quadratic phase).  Iterates are multiples of 2**-64, and p,
+    p' and p'' are evaluated exactly there, because float evaluation in the
+    monomial basis drowns in cancellation near a root once the degree is in
+    the hundreds; only the step is computed in floats.  Once the steps
+    fall below 2**-64, or an iterate rounds past the root, the guess is one
+    exact Newton step from the last iterate.
+    """
+    n = len(coeffs) - 1
+    try:
+        a1 = coeffs[n - 1] / coeffs[n]
+        a2 = coeffs[n - 2] / coeffs[n] if n >= 2 else 0.0
+        mean = -a1 / n
+        variance = (a1 * a1 - 2 * a2) / n - mean * mean
+        top = mean + math.sqrt(max(variance, 0.0) * (n - 1))
+        num = round(math.ldexp(top, _GUESS_BITS))
+    except (OverflowError, ValueError):
+        return None
+    den = 1 << _GUESS_BITS
+    homog = _homogenised(coeffs, den)
+    for _ in range(_GUESS_STEPS):
+        # P(num), P'(num) and P''(num)/2 for P(y) = den**n * p(y / den)
+        v0 = v1 = v2 = 0
+        for c in reversed(homog):
+            v2 = v2 * num + v1
+            v1 = v1 * num + v0
+            v0 = v0 * num + c
+        if v1 <= 0:
+            break
+        newton = num * v1 - v0, v1 * den
+        if v0 <= 0:
+            return newton
+        try:
+            g = v1 / v0
+            h = g * g - 2 * v2 / v0
+        except OverflowError:
+            return newton
+        root_term = g + math.sqrt(max((n - 1) * (n * h - g * g), 0.0))
+        if not root_term > 0:
+            break
+        step = n / root_term
+        if not 1 <= step < math.inf:
+            return newton
+        num -= round(step)
+    return num, den
+
+
+def _holds_top_root(coeffs: tuple[int, ...], lo: int, hi: int, scale: int) -> bool:
+    """True when the largest real root of the polynomial (positive leading
+    coefficient) lies in (lo/scale, hi/scale]; False when this is not proved.
+
+    With P(y) = scale**n * p(y/scale), it checks P(lo) < 0 and that the
+    Taylor shift P(hi + s) has no negative coefficient.  By Descartes' rule
+    of signs the shift has no positive root, so p has no real root above
+    hi/scale, and p(lo/scale) < 0 <= p(hi/scale) puts a root in the cell.
+    """
+    homog = _homogenised(coeffs, scale)
+    at_lo = 0
+    for c in reversed(homog):
+        at_lo = at_lo * lo + c
+    if at_lo >= 0:
+        return False
+    # in place Taylor shift; after pass i, homog[i] is final
+    n = len(homog) - 1
+    for i in range(n):
+        for k in range(n - 1, i - 1, -1):
+            homog[k] += hi * homog[k + 1]
+        if homog[i] < 0:
+            return False
+    return True
+
+
+def _bisect_max_root(
+    p: RatPoly, bound: Fraction, width: Fraction
+) -> tuple[Fraction, Fraction]:
+    """The same bracket by bisection of (-bound-1, bound] with Sturm counts."""
+    chain = sturm_chain(p)
     lo, hi = -bound - 1, bound
     if chain.count_half_open(lo, hi) == 0:
         raise ParameterError("polynomial has no real roots")

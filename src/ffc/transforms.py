@@ -2,15 +2,18 @@
 
 The Cauchy transform of a degree-d polynomial is G(x) = p'(x) / (d p(x)),
 evaluated exactly on rationals.  Its inverse K(w), the unique solution of
-G(x) = w to the right of the largest root, is bisected from a certified
-rational starting bracket with exact sign tests, so only the returned
-midpoint is floating point.  The root-bound table is exact end to end:
-largest-root verdicts against 2*sqrt(m-1) are Sturm counts with quadratic
-irrational endpoints, never float comparisons.
+G(x) = w to the right of the largest root, is the largest root of
+d w p - p', so it comes from that polynomial's certified max-root bracket
+and only the returned midpoint is floating point.  The root-bound table is
+exact end to end: a bracket (lo, hi] of the largest root decides the verdict
+against 2*sqrt(m-1) by exact comparison in Q(sqrt(m-1)) when the bound lies
+outside it, and a Sturm count with quadratic irrational endpoints decides it
+when the bound falls inside; no float is ever compared.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,12 +41,15 @@ def cauchy_transform(p: RatPoly, x) -> Fraction:
 def inverse_cauchy(p: RatPoly, w, tol: float = 1e-12) -> float:
     """K(w): the x > max_root(p) with G(x) = w, to absolute tolerance tol.
 
-    Starts from the certified rational bracket
-    [max_root + 1/(d w), max_root + 1/w] and bisects with exact rational
-    comparisons, so clustered roots cannot mislead the sign test; only the
-    returned midpoint is floating point.  Requires w > 0 and a real-rooted
-    p of degree >= 1.
+    For p with positive leading coefficient, d w p - p' = d p (w - G) has
+    exactly one root right of the largest root of p, where G falls from
+    +inf to 0, and none beyond it, so K(w) is exactly the largest root of
+    d w p - p'.  It returns the midpoint of the certified ``max_root_bracket``
+    of that polynomial at width tol/2; only the midpoint is floating point.
+    Requires w > 0, a finite tol > 0 and a real-rooted p of degree >= 1.
     """
+    if not 0 < tol < math.inf:
+        raise ParameterError(f"tolerance must be finite and positive, got {tol!r}")
     if p.degree < 1:
         raise ParameterError("inverse transform needs a nonconstant polynomial")
     w = Fraction(w)
@@ -51,21 +57,8 @@ def inverse_cauchy(p: RatPoly, w, tol: float = 1e-12) -> float:
         raise ParameterError("inverse transform needs w > 0")
     if p.lead < 0:
         p = p.scale(-1)
-    d = p.degree
-    # Bracket the largest root tighter than 1/(d*w) so the shifted interval
-    # still lies strictly to the right of every root.
-    root_lo, root_hi = max_root_bracket(p, width=Fraction(1, 4 * d) / w)
-    lo = root_lo + Fraction(1, d) / w
-    hi = root_hi + 1 / w
-    pd = p.derivative()
-    half_tol = Fraction(tol) / 2
-    while hi - lo > half_tol:
-        mid = (lo + hi) / 2
-        # G is strictly decreasing right of the top root
-        if pd(mid) > d * w * p(mid):
-            lo = mid
-        else:
-            hi = mid
+    k_poly = p.scale(p.degree * w) - p.derivative()
+    lo, hi = max_root_bracket(k_poly, Fraction(tol) / 2)
     return float((lo + hi) / 2)
 
 
@@ -171,8 +164,14 @@ def _table_cell(args: tuple[int, int, str, Fraction]) -> TableRow:
         poly = poly.substitute_square()
     bound = ramanujan_bound(m)
     lo, hi = max_root_bracket(poly, width)
-    upper = cauchy_root_bound(poly) + 1
-    at_or_above = count_roots_in(poly, bound, QuadScalar(upper), open_interval=False)
+    # the largest root lies in (lo, hi]; count roots only when it straddles
+    if bound > hi:
+        below = True
+    elif bound <= lo:
+        below = False
+    else:
+        upper = QuadScalar(cauchy_root_bound(poly) + 1)
+        below = count_roots_in(poly, bound, upper, open_interval=False) == 0
     return TableRow(
         m=m,
         d=d,
@@ -181,7 +180,7 @@ def _table_cell(args: tuple[int, int, str, Fraction]) -> TableRow:
         bracket_lo=lo,
         bracket_hi=hi,
         bound=bound,
-        below_bound=at_or_above == 0,
+        below_bound=below,
     )
 
 
@@ -196,6 +195,9 @@ def mfold_root_bound_table(
     over processes without changing any result or the row order."""
     if mode not in ("sym", "asym"):
         raise ParameterError("mode must be 'sym' or 'asym'")
+    width = Fraction(width)
+    if width <= 0:
+        raise ParameterError("bracket width must be positive")
     cells = []
     for m in ms:
         if m < 2:
@@ -205,7 +207,7 @@ def mfold_root_bound_table(
                 raise ParameterError(f"sym mode needs even d >= 2, got {d}")
             if mode == "asym" and d < 2:
                 raise ParameterError(f"asym mode needs d >= 2, got {d}")
-            cells.append((m, d, mode, Fraction(width)))
+            cells.append((m, d, mode, width))
     workers = min(worker_count(), len(cells)) if cells else 1
     if workers > 1:
         try:

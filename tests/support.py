@@ -4,22 +4,27 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import permutations, product
+from math import factorial
 
 from hypothesis import strategies as st
 
 from ffc import (
+    ParameterError,
     RamanujanCertificate,
     RatMatrix,
     RandomSwap,
     RatPoly,
+    SignedCoeffs,
     SwapProgram,
     as_quad,
+    cauchy_root_bound,
     count_roots_in_mult,
     deflate_trivial,
     leaf_distribution,
     ramanujan_bound,
     relabel_grid,
     root_multiplicity_at,
+    sturm_chain,
     uniform_permutation,
 )
 from ffc.graphs import NOT_RAMANUJAN, STRICT, WITH_BOUNDARY
@@ -252,3 +257,79 @@ def mc_oracle(matrices, trials: int, rng) -> tuple[RatPoly, tuple]:
         for sq, mu in zip(sq_sums, mean)
     )
     return RatPoly.from_coeffs(mean), stderr
+
+
+# The convolution kernel before the power-series rescaling: the closed-form
+# weights applied to each product a_i b_j, and an m-fold convolution as m - 1
+# repeated convolutions.
+
+
+def convolve_oracle(p: RatPoly, q: RatPoly, d: int, squared: bool) -> RatPoly:
+    """Sym (``squared`` false) or asym convolution at level d, weight by weight."""
+    ap = SignedCoeffs.from_poly(p, d).a
+    aq = SignedCoeffs.from_poly(q, d).a
+    out = []
+    for k in range(d + 1):
+        c = Fraction(0)
+        for i in range(k + 1):
+            j = k - i
+            w = Fraction(
+                factorial(d - i) * factorial(d - j), factorial(d) * factorial(d - k)
+            )
+            c += (w * w if squared else w) * ap[i] * aq[j]
+        out.append(c)
+    return SignedCoeffs(level=d, a=tuple(out)).to_poly()
+
+
+def m_fold_oracle(p: RatPoly, m: int, d: int, squared: bool) -> RatPoly:
+    """p convolved with itself m times, one convolution after another."""
+    acc = p
+    for _ in range(m - 1):
+        acc = convolve_oracle(acc, p, d, squared)
+    return acc
+
+
+# Root location before the float-guided bracket: Sturm bisection of the
+# Cauchy interval, and the inverse Cauchy transform bisected on Fractions.
+
+
+def max_root_bracket_oracle(p: RatPoly, width=Fraction(1, 1024)) -> tuple:
+    """(lo, hi] from bisecting (-B-1, B] with Sturm counts until hi - lo <= width.
+
+    The count of roots in (mid, hi] is V(mid) - V(hi) for the chain's sign
+    variations V; V(hi) is kept from the step that set hi.
+    """
+    chain = sturm_chain(p)
+    bound = cauchy_root_bound(p)
+    lo, hi = -bound - 1, bound
+    at_hi = chain.variations_right(hi)
+    if chain.variations_right(lo) == at_hi:
+        raise ParameterError("polynomial has no real roots")
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        at_mid = chain.variations_right(mid)
+        if at_mid > at_hi:
+            lo = mid
+        else:
+            hi, at_hi = mid, at_mid
+    return lo, hi
+
+
+def inverse_cauchy_oracle(p: RatPoly, w, tol: float = 1e-12) -> float:
+    """K(w) bisected on Fractions from [top + 1/(d w), top + 1/w]."""
+    w = Fraction(w)
+    if p.lead < 0:
+        p = p.scale(-1)
+    d = p.degree
+    root_lo, root_hi = max_root_bracket_oracle(p, Fraction(1, 4 * d) / w)
+    lo = root_lo + Fraction(1, d) / w
+    hi = root_hi + 1 / w
+    pd = p.derivative()
+    half_tol = Fraction(tol) / 2
+    while hi - lo > half_tol:
+        mid = (lo + hi) / 2
+        if pd(mid) > d * w * p(mid):
+            lo = mid
+        else:
+            hi = mid
+    return float((lo + hi) / 2)

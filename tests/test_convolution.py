@@ -16,7 +16,13 @@ from ffc import (
     m_fold_sym,
     sym_convolve,
 )
-from support import fractions_st, nonneg_rooted_st, real_rooted_st
+from support import (
+    convolve_oracle,
+    fractions_st,
+    m_fold_oracle,
+    nonneg_rooted_st,
+    real_rooted_st,
+)
 
 
 def poly(*descending):
@@ -145,3 +151,40 @@ class TestMFold:
         assert is_real_rooted(out)
         hi = cauchy_root_bound(out) + 1
         assert count_roots_in_mult(out, Fraction(0), hi) == d
+
+
+@st.composite
+def level_and_poly(draw):
+    """A level d and a rational polynomial of degree at most d, the zero
+    polynomial and degrees below d included."""
+    d = draw(st.integers(min_value=1, max_value=7))
+    coeffs = draw(st.lists(fractions_st(max_num=9, max_den=6), max_size=d + 1))
+    return d, RatPoly.from_coeffs(coeffs)
+
+
+class TestPowerSeriesKernel:
+    """The rescaled power-series kernel against the weight-by-weight loop and
+    m - 1 repeated convolutions it replaced."""
+
+    @given(level_and_poly(), st.integers(min_value=1, max_value=8), st.booleans())
+    def test_m_fold_matches_repeated_convolution(self, level_p, m, squared):
+        d, p = level_p
+        fold = m_fold_asym if squared else m_fold_sym
+        assert fold(p, m, d) == m_fold_oracle(p, m, d, squared)
+
+    @given(level_and_poly(), st.data(), st.booleans())
+    def test_convolution_matches_the_weighted_loop(self, level_p, data, squared):
+        d, p = level_p
+        q = data.draw(st.lists(fractions_st(max_num=9, max_den=6), max_size=d + 1))
+        q = RatPoly.from_coeffs(q)
+        conv = asym_convolve if squared else sym_convolve
+        assert conv(p, q, d) == convolve_oracle(p, q, d, squared)
+
+    def test_leading_zero_runs(self):
+        # deg p = 1 at level 6: the series starts with t**5, so m = 2 folds
+        # vanish and m = 1 returns p
+        p = RatPoly.from_coeffs([3, 2])
+        for squared, fold in ((False, m_fold_sym), (True, m_fold_asym)):
+            assert fold(p, 1, 6) == p
+            assert fold(p, 2, 6) == m_fold_oracle(p, 2, 6, squared) == RatPoly.zero()
+            assert fold(RatPoly.zero(), 3, 6) == RatPoly.zero()

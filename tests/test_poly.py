@@ -33,6 +33,13 @@ class TestConstruction:
         assert p(Fraction(-3)) == 0
         assert p(Fraction(0)) != 0
 
+    @given(st.lists(fractions_st(max_num=9, max_den=7), max_size=8))
+    def test_from_roots_is_the_product_of_linear_factors(self, roots):
+        product = RatPoly.one()
+        for r in roots:
+            product = product * RatPoly.from_coeffs([-r, 1])
+        assert RatPoly.from_roots(roots) == product
+
     def test_x_power(self):
         assert RatPoly.x_power(3).coeffs == (0, 0, 0, 1)
         assert RatPoly.x() == RatPoly.x_power(1)

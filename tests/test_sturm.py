@@ -1,12 +1,17 @@
 """Exact root counting, bracketing, and interlacing."""
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from unittest import mock
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ffc.sturm
 from ffc import (
+    ParameterError,
     QuadScalar,
     RatPoly,
     cauchy_root_bound,
@@ -19,7 +24,7 @@ from ffc import (
     max_root_bracket,
     root_multiplicity_at,
 )
-from support import fractions_st, real_rooted_st
+from support import fractions_st, max_root_bracket_oracle, real_rooted_st
 
 
 def poly(*descending):
@@ -84,6 +89,112 @@ class TestMaxRootBracket:
         beyond = hi + cauchy_root_bound(p) + 1
         assert count_roots_in(p, hi, beyond, open_interval=True) == 0
         assert lo < max(roots) <= hi
+
+
+WIDTHS = st.sampled_from(
+    [
+        Fraction(1, 1024),
+        Fraction(1, 3),
+        Fraction(2),
+        Fraction(1, 10**9),
+        Fraction(1e-12),
+    ]
+)
+
+
+def positive_st():
+    return fractions_st().map(lambda c: c * c + Fraction(1, 8))
+
+
+def quadratic(centre, c):
+    """x**2 - 2 centre x + centre**2 + c: roots centre +- i sqrt(c)."""
+    return RatPoly.from_coeffs([centre * centre + c, -2 * centre, 1])
+
+
+class TestBracketAgainstBisection:
+    """The certified cell equals the Sturm bisection's bracket bit for bit."""
+
+    @given(
+        st.lists(
+            st.sampled_from([-2, -1, 0, Fraction(1, 3), 1, 3]), min_size=1, max_size=7
+        ),
+        WIDTHS,
+    )
+    def test_repeated_roots(self, roots, width):
+        p = RatPoly.from_roots(roots)
+        assert max_root_bracket(p, width) == max_root_bracket_oracle(p, width)
+
+    @given(real_rooted_st(max_degree=4), st.integers(min_value=1, max_value=2), WIDTHS)
+    def test_top_root_of_even_multiplicity_takes_the_fallback(self, p, half, width):
+        # p keeps its sign across the top root, which lies more than a cell
+        # width above the other roots, so no cell passes the sign check
+        top = max_root_bracket_oracle(p, Fraction(1, 2**40))[1] + 3
+        p = p * RatPoly.from_roots([top] * (2 * half))
+        with mock.patch.object(
+            ffc.sturm, "_bisect_max_root", wraps=ffc.sturm._bisect_max_root
+        ) as bisect:
+            assert max_root_bracket(p, width) == max_root_bracket_oracle(p, width)
+        assert bisect.called
+
+    @given(
+        real_rooted_st(max_degree=4),
+        st.lists(positive_st(), min_size=1, max_size=2),
+        fractions_st(),
+        WIDTHS,
+    )
+    def test_complex_roots(self, p, offsets, centre, width):
+        for c in offsets:
+            p = p * quadratic(centre, c)
+        assert max_root_bracket(p, width) == max_root_bracket_oracle(p, width)
+
+    @pytest.mark.parametrize(
+        "roots, centre, c", [([2, 5, 6], 0, 33), ([-5, -1, 4, 6], 1, 43)]
+    )
+    def test_guess_at_a_lower_root_is_rejected(self, roots, centre, c):
+        # the guess converges to the lowest root, where p changes sign too;
+        # only the Descartes count at the cell's right end rules it out
+        p = RatPoly.from_roots(roots) * quadratic(centre, c)
+        assert max_root_bracket(p) == max_root_bracket_oracle(p)
+
+    @given(
+        st.lists(fractions_st(), min_size=1, max_size=3),
+        st.integers(min_value=2, max_value=30).filter(lambda c: math.isqrt(c) ** 2 < c),
+        st.sampled_from([Fraction(1, 2**80), Fraction(1, 2**100)]),
+    )
+    def test_widths_below_the_guess_grid(self, roots, c, width):
+        # sqrt(c) is irrational, so it is never a cell end; the last exact
+        # Newton step refines the guess past its 2**-64 grid
+        p = RatPoly.from_roots([-abs(r) for r in roots])
+        p = p * RatPoly.from_coeffs([-c, 0, 1])
+        with mock.patch.object(
+            ffc.sturm, "_bisect_max_root", wraps=ffc.sturm._bisect_max_root
+        ) as bisect:
+            assert max_root_bracket(p, width) == max_root_bracket_oracle(p, width)
+        assert not bisect.called
+
+    @given(
+        st.lists(fractions_st(), min_size=1, max_size=5),
+        st.sampled_from([10**6, 10**12, Fraction(1, 10**6)]),
+        WIDTHS,
+    )
+    def test_large_cauchy_bounds(self, roots, factor, width):
+        p = RatPoly.from_roots([r * factor for r in roots])
+        assert max_root_bracket(p, width) == max_root_bracket_oracle(p, width)
+
+    @given(st.lists(fractions_st(), min_size=1, max_size=6, unique=True), WIDTHS)
+    def test_negative_lead(self, roots, width):
+        p = RatPoly.from_roots(roots).scale(Fraction(-5, 3))
+        assert max_root_bracket(p, width) == max_root_bracket_oracle(p, width)
+
+    @given(st.lists(positive_st(), min_size=1, max_size=3), fractions_st(), WIDTHS)
+    def test_no_real_root_raises_on_both_paths(self, offsets, centre, width):
+        p = RatPoly.one()
+        for c in offsets:
+            p = p * quadratic(centre, c)
+        with pytest.raises(ParameterError):
+            max_root_bracket_oracle(p, width)
+        with pytest.raises(ParameterError):
+            max_root_bracket(p, width)
 
 
 class TestRealRootedness:

@@ -1,18 +1,26 @@
 """Cauchy transforms, root bounds, and matching polynomials."""
 from __future__ import annotations
 
+import hashlib
+import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ffc.sturm
+import ffc.transforms
 from ffc import (
     ParameterError,
     QuadScalar,
     RatPoly,
+    asym_convolve,
+    cauchy_root_bound,
     cauchy_transform,
     char_poly,
+    count_roots_in,
     check_asym_bound,
     check_sym_bound,
     bip_matching_nontrivial_poly,
@@ -22,8 +30,16 @@ from ffc import (
     max_root_bracket,
     mfold_root_bound_table,
     ramanujan_bound,
+    sym_convolve,
 )
-from support import grid_matrix, real_rooted_st
+from ffc.serial import dumps, table_to_obj
+from support import (
+    grid_matrix,
+    inverse_cauchy_oracle,
+    max_root_bracket_oracle,
+    nonneg_rooted_st,
+    real_rooted_st,
+)
 
 
 def poly(*descending):
@@ -55,6 +71,36 @@ class TestInverseCauchy:
         lo, hi = max_root_bracket(p, Fraction(1, 2 ** 20))
         val = inverse_cauchy(p, Fraction(10 ** 6))
         assert float(lo) < val < float(hi) + 1e-4
+
+
+    @pytest.mark.parametrize("tol", [0, -1e-9, math.nan, math.inf, -math.inf])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ParameterError):
+            inverse_cauchy(RatPoly.x_power(3), Fraction(1, 2), tol)
+
+
+WEIGHTS = st.sampled_from([Fraction(1, 4), Fraction(1), Fraction(4), Fraction(2, 7)])
+
+
+class TestInverseCauchyAgainstBisection:
+    """K(w) as the top root of d w p - p' against the Fraction bisection."""
+
+    @given(real_rooted_st(max_degree=5), real_rooted_st(max_degree=5), WEIGHTS)
+    def test_sym_check_inputs(self, p, q, w):
+        d = max(p.degree, q.degree)
+        for r in (p, q, sym_convolve(p, q, d)):
+            assert abs(inverse_cauchy(r, w) - inverse_cauchy_oracle(r, w)) <= 1e-12
+
+    @given(nonneg_rooted_st(max_degree=5), nonneg_rooted_st(max_degree=5), WEIGHTS)
+    def test_asym_check_inputs(self, p, q, w):
+        d = max(p.degree, q.degree)
+        for r in (p, q, asym_convolve(p, q, d)):
+            r = r.substitute_square()
+            assert abs(inverse_cauchy(r, w) - inverse_cauchy_oracle(r, w)) <= 1e-12
+
+    @given(real_rooted_st(max_degree=5), WEIGHTS, st.sampled_from([1e-3, 1e-6, 1e-9]))
+    def test_coarse_tolerances(self, p, w, tol):
+        assert abs(inverse_cauchy(p, w, tol) - inverse_cauchy_oracle(p, w, tol)) <= tol
 
 
 class TestBoundReports:
@@ -142,3 +188,53 @@ class TestBoundTable:
         rows = mfold_root_bound_table([3], [4, 8, 12], "sym")
         tops = [r.bracket_hi for r in rows]
         assert tops == sorted(tops)
+
+    @pytest.mark.parametrize("mode", ["sym", "asym"])
+    def test_verdict_does_not_depend_on_the_width(self, mode):
+        # coarse brackets straddle the bound, so the Sturm count decides
+        ms, ds = range(2, 7), range(2, 13, 2)
+        fine = mfold_root_bound_table(ms, ds, mode)
+        straddles = 0
+        for width in (Fraction(8), Fraction(1), Fraction(1, 8)):
+            rows = mfold_root_bound_table(ms, ds, mode, width)
+            assert [r.below_bound for r in rows] == [r.below_bound for r in fine]
+            straddles += sum(r.bracket_lo < r.bound <= r.bracket_hi for r in rows)
+        assert straddles
+
+    def test_width_is_checked_before_any_cell(self):
+        with mock.patch.object(ffc.transforms, "m_fold_sym") as fold:
+            for width in (0, Fraction(-1, 1024)):
+                with pytest.raises(ParameterError):
+                    mfold_root_bound_table([3, 4], [4, 6], "sym", width)
+        assert not fold.called
+
+
+# sha256 of the JSON document of the README grid, m 3..8 and d 4..24:2,
+# sym rows then asym rows, as written by the Sturm-bisection tables
+README_GRID_DIGEST = "a0f8fdffed5a0846ed4e3acd9c65467a45cc71f7ca671ab4d289de66fc2ef314"
+
+
+def test_readme_grid_document_is_unchanged():
+    ms, ds = range(3, 9), range(4, 25, 2)
+    rows = mfold_root_bound_table(ms, ds, "sym")
+    rows += mfold_root_bound_table(ms, ds, "asym")
+    digest = hashlib.sha256(dumps(table_to_obj(rows)).encode()).hexdigest()
+    assert digest == README_GRID_DIGEST
+
+
+@pytest.mark.parametrize("mode", ["sym", "asym"])
+def test_table_cells_match_the_bisection(mode, monkeypatch):
+    """Every cell with m 3..14, d 4..24:2: the certified bracket is the Sturm
+    bisection's, and the verdict agrees with a Sturm count, with no cell
+    needing the fallback."""
+    monkeypatch.setenv("FFC_THREADS", "1")
+    with mock.patch.object(
+        ffc.sturm, "_bisect_max_root", wraps=ffc.sturm._bisect_max_root
+    ) as bisect:
+        rows = mfold_root_bound_table(range(3, 15), range(4, 25, 2), mode)
+    assert not bisect.called
+    for row in rows:
+        lo, hi = max_root_bracket_oracle(row.poly)
+        top = QuadScalar(cauchy_root_bound(row.poly) + 1)
+        below = count_roots_in(row.poly, row.bound, top) == 0
+        assert (row.bracket_lo, row.bracket_hi, row.below_bound) == (lo, hi, below)
