@@ -2,13 +2,14 @@
 
 Everything numeric here is exact unless a name says otherwise: polynomials
 and matrices live over the rationals, root locations are decided by Sturm
-counts with endpoints in a real quadratic extension or, for the real
-spectra of the certifier, by Descartes counts on integers, and floating point
+counts on the integer remainder sequence of p and p' (no square-free part)
+with endpoints in a real quadratic extension or, for the real spectra of the
+certifier, by Descartes counts on integer Taylor shifts, and floating point
 appears only in clearly-marked estimators (inverse Cauchy transforms, the
 Jacobi pre-screen, Fourier sweeps) that never decide a verdict.
 """
 
-from .config import DEFAULT_BUDGETS, PACKAGE_VERSION, Budgets, worker_count
+from .config import DEFAULT_BUDGETS, PACKAGE_VERSION, Budgets
 from .convolution import (
     SignedCoeffs,
     asym_convolve,

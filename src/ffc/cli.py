@@ -11,7 +11,6 @@ descending order ("1,0,-1" is x^2 - 1).  Ranges are "lo..hi" with an optional
 ":step".  Seeds are unsigned 64-bit integers; every randomized command is
 deterministic given its seed.  Files written via --out get a sibling
 .manifest.json recording argv, seed, budgets, version, and output digests.
-FFC_THREADS caps worker processes for table generation (speed only).
 """
 
 from __future__ import annotations

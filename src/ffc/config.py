@@ -1,14 +1,12 @@
-"""Resource budgets and the worker-count knob.
+"""Resource budgets and the package version.
 
 Budgets bound how much exact enumeration a single call may perform.  They are
 deliberately coarse: an operation either fits and runs to completion, or it
-raises BudgetError before doing any heavy work.  Worker count is read from the
-FFC_THREADS environment variable; it changes wall time only, never results.
+raises BudgetError before doing any heavy work.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 PACKAGE_VERSION = "0.1.0"
@@ -31,15 +29,3 @@ class Budgets:
 
 
 DEFAULT_BUDGETS = Budgets()
-
-
-def worker_count() -> int:
-    """Number of parallel workers, from FFC_THREADS (default: all cores)."""
-    raw = os.environ.get("FFC_THREADS", "").strip()
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError:
-            return 1
-        return max(1, n)
-    return os.cpu_count() or 1

@@ -64,8 +64,8 @@ class SignedCoeffs:
 
 
 def _check_level(p: RatPoly, q: RatPoly, d: int) -> None:
-    if d < 1:
-        raise ParameterError("convolution level must be at least 1")
+    if d < 0:
+        raise ParameterError("convolution level must be nonnegative")
     if p.degree > d or q.degree > d:
         raise ParameterError("input degree exceeds convolution level")
 

@@ -24,11 +24,12 @@ from fractions import Fraction
 from math import sqrt
 
 from .errors import ContractError, ParameterError
-from .matrix import RatMatrix, char_poly, dilation
+from .matrix import RatMatrix, _grid_sum, char_poly, dilation
 from .perms import Permutation, relabel_grid, uniform_permutation
 from .poly import RatPoly, to_primitive_int
 from .quadfield import QuadScalar, as_quad
 from .rng import SplitMix64
+from .sturm import _taylor_shift
 
 # certify no longer counts roots with these; bench/tracing.py still looks
 # them up in this module, so the names stay importable here
@@ -91,20 +92,13 @@ class MatchingUnion:
     def grid(self) -> list[list[int]]:
         """Integer adjacency (nonbipartite) or d x d biadjacency N (bipartite),
         entries counting parallel edges."""
-        total = [[0] * self.d for _ in range(self.d)]
         if self.mode == "nonbipartite":
             base = matching_grid(self.d)
-            for p in self.perms:
-                placed = relabel_grid(base, p.image)
-                for i in range(self.d):
-                    row = placed[i]
-                    out = total[i]
-                    for j in range(self.d):
-                        out[j] += row[j]
-        else:
-            for p in self.perms:
-                for i, j in enumerate(p.image):
-                    total[j][i] += 1
+            return _grid_sum([relabel_grid(base, p.image) for p in self.perms])
+        total = [[0] * self.d for _ in range(self.d)]
+        for p in self.perms:
+            for i, j in enumerate(p.image):
+                total[j][i] += 1
         return total
 
     def adjacency(self) -> RatMatrix:
@@ -202,11 +196,8 @@ def _split_at(q: tuple[int, ...], t: int) -> tuple[int, int]:
     Shifts q to q(z + t); its trailing zeros count the roots at t, and for a
     real-rooted polynomial Descartes' rule counts the positive roots exactly.
     """
-    c = list(q)
+    c = list(_taylor_shift(q, t))
     n = len(c) - 1
-    for i in range(n):
-        for k in range(n - 1, i - 1, -1):
-            c[k] += t * c[k + 1]
     at = next(k for k, v in enumerate(c) if v)
     signs = [v > 0 for v in c[at:] if v]
     above = sum(a != b for a, b in zip(signs, signs[1:]))

@@ -257,6 +257,11 @@ def _charpoly_mod(rows: list[list[int]], p: int) -> list[int]:
     return polys[-1]
 
 
+def _grid_sum(grids: Iterable[list[list[int]]]) -> list[list[int]]:
+    """Entrywise sum of one or more equally sized integer grids."""
+    return [list(map(sum, zip(*rows))) for rows in zip(*grids)]
+
+
 def charpoly_int_coeffs(rows: list[list[int]]) -> tuple[int, ...]:
     """Ascending coefficients of det(xI - A) for an integer matrix A."""
     bound = 1

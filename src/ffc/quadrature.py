@@ -41,7 +41,7 @@ from .config import DEFAULT_BUDGETS, Budgets
 from .convolution import asym_convolve, sym_convolve
 from .errors import BudgetError, ContractError, ParameterError
 from .graphs import _gram
-from .matrix import RatMatrix, char_poly, charpoly_int_coeffs
+from .matrix import RatMatrix, _grid_sum, char_poly, charpoly_int_coeffs
 from .perms import (
     Permutation,
     SwapProgram,
@@ -179,17 +179,6 @@ def _grids(matrices: Sequence[RatMatrix]) -> tuple[list, int]:
         for m in matrices
     ]
     return grids, s
-
-
-def _grid_sum(grids: list) -> list:
-    n = len(grids[0])
-    out = [row[:] for row in grids[0]]
-    for g in grids[1:]:
-        for i in range(n):
-            row, src = out[i], g[i]
-            for j in range(n):
-                row[j] += src[j]
-    return out
 
 
 def _conjugated_sum_charpoly(grids: list) -> Callable[[tuple], tuple[int, ...]]:

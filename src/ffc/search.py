@@ -42,7 +42,7 @@ from .graphs import (
     sample_bipartite,
     sample_nonbipartite,
 )
-from .matrix import RatMatrix, charpoly_int_coeffs, dilation
+from .matrix import RatMatrix, _grid_sum, charpoly_int_coeffs, dilation
 from .perms import (
     Permutation,
     SwapProgram,
@@ -189,7 +189,6 @@ class _ConditionalAverager:
 
     def __init__(self, base_grid: list[list[int]], budgets: Budgets) -> None:
         self.base = base_grid
-        self.n = len(base_grid)
         self.budgets = budgets
         self.det_evals = 0
         self._cache: dict[tuple, tuple] = {}
@@ -199,14 +198,7 @@ class _ConditionalAverager:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        total = [[0] * self.n for _ in range(self.n)]
-        for img in images:
-            placed = relabel_grid(self.base, img)
-            for i in range(self.n):
-                row = placed[i]
-                out = total[i]
-                for j in range(self.n):
-                    out[j] += row[j]
+        total = _grid_sum([relabel_grid(self.base, img) for img in images])
         coeffs = charpoly_int_coeffs(total)
         self._cache[key] = coeffs
         return coeffs

@@ -1,10 +1,17 @@
 """Exact real-root counting, isolation, brackets, and interlacing checks.
 
-The sign machinery never touches floating point.  A chain is built from the
-square-free part of the input polynomial; each element is stored as a
+The sign machinery never touches floating point.  A chain is the signed
+remainder sequence of p and p' itself; each element is stored as a
 primitive integer coefficient vector that is a positive scalar multiple of
 the textbook negated-remainder element, which leaves every sign variation
-unchanged while keeping coefficient growth polynomial.
+unchanged while keeping coefficient growth polynomial.  The sequence ends in
+gcd(p, p'), which divides every element, so its sign variations count the
+distinct real roots of p without a square-free part (Sturm's theorem for
+the signed remainder sequence; Basu, Pollack and Roy, *Algorithms in Real
+Algebraic Geometry*, ch. 2), and deg p minus the degree of its last element
+is the number of distinct complex roots.  Only the multiplicity queries
+(``count_roots_in_mult``, ``root_multiplicity_at``, ``interlaces``) take a
+square-free decomposition over the rationals.
 
 Sign variations are always evaluated just to the right of a point: the sign
 of q(x + epsilon) for arbitrarily small positive epsilon is the first nonzero
@@ -23,7 +30,9 @@ names a cell, and two integer checks prove that it holds the largest root
 (a sign change across it, and a Taylor shift at its right end with no sign
 variation, so by Descartes' rule no root lies beyond).  The guess only
 chooses which cell to check, so the bracket is the bisection's, bit for bit;
-the bisection itself runs only when the proof fails.
+the bisection itself runs only when the proof fails.  The shift is the
+package's one integer Taylor-shift kernel, ``_taylor_shift``; the certifier
+in ``ffc.graphs`` counts roots with it too.
 """
 
 from __future__ import annotations
@@ -33,13 +42,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd as int_gcd, lcm as int_lcm
+from typing import Iterator, Sequence
 
 from .errors import ParameterError
 from .poly import (
     RatPoly,
     cauchy_root_bound,
     squarefree_decomposition,
-    squarefree_part,
     to_primitive_int,
 )
 from .quadfield import QuadScalar, as_quad
@@ -79,6 +88,18 @@ def _int_primitive(c: tuple[int, ...]) -> tuple[int, ...]:
 
 def _int_derivative(c: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(k * c[k] for k in range(1, len(c)))
+
+
+def _taylor_shift(c: Sequence[int], t: int) -> Iterator[int]:
+    """Coefficients of c(x + t), ascending, each yielded once it is final,
+    so a caller may stop at the first one it rejects."""
+    c = list(c)
+    n = len(c) - 1
+    for i in range(n):
+        for k in range(n - 1, i - 1, -1):
+            c[k] += t * c[k + 1]
+        yield c[i]
+    yield from c[n:]
 
 
 def _signed_prem(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -178,11 +199,12 @@ def _point_lt(a, b) -> bool:
 
 @dataclass(frozen=True)
 class SturmChain:
-    """Normalized chain over the square-free part of a polynomial.
+    """Signed remainder sequence of a polynomial and its derivative.
 
     ``elements`` holds primitive integer coefficient vectors; each is a
     positive scalar multiple of the classical chain element, so all sign
-    variations agree with the textbook chain.
+    variations agree with the textbook chain.  The last element is
+    gcd(p, p') up to a positive factor.
     """
 
     source: RatPoly
@@ -225,8 +247,7 @@ class SturmChain:
 @lru_cache(maxsize=512)
 def _chain_from_coeffs(coeffs: tuple[Fraction, ...]) -> SturmChain:
     p = RatPoly(coeffs)
-    sf = squarefree_part(p)
-    f0 = to_primitive_int(sf)
+    f0 = to_primitive_int(p)
     elements = [f0]
     if len(f0) > 1:
         f1 = _int_primitive(_int_trim(list(_int_derivative(f0))))
@@ -255,7 +276,7 @@ def is_real_rooted(p: RatPoly) -> bool:
     if p.degree == 0:
         return True
     chain = sturm_chain(p)
-    return chain.count_all() == len(chain.elements[0]) - 1
+    return chain.count_all() == p.degree - (len(chain.elements[-1]) - 1)
 
 
 def count_roots_in(p: RatPoly, lo, hi, open_interval: bool = False) -> int:
@@ -420,14 +441,7 @@ def _holds_top_root(coeffs: tuple[int, ...], lo: int, hi: int, scale: int) -> bo
         at_lo = at_lo * lo + c
     if at_lo >= 0:
         return False
-    # in place Taylor shift; after pass i, homog[i] is final
-    n = len(homog) - 1
-    for i in range(n):
-        for k in range(n - 1, i - 1, -1):
-            homog[k] += hi * homog[k + 1]
-        if homog[i] < 0:
-            return False
-    return True
+    return all(c >= 0 for c in _taylor_shift(homog, hi))
 
 
 def _bisect_max_root(
@@ -513,22 +527,23 @@ def compare_max_roots(p: RatPoly, q: RatPoly) -> int:
     for poly in (p, q):
         if poly.is_zero or poly.degree == 0:
             raise ParameterError("max-root comparison needs nonconstant inputs")
-    sp, sq = squarefree_part(p), squarefree_part(q)
-    s = squarefree_part(sp * sq)
-    chain = sturm_chain(s)
-    bound = cauchy_root_bound(s)
+    pq = p * q
+    chain = sturm_chain(pq)
+    bound = cauchy_root_bound(pq)
+    # bisect (lo, hi] down to the one distinct root of p*q that is largest
     lo, hi = -bound - 1, bound
-    total = chain.count_half_open(lo, hi)
-    if total == 0:
+    at_lo, at_hi = chain.variations_right(lo), chain.variations_right(hi)
+    if at_lo == at_hi:
         raise ParameterError("max-root comparison needs real roots")
-    while chain.count_half_open(lo, hi) > 1:
+    while at_lo - at_hi > 1:
         mid = (lo + hi) / 2
-        if chain.count_half_open(mid, hi) >= 1:
-            lo = mid
+        at_mid = chain.variations_right(mid)
+        if at_mid > at_hi:
+            lo, at_lo = mid, at_mid
         else:
-            hi = mid
-    p_has = sturm_chain(sp).count_half_open(lo, hi) >= 1
-    q_has = sturm_chain(sq).count_half_open(lo, hi) >= 1
+            hi, at_hi = mid, at_mid
+    p_has = sturm_chain(p).count_half_open(lo, hi) >= 1
+    q_has = sturm_chain(q).count_half_open(lo, hi) >= 1
     if p_has and q_has:
         return 0
     return 1 if p_has else -1

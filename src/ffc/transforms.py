@@ -14,12 +14,10 @@ when the bound falls inside; no float is ever compared.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .config import worker_count
 from .convolution import asym_convolve, m_fold_asym, m_fold_sym, sym_convolve
 from .errors import ParameterError, PoleError
 from .poly import RatPoly, cauchy_root_bound
@@ -155,8 +153,7 @@ class TableRow:
     below_bound: bool
 
 
-def _table_cell(args: tuple[int, int, str, Fraction]) -> TableRow:
-    m, d, mode, width = args
+def _table_cell(m: int, d: int, mode: str, width: Fraction) -> TableRow:
     if mode == "sym":
         poly = m_fold_sym(matching_nontrivial_poly(d), m, d - 1)
     else:
@@ -191,8 +188,7 @@ def mfold_root_bound_table(
     width: Fraction = Fraction(1, 1024),
 ) -> list[TableRow]:
     """Exact largest-root verdicts for m-fold matching convolutions on the
-    (m, d) grid.  Work is independent per cell; FFC_THREADS > 1 spreads cells
-    over processes without changing any result or the row order."""
+    (m, d) grid, one row per cell in grid order."""
     if mode not in ("sym", "asym"):
         raise ParameterError("mode must be 'sym' or 'asym'")
     width = Fraction(width)
@@ -207,12 +203,5 @@ def mfold_root_bound_table(
                 raise ParameterError(f"sym mode needs even d >= 2, got {d}")
             if mode == "asym" and d < 2:
                 raise ParameterError(f"asym mode needs d >= 2, got {d}")
-            cells.append((m, d, mode, width))
-    workers = min(worker_count(), len(cells)) if cells else 1
-    if workers > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(_table_cell, cells))
-        except OSError:
-            pass
-    return [_table_cell(c) for c in cells]
+            cells.append((m, d))
+    return [_table_cell(m, d, mode, width) for m, d in cells]

@@ -23,11 +23,14 @@ from ffc import (
     leaf_distribution,
     ramanujan_bound,
     relabel_grid,
+    SturmChain,
     root_multiplicity_at,
+    squarefree_part,
     sturm_chain,
     uniform_permutation,
 )
 from ffc.graphs import NOT_RAMANUJAN, STRICT, WITH_BOUNDARY
+from ffc.sturm import NEG_INF, POS_INF, _chain_from_coeffs, _homogenised
 
 
 def fractions_st(max_num: int = 6, max_den: int = 4):
@@ -333,3 +336,93 @@ def inverse_cauchy_oracle(p: RatPoly, w, tol: float = 1e-12) -> float:
         else:
             hi = mid
     return float((lo + hi) / 2)
+
+
+# Root location before the chain ran on p itself: the same integer primitive
+# remainder sequence started from the Fraction square-free part, and the
+# queries built on it.
+
+
+def squarefree_sturm_chain(p: RatPoly) -> SturmChain:
+    """The chain of squarefree_part(p), with p as its source."""
+    chain = _chain_from_coeffs(squarefree_part(p).coeffs)
+    return SturmChain(source=p, elements=chain.elements)
+
+
+def is_real_rooted_oracle(p: RatPoly) -> bool:
+    if p.degree == 0:
+        return True
+    chain = squarefree_sturm_chain(p)
+    return chain.count_all() == len(chain.elements[0]) - 1
+
+
+def count_roots_in_oracle(p: RatPoly, lo, hi, open_interval: bool = False) -> int:
+    chain = squarefree_sturm_chain(p)
+    n = chain.count_half_open(lo, hi)
+    if open_interval:
+        if hi is not POS_INF and chain.is_root(hi):
+            n -= 1
+    elif lo is not NEG_INF and chain.is_root(lo):
+        n += 1
+    return n
+
+
+def compare_max_roots_oracle(p: RatPoly, q: RatPoly) -> int:
+    """Bisect the chain of squarefree_part(sp * sq) down to its top root."""
+    sp, sq = squarefree_part(p), squarefree_part(q)
+    s = squarefree_part(sp * sq)
+    chain = sturm_chain(s)
+    bound = cauchy_root_bound(s)
+    lo, hi = -bound - 1, bound
+    if chain.count_half_open(lo, hi) == 0:
+        raise ParameterError("max-root comparison needs real roots")
+    while chain.count_half_open(lo, hi) > 1:
+        mid = (lo + hi) / 2
+        if chain.count_half_open(mid, hi) >= 1:
+            lo = mid
+        else:
+            hi = mid
+    p_has = sturm_chain(sp).count_half_open(lo, hi) >= 1
+    q_has = sturm_chain(sq).count_half_open(lo, hi) >= 1
+    if p_has and q_has:
+        return 0
+    return 1 if p_has else -1
+
+
+def fired_wins_oracle(fired: RatPoly, unfired: RatPoly) -> bool:
+    fired_real = squarefree_sturm_chain(fired).count_all() > 0
+    if fired_real and squarefree_sturm_chain(unfired).count_all() > 0:
+        return compare_max_roots_oracle(fired, unfired) < 0
+    return fired_real
+
+
+# The two hand-written Taylor shifts the shared kernel replaced.
+
+
+def split_at_oracle(q: tuple, t: int) -> tuple[int, int]:
+    """(roots below t, roots at t) of a real-rooted integer polynomial."""
+    c = list(q)
+    n = len(c) - 1
+    for i in range(n):
+        for k in range(n - 1, i - 1, -1):
+            c[k] += t * c[k + 1]
+    at = next(k for k, v in enumerate(c) if v)
+    signs = [v > 0 for v in c[at:] if v]
+    above = sum(a != b for a, b in zip(signs, signs[1:]))
+    return n - above - at, at
+
+
+def holds_top_root_oracle(coeffs: tuple, lo: int, hi: int, scale: int) -> bool:
+    homog = _homogenised(coeffs, scale)
+    at_lo = 0
+    for c in reversed(homog):
+        at_lo = at_lo * lo + c
+    if at_lo >= 0:
+        return False
+    n = len(homog) - 1
+    for i in range(n):
+        for k in range(n - 1, i - 1, -1):
+            homog[k] += hi * homog[k + 1]
+        if homog[i] < 0:
+            return False
+    return True

@@ -273,6 +273,10 @@ class TestExpected:
         assert code == 0
         assert "27" in out
 
+    def test_bipartite_single_pair(self, capsys):
+        code, out, _ = run(capsys, "expected", "--mode", "bipartite", "--d", "1", "--m", "3")
+        assert (code, out) == (0, "x^2 - 9\n")
+
 
 class TestUsage:
     def test_version_flag(self):

@@ -3,10 +3,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ffc import (
+    ParameterError,
     RatPoly,
     asym_convolve,
     cauchy_root_bound,
@@ -179,6 +181,15 @@ class TestPowerSeriesKernel:
         q = RatPoly.from_coeffs(q)
         conv = asym_convolve if squared else sym_convolve
         assert conv(p, q, d) == convolve_oracle(p, q, d, squared)
+
+    @given(fractions_st(), fractions_st(), st.integers(min_value=1, max_value=5))
+    def test_level_zero_multiplies_constants(self, a, b, m):
+        p, q = RatPoly.from_coeffs([a]), RatPoly.from_coeffs([b])
+        for conv, fold in ((sym_convolve, m_fold_sym), (asym_convolve, m_fold_asym)):
+            assert conv(p, q, 0) == RatPoly.from_coeffs([a * b])
+            assert fold(p, m, 0) == RatPoly.from_coeffs([a**m])
+            with pytest.raises(ParameterError):
+                conv(p, q, -1)
 
     def test_leading_zero_runs(self):
         # deg p = 1 at level 6: the series starts with t**5, so m = 2 folds

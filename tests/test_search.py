@@ -76,6 +76,11 @@ class TestExpectedPolyModel:
         assert expected_poly_for_graph_model("nonbipartite", 4, 1) == RatPoly.from_roots([1, 1, -1, -1])
         assert expected_poly_for_graph_model("bipartite", 3, 1) == RatPoly.from_roots([1, 1, 1, -1, -1, -1])
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 7])
+    def test_bipartite_single_pair(self, m):
+        # one vertex a side: m parallel edges, eigenvalues +-m and nothing else
+        assert expected_poly_for_graph_model("bipartite", 1, m) == RatPoly.from_roots([m, -m])
+
     def test_matches_the_fold_of_the_matching_polynomial(self):
         direct = expected_poly_for_graph_model("bipartite", 3, 2)
         folded = m_fold_asym(RatPoly.from_roots([1, 1]), 2, 2)

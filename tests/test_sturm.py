@@ -6,7 +6,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import ffc.sturm
@@ -14,6 +14,7 @@ from ffc import (
     ParameterError,
     QuadScalar,
     RatPoly,
+    as_quad,
     cauchy_root_bound,
     compare_max_roots,
     count_roots_in,
@@ -23,8 +24,24 @@ from ffc import (
     isolate_real_roots,
     max_root_bracket,
     root_multiplicity_at,
+    sturm_chain,
 )
-from support import fractions_st, max_root_bracket_oracle, real_rooted_st
+from ffc.graphs import _split_at
+from ffc.poly import to_primitive_int
+from ffc.search import _fired_wins
+from ffc.sturm import NEG_INF, POS_INF, _holds_top_root, _taylor_shift
+from support import (
+    compare_max_roots_oracle,
+    count_roots_in_oracle,
+    fired_wins_oracle,
+    fractions_st,
+    holds_top_root_oracle,
+    is_real_rooted_oracle,
+    max_root_bracket_oracle,
+    real_rooted_st,
+    split_at_oracle,
+    squarefree_sturm_chain,
+)
 
 
 def poly(*descending):
@@ -238,3 +255,156 @@ class TestIsolation:
         assert len(brackets) == 3
         for lo, hi in brackets:
             assert count_roots_in(p, lo, hi) == 1
+
+
+ROOTS = st.sampled_from([-2, -1, 0, Fraction(1, 3), 1, 3])
+
+
+@st.composite
+def mixed_poly_st(draw, radicand: int):
+    """Repeated rational roots, roots +-sqrt(radicand) of any multiplicity,
+    complex pairs and a leading coefficient of either sign."""
+    p = RatPoly.from_roots(draw(st.lists(ROOTS, max_size=5)))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        p = p * RatPoly.from_coeffs([-radicand, 0, 1])
+    centre = draw(fractions_st())
+    for c in draw(st.lists(positive_st(), max_size=2)):
+        p = p * quadratic(centre, c)
+    if p.degree < 1:
+        p = p * RatPoly.from_roots([draw(ROOTS)])
+    return p.scale(draw(st.sampled_from([1, -2, Fraction(3, 5)])))
+
+
+@st.composite
+def chain_case_st(draw):
+    """A polynomial and endpoints lo < hi: rationals, roots, elements of
+    Q(sqrt(r)) (the roots +-sqrt(r) among them) and the infinities."""
+    r = draw(st.sampled_from([2, 3, 5]))
+    p = draw(mixed_poly_st(r))
+    finite = st.one_of(
+        fractions_st(),
+        ROOTS,
+        st.sampled_from([QuadScalar(0, 1, r), QuadScalar(0, -1, r)]),
+        st.builds(QuadScalar, fractions_st(), fractions_st(), st.just(r)),
+    )
+    lo, hi = sorted((draw(finite), draw(finite)), key=as_quad)
+    if as_quad(lo) == as_quad(hi):
+        hi = as_quad(hi) + 1
+    lo = NEG_INF if draw(st.booleans()) else lo
+    hi = POS_INF if draw(st.booleans()) else hi
+    return p, lo, hi
+
+
+@st.composite
+def max_root_pair_st(draw):
+    """Two polynomials, often sharing roots (the top one too) or equal."""
+    common = RatPoly.from_roots(draw(st.lists(ROOTS, max_size=3)))
+    p = common * draw(mixed_poly_st(2))
+    q = p if draw(st.booleans()) else common * draw(mixed_poly_st(2))
+    return p, q.scale(draw(st.sampled_from([1, -1])))
+
+
+class TestChainOnPItself:
+    """The chain of p and p' agrees with the retired square-free chain."""
+
+    @given(chain_case_st(), st.booleans())
+    def test_count_roots_in(self, case, open_interval):
+        p, lo, hi = case
+        assert count_roots_in(p, lo, hi, open_interval) == count_roots_in_oracle(
+            p, lo, hi, open_interval
+        )
+
+    @given(st.integers(min_value=2, max_value=5).flatmap(mixed_poly_st))
+    def test_real_rootedness_and_distinct_roots(self, p):
+        assert is_real_rooted(p) == is_real_rooted_oracle(p)
+        assert sturm_chain(p).count_all() == squarefree_sturm_chain(p).count_all()
+
+    @given(max_root_pair_st())
+    def test_compare_max_roots(self, pair):
+        p, q = pair
+        try:
+            expected = compare_max_roots_oracle(p, q)
+        except ParameterError:
+            with pytest.raises(ParameterError):
+                compare_max_roots(p, q)
+        else:
+            assert compare_max_roots(p, q) == expected
+
+    @given(max_root_pair_st())
+    def test_fired_wins(self, pair):
+        p, q = pair
+        assert _fired_wins(p, q) == fired_wins_oracle(p, q)
+        assert _fired_wins(q, p) == fired_wins_oracle(q, p)
+
+    def test_shared_top_root_of_higher_multiplicity_ties(self):
+        p = RatPoly.from_roots([3, 3, -1])
+        q = RatPoly.from_roots([3, 1, 1]) * quadratic(Fraction(5), Fraction(1))
+        assert compare_max_roots(p, q) == compare_max_roots_oracle(p, q) == 0
+
+    def test_last_element_is_the_gcd_with_the_derivative(self):
+        p = RatPoly.from_roots([1, 1, 1, -2, -2, 5])
+        assert sturm_chain(p).elements[-1] == to_primitive_int(
+            RatPoly.from_roots([1, 1, -2])
+        )
+        assert is_real_rooted(p)
+        assert not is_real_rooted(p * quadratic(Fraction(1), Fraction(1)))
+
+
+def shifted_by_composition(c, t) -> RatPoly:
+    """c(x + t) by Horner's rule over RatPoly."""
+    x_plus_t = RatPoly.from_coeffs([t, 1])
+    out = RatPoly.zero()
+    for v in reversed(c):
+        out = out * x_plus_t + RatPoly.from_coeffs([v])
+    return out
+
+
+class TestTaylorShift:
+    @given(
+        st.lists(st.integers(min_value=-50, max_value=50), max_size=8),
+        st.integers(min_value=-6, max_value=6),
+        st.integers(min_value=0, max_value=2),
+    )
+    @example([3, -1, 2], 0, 0)
+    @example([0, 0, 1, -4], -3, 1)
+    def test_matches_composition(self, c, t, top_zeros):
+        c = c + [0] * top_zeros
+        shifted = list(_taylor_shift(c, t))
+        assert len(shifted) == len(c)
+        assert RatPoly.from_coeffs(shifted) == shifted_by_composition(c, t)
+
+    @given(
+        st.lists(st.integers(min_value=-4, max_value=4), max_size=5),
+        st.integers(min_value=-5, max_value=5),
+        st.integers(min_value=0, max_value=3),
+    )
+    def test_roots_at_the_shift_leave_trailing_zeros(self, roots, t, k):
+        roots = roots + [t] * k
+        shifted = list(_taylor_shift(to_primitive_int(RatPoly.from_roots(roots)), t))
+        mult = roots.count(t)
+        assert shifted[:mult] == [0] * mult
+        assert shifted[mult] != 0
+
+    @given(
+        st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=7),
+        st.integers(min_value=-8, max_value=40),
+    )
+    def test_split_at_matches_the_retired_copy(self, roots, t):
+        q = to_primitive_int(RatPoly.from_roots(roots))
+        assert _split_at(q, t) == split_at_oracle(q, t)
+
+    @given(
+        real_rooted_st(max_degree=5),
+        st.lists(positive_st(), max_size=1),
+        st.sampled_from([1, 3, 1024]),
+        st.integers(min_value=-3, max_value=3),
+        st.integers(min_value=1, max_value=4),
+    )
+    def test_holds_top_root_matches_the_retired_copy(self, p, offsets, scale, lo_off, span):
+        for c in offsets:
+            p = p * quadratic(Fraction(0), c)
+        coeffs = to_primitive_int(p)
+        top = max_root_bracket_oracle(p, Fraction(1, scale))[0] * scale
+        lo = int(top) + lo_off
+        expected = holds_top_root_oracle(coeffs, lo, lo + span, scale)
+        assert _holds_top_root(coeffs, lo, lo + span, scale) == expected

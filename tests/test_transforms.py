@@ -223,11 +223,10 @@ def test_readme_grid_document_is_unchanged():
 
 
 @pytest.mark.parametrize("mode", ["sym", "asym"])
-def test_table_cells_match_the_bisection(mode, monkeypatch):
+def test_table_cells_match_the_bisection(mode):
     """Every cell with m 3..14, d 4..24:2: the certified bracket is the Sturm
     bisection's, and the verdict agrees with a Sturm count, with no cell
     needing the fallback."""
-    monkeypatch.setenv("FFC_THREADS", "1")
     with mock.patch.object(
         ffc.sturm, "_bisect_max_root", wraps=ffc.sturm._bisect_max_root
     ) as bisect:
