@@ -5,8 +5,8 @@ and matrices live over the rationals, root locations are decided by Sturm
 counts on the integer remainder sequence of p and p' (no square-free part)
 with endpoints in a real quadratic extension or, for the real spectra of the
 certifier, by Descartes counts on integer Taylor shifts, and floating point
-appears only in clearly-marked estimators (inverse Cauchy transforms, the
-Jacobi pre-screen, Fourier sweeps) that never decide a verdict.
+appears only in clearly-marked estimators (inverse Cauchy transforms,
+Fourier sweeps) that never decide a verdict.
 """
 
 from .config import DEFAULT_BUDGETS, PACKAGE_VERSION, Budgets
@@ -24,6 +24,7 @@ from .graphs import (
     certify,
     deflate_trivial,
     float_filter,
+    inertia_verdict,
     jacobi_eigenvalues,
     matching_grid,
     sample_bipartite,

@@ -13,8 +13,10 @@ that of the d x d Gram matrix N N^T of the biadjacency N, whose
 characteristic polynomial q gives char(A) = q(x**2); the trivial root m**2
 is divided out of q.  In nonbipartite mode the trivial root m is divided out
 of char(A) and the Graeffe square of the rest has the squared eigenvalues as
-roots.  A float eigensolver is provided as a cheap pre-screen only; no
-verdict depends on it.
+roots.  ``inertia_verdict`` reaches the same verdict for less, when it can,
+from the inertia of the integer matrix G - 4(m-1) I, where G is that Gram
+matrix or A**2.  No library path calls ``jacobi_eigenvalues`` or
+``float_filter``; no verdict depends on them.
 """
 
 from __future__ import annotations
@@ -54,6 +56,20 @@ def matching_grid(d: int) -> list[list[int]]:
     return grid
 
 
+def check_shape(mode, d, m) -> None:
+    """Raise ParameterError unless (mode, d, m) can describe a matching union."""
+    if mode not in MODES:
+        raise ParameterError(f"unknown mode {mode!r}")
+    if type(d) is not int or type(m) is not int:
+        raise ParameterError("d and m must be integers")
+    if mode == "nonbipartite" and (d < 2 or d % 2):
+        raise ParameterError("nonbipartite mode needs an even vertex count")
+    if mode == "bipartite" and d < 1:
+        raise ParameterError("side size must be positive")
+    if m < 1:
+        raise ParameterError("need m >= 1 permutations")
+
+
 @dataclass(frozen=True)
 class MatchingUnion:
     """Union of m perfect matchings, stored as the permutations that place them.
@@ -71,15 +87,8 @@ class MatchingUnion:
     perms: tuple[Permutation, ...]
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ParameterError(f"unknown mode {self.mode!r}")
-        if type(self.d) is not int or type(self.m) is not int:
-            raise ParameterError("d and m must be integers")
-        if self.mode == "nonbipartite" and (self.d < 2 or self.d % 2):
-            raise ParameterError("nonbipartite mode needs an even vertex count")
-        if self.mode == "bipartite" and self.d < 1:
-            raise ParameterError("side size must be positive")
-        if self.m < 1 or self.m != len(self.perms):
+        check_shape(self.mode, self.d, self.m)
+        if self.m != len(self.perms):
             raise ParameterError("need m >= 1 permutations")
         for p in self.perms:
             if p.degree != self.d:
@@ -108,8 +117,19 @@ class MatchingUnion:
 
 
 def _gram(n: list[list[int]]) -> list[list[int]]:
-    """N N^T: its eigenvalues are the squared singular values of N."""
-    return [[sum(a * b for a, b in zip(ri, rj)) for rj in n] for ri in n]
+    """N N^T: its eigenvalues are the squared singular values of N.
+
+    Summed column by column over the nonzero entries, so a union's grid,
+    with at most m nonzeros per row, costs O(d**2 + d m**2), not O(d**3).
+    """
+    out = [[0] * len(n) for _ in n]
+    for col in zip(*n):
+        nonzero = [(i, a) for i, a in enumerate(col) if a]
+        for i, a in nonzero:
+            oi = out[i]
+            for j, b in nonzero:
+                oi[j] += a * b
+    return out
 
 
 def sample_nonbipartite(d: int, m: int, rng: SplitMix64) -> MatchingUnion:
@@ -244,6 +264,44 @@ def certify(g: MatchingUnion) -> RamanujanCertificate:
         boundary_count=boundary,
         verdict=verdict,
     )
+
+
+def inertia_verdict(g: MatchingUnion) -> str | None:
+    """STRICT or NOT_RAMANUJAN from the inertia of S = G - 4(m-1) I, or None
+    when the inertia test cannot tell and ``certify`` must decide.
+
+    G is the Gram matrix of ``g.grid()``: N N^T in bipartite mode, A**2 in
+    nonbipartite mode (A is symmetric), so its eigenvalues are the squared
+    eigenvalues the certificate compares against 4(m-1).  The trivial one
+    gives S the eigenvalue (m-2)**2 > 0 for m != 2, so the union is strictly
+    Ramanujan exactly when S has one positive eigenvalue and no zero one.
+    Fraction-free (Bareiss) elimination without pivoting yields the leading
+    principal minors D_k of S as its pivots, and by Jacobi's rule each sign
+    agreement of D_{k-1}, D_k counts one positive eigenvalue.  The second
+    one stops the elimination: by Cauchy interlacing the leading k x k block
+    already forces two positive eigenvalues on S.  A zero pivot (a boundary
+    eigenvalue, a singular leading minor, or m = 2) gives None.
+    """
+    s = _gram(g.grid())
+    t = 4 * (g.m - 1)
+    for i, row in enumerate(s):
+        row[i] -= t
+    # S stays symmetric under elimination, so only entries j >= i are updated;
+    # entry (i, k) below the diagonal is read as (k, i)
+    prev, positive = 1, 0
+    for k, rk in enumerate(s):
+        pivot = rk[k]
+        if not pivot:
+            return None
+        if (pivot > 0) == (prev > 0):
+            positive += 1
+            if positive == 2:
+                return NOT_RAMANUJAN
+        for i in range(k + 1, len(s)):
+            ri, f = s[i], rk[i]
+            ri[i:] = [(pivot * a - f * b) // prev for a, b in zip(ri[i:], rk[i:])]
+        prev = pivot
+    return STRICT if positive == 1 else None
 
 
 # cap on Jacobi sweeps; a screen that has not converged by then never skips

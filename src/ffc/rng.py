@@ -62,13 +62,13 @@ class SplitMix64:
 
     def bernoulli(self, p: Fraction) -> bool:
         """True with probability exactly ``p`` (a rational in [0, 1])."""
-        if p < 0 or p > 1:
+        # a Fraction's denominator is positive, so the range check runs on
+        # integers; p = 0 and p = 1 have denominator 1, and below(1) draws
+        # nothing
+        num, den = p.numerator, p.denominator
+        if num < 0 or num > den:
             raise ValueError("bernoulli probability must lie in [0, 1]")
-        if p == 0:
-            return False
-        if p == 1:
-            return True
-        return self.below(p.denominator) < p.numerator
+        return self.below(den) < num
 
     def uniform(self) -> float:
         """Float in [0, 1) with 53 random bits."""

@@ -1,13 +1,14 @@
 """Search strategies that produce certified Ramanujan matching unions.
 
-Two routes.  ``rejection_search`` samples unions of uniform matchings,
-screens them with the float eigensolver, and certifies survivors exactly;
-existence holds with nonzero probability, so exhausting the trial budget is
-reported rather than raised.  ``interlacing_descent`` walks the random-swap
-programs realizing the uniform distribution and greedily fixes each swap to
-the branch whose conditional expected characteristic polynomial has the
-smaller largest nontrivial root.  Each conditional is one call of
-``quadrature.weighted_charpoly_average`` over the per-program suffix
+Two routes.  ``rejection_search`` samples unions of uniform matchings and
+decides each by the exact integer inertia test ``inertia_verdict``, leaving
+to ``certify`` only the union it returns and the trials the test cannot
+decide; existence holds with nonzero probability, so exhausting the trial
+budget is reported rather than raised.  ``interlacing_descent`` walks the
+random-swap programs realizing the uniform distribution and greedily fixes
+each swap to the branch whose conditional expected characteristic
+polynomial has the smaller largest nontrivial root.  Each conditional is one
+call of ``quadrature.weighted_charpoly_average`` over the per-program suffix
 distributions, with characteristic polynomials cached by image multiset.  In
 exact strategy the conditionals are full leaf enumerations and the greedy
 choice provably never increases that root, so the terminal graph beats the
@@ -31,13 +32,14 @@ from .convolution import m_fold_asym, m_fold_sym
 from .errors import BudgetError, ParameterError
 from .graphs import (
     MODES,
+    NOT_RAMANUJAN,
     STRICT,
     WITH_BOUNDARY,
     MatchingUnion,
     RamanujanCertificate,
     certify,
     deflate_trivial,
-    float_filter,
+    inertia_verdict,
     matching_grid,
     sample_bipartite,
     sample_nonbipartite,
@@ -56,14 +58,12 @@ from .poly import RatPoly
 from .quadrature import weighted_charpoly_average
 from .rng import SplitMix64, derive_seed
 from .sturm import compare_max_roots, sturm_chain
-from .transforms import (
-    bip_matching_nontrivial_poly,
-    matching_nontrivial_poly,
-    ramanujan_bound,
-)
+from .transforms import bip_matching_nontrivial_poly, matching_nontrivial_poly
 
-# float pre-screen may only skip clear failures, never decide successes
-FLOAT_SKIP_MARGIN = 1e-6
+# the search no longer calls these; bench/tracing.py still looks them up in
+# this module, so the names stay importable here
+from .graphs import float_filter  # noqa: F401
+from .transforms import ramanujan_bound  # noqa: F401
 
 
 def expected_poly_for_graph_model(mode: str, d: int, m: int) -> RatPoly:
@@ -109,6 +109,8 @@ class SearchReport:
     wall_time: float
     steps: tuple[DescentStep, ...] | None = None
     initial_deflated: RatPoly | None = None
+    # trials the inertia test left to ``certify``; not part of the document
+    fallbacks: int = 0
 
 
 def rejection_search(
@@ -122,25 +124,26 @@ def rejection_search(
     """Sample matching unions until one certifies Ramanujan, or give up.
 
     Trial t uses the substream derived from (seed, t), so the first success
-    and its graph are reproducible.  The float filter only skips samples
-    with a nontrivial eigenvalue clearly outside the bound, and only when its
-    eigensolver converged; every returned success carries an exact
-    certificate.
+    and its graph are reproducible.  Each trial is decided by the exact
+    inertia test; ``certify`` runs only on the trial returned and on the
+    trials the test leaves undecided (boundary eigenvalues, m = 2), so every
+    returned success carries an exact certificate and no float is involved.
     """
     if mode not in MODES:
         raise ParameterError(f"unknown mode {mode!r}")
     if max_trials < 1:
         raise ParameterError("need at least one trial")
     start = time.perf_counter()
-    bound_f = float(ramanujan_bound(m)) if m >= 2 else 0.0
     sampler = sample_bipartite if mode == "bipartite" else sample_nonbipartite
+    fallbacks = 0
     for trial in range(max_trials):
         rng = SplitMix64(derive_seed(seed, trial))
         g = sampler(d, m, rng)
-        if g.n_vertices > 2:
-            screened = float_filter(g)
-            if screened is not None and screened > bound_f + FLOAT_SKIP_MARGIN:
-                continue
+        verdict = inertia_verdict(g)
+        if verdict == NOT_RAMANUJAN:
+            continue
+        if verdict is None:
+            fallbacks += 1
         cert = certify(g)
         if cert.verdict == STRICT or (allow_boundary and cert.verdict == WITH_BOUNDARY):
             return SearchReport(
@@ -153,6 +156,7 @@ def rejection_search(
                 graph=g,
                 certificate=cert,
                 wall_time=time.perf_counter() - start,
+                fallbacks=fallbacks,
             )
     return SearchReport(
         mode=mode,
@@ -164,6 +168,7 @@ def rejection_search(
         graph=None,
         certificate=None,
         wall_time=time.perf_counter() - start,
+        fallbacks=fallbacks,
     )
 
 

@@ -23,7 +23,14 @@ from pathlib import Path
 
 from .config import PACKAGE_VERSION, Budgets
 from .errors import ParameterError
-from .graphs import MatchingUnion, RamanujanCertificate
+from .graphs import (
+    NOT_RAMANUJAN,
+    STRICT,
+    WITH_BOUNDARY,
+    MatchingUnion,
+    RamanujanCertificate,
+    check_shape,
+)
 from .perms import Permutation
 from .poly import RatPoly
 from .quadfield import QuadScalar, as_quad
@@ -44,6 +51,8 @@ def decimal_str(x) -> str:
 
 
 def parse_fraction(s: str) -> Fraction:
+    if not isinstance(s, str):
+        raise ParameterError(f"rational value must be a string, found {s!r}")
     try:
         return Fraction(s.strip())
     except (ValueError, ZeroDivisionError):
@@ -52,6 +61,8 @@ def parse_fraction(s: str) -> Fraction:
 
 def parse_quad(s: str) -> QuadScalar:
     """Inverse of str(QuadScalar); also accepts plain rationals."""
+    if not isinstance(s, str):
+        raise ParameterError(f"quadratic value must be a string, found {s!r}")
     text = s.strip()
     if "sqrt" not in text:
         return as_quad(parse_fraction(text))
@@ -74,8 +85,8 @@ def poly_to_obj(p: RatPoly) -> dict:
 
 
 def parse_poly(obj) -> RatPoly:
-    if not isinstance(obj, dict) or "coeffs" not in obj:
-        raise ParameterError("polynomial document needs a 'coeffs' field")
+    if not isinstance(obj, dict) or not isinstance(obj.get("coeffs"), list):
+        raise ParameterError("polynomial document needs a 'coeffs' list")
     return RatPoly(tuple(parse_fraction(c) for c in obj["coeffs"]))
 
 
@@ -98,9 +109,10 @@ def _expect_kind(obj, kind: str) -> None:
         raise ParameterError(f"{kind} document must be a JSON object")
     if obj.get("kind") != kind:
         raise ParameterError(f"expected kind {kind!r}, found {obj.get('kind')!r}")
-    if obj.get("version") != FORMAT_VERSION:
+    version = obj.get("version")
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ParameterError(
-            f"unsupported {kind} version {obj.get('version')!r} "
+            f"unsupported {kind} version {version!r} "
             f"(this build reads version {FORMAT_VERSION})"
         )
 
@@ -132,22 +144,41 @@ def certificate_to_obj(c: RamanujanCertificate) -> dict:
     }
 
 
+def _int_in(v, lo: int, hi: int | None = None) -> bool:
+    """Whether v is an int, not a bool, with lo <= v (and v < hi if given)."""
+    return type(v) is int and lo <= v and (hi is None or v < hi)
+
+
 def parse_certificate(obj) -> RamanujanCertificate:
     _expect_kind(obj, "ramanujan-certificate")
     try:
-        return RamanujanCertificate(
+        check_shape(obj["mode"], obj["d"], obj["m"])
+        bound = obj["bound"]
+        if not isinstance(bound, dict):
+            raise ParameterError("certificate bound must be an object")
+        cert = RamanujanCertificate(
             mode=obj["mode"],
             d=obj["d"],
             m=obj["m"],
             char_poly=parse_poly(obj["char_poly"]),
             deflated=parse_poly(obj["deflated"]),
-            bound=parse_quad(obj["bound"]["exact"]),
+            bound=parse_quad(bound["exact"]),
             interior_count=obj["interior_count"],
             boundary_count=obj["boundary_count"],
             verdict=obj["verdict"],
         )
     except KeyError as exc:
         raise ParameterError(f"certificate document is missing field {exc}") from None
+    # one trivial eigenvalue is deflated, and its negative too in bipartite mode
+    n, trivial = (cert.d, 1) if cert.mode == "nonbipartite" else (2 * cert.d, 2)
+    if cert.char_poly.degree != n or cert.deflated.degree != n - trivial:
+        raise ParameterError("certificate polynomials do not match d")
+    counts = (cert.interior_count, cert.boundary_count)
+    if not all(_int_in(c, 0) for c in counts) or sum(counts) > n - trivial:
+        raise ParameterError("certificate root counts are out of range")
+    if cert.verdict not in (STRICT, WITH_BOUNDARY, NOT_RAMANUJAN):
+        raise ParameterError(f"unknown verdict {cert.verdict!r}")
+    return cert
 
 
 def search_report_to_obj(r: SearchReport, seed: int) -> dict:
@@ -173,13 +204,51 @@ def search_report_to_obj(r: SearchReport, seed: int) -> dict:
     }
 
 
+def parse_search_report(obj) -> SearchReport:
+    """Inverse of ``search_report_to_obj``, up to what the document omits:
+    wall time, descent steps and counters read as their defaults."""
+    _expect_kind(obj, "search-report")
+    try:
+        mode, d, m = obj["mode"], obj["d"], obj["m"]
+        seed, trials, successes = obj["seed"], obj["trials_run"], obj["successes"]
+        first = obj["first_success_trial"]
+        graph = None if obj["graph"] is None else parse_graph(obj["graph"])
+        cert = obj["certificate"]
+        cert = None if cert is None else parse_certificate(cert)
+    except KeyError as exc:
+        raise ParameterError(f"search report is missing field {exc}") from None
+    check_shape(mode, d, m)
+    if not _int_in(seed, 0, 1 << 64):
+        raise ParameterError("search report seed must be an unsigned 64-bit integer")
+    if not (_int_in(trials, 1) and _int_in(successes, 0, 2)):
+        raise ParameterError("search report trial counts are out of range")
+    if not (_int_in(first, 0, trials) if successes else first is None):
+        raise ParameterError("search report first_success_trial is inconsistent")
+    if (graph is None) != (cert is None) or (successes and graph is None):
+        raise ParameterError("search report needs a graph and certificate together")
+    for part in (graph, cert):
+        if part is not None and (part.mode, part.d, part.m) != (mode, d, m):
+            raise ParameterError("embedded document does not match the search report")
+    return SearchReport(
+        mode=mode,
+        d=d,
+        m=m,
+        trials_run=trials,
+        successes=successes,
+        first_success_trial=first,
+        graph=graph,
+        certificate=cert,
+        wall_time=0.0,
+    )
+
+
 def graph_from_document(obj) -> MatchingUnion:
     """Accept either a graph document or a search report embedding one."""
     if isinstance(obj, dict) and obj.get("kind") == "search-report":
-        _expect_kind(obj, "search-report")
-        if obj.get("graph") is None:
+        graph = parse_search_report(obj).graph
+        if graph is None:
             raise ParameterError("search report contains no graph")
-        return parse_graph(obj["graph"])
+        return graph
     return parse_graph(obj)
 
 

@@ -9,7 +9,9 @@ from math import factorial
 from hypothesis import strategies as st
 
 from ffc import (
+    MatchingUnion,
     ParameterError,
+    Permutation,
     RamanujanCertificate,
     RatMatrix,
     RandomSwap,
@@ -40,6 +42,19 @@ def fractions_st(max_num: int = 6, max_den: int = 4):
         st.integers(min_value=-max_num, max_value=max_num),
         st.integers(min_value=1, max_value=max_den),
     )
+
+
+@st.composite
+def matching_unions_st(draw, max_d: int = 6, max_m: int = 4):
+    """Small matching unions in either mode."""
+    mode = draw(st.sampled_from(["bipartite", "nonbipartite"]))
+    if mode == "bipartite":
+        d = draw(st.integers(min_value=1, max_value=max_d))
+    else:
+        d = 2 * draw(st.integers(min_value=1, max_value=max_d // 2))
+    m = draw(st.integers(min_value=1, max_value=max_m))
+    images = st.permutations(range(d)).map(lambda im: Permutation(tuple(im)))
+    return MatchingUnion(mode, d, m, tuple(draw(images) for _ in range(m)))
 
 
 def real_rooted_st(min_degree: int = 1, max_degree: int = 5):
@@ -426,3 +441,14 @@ def holds_top_root_oracle(coeffs: tuple, lo: int, hi: int, scale: int) -> bool:
         if homog[i] < 0:
             return False
     return True
+
+
+def bernoulli_oracle(rng, p) -> bool:
+    """The Fraction-comparison Bernoulli draw the integer checks replaced."""
+    if p < 0 or p > 1:
+        raise ValueError("bernoulli probability must lie in [0, 1]")
+    if p == 0:
+        return False
+    if p == 1:
+        return True
+    return rng.below(p.denominator) < p.numerator

@@ -1,11 +1,15 @@
 """Unions of perfect matchings and exact spectral certification."""
 from __future__ import annotations
 
+import dataclasses
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ffc import graphs, search
 from ffc import (
@@ -27,8 +31,7 @@ from ffc import (
     sample_bipartite,
     sample_nonbipartite,
 )
-from ffc.graphs import NOT_RAMANUJAN, STRICT, WITH_BOUNDARY
-from ffc.search import FLOAT_SKIP_MARGIN
+from ffc.graphs import NOT_RAMANUJAN, STRICT, WITH_BOUNDARY, _gram, inertia_verdict
 from support import grid_matrix, sturm_certify
 
 
@@ -242,29 +245,15 @@ class TestFloatFilter:
             assert converged
             assert np.allclose(mine, ref, atol=1e-8)
 
-    def test_unconverged_screen_never_skips(self, monkeypatch):
-        # uncapped, the screen skips two of the three trials at this seed
-        certified = []
-        monkeypatch.setattr(search, "certify", lambda g: certified.append(g) or certify(g))
-        uncapped = rejection_search("bipartite", 10, 3, 100, 0)
-        assert (uncapped.trials_run, len(certified)) == (3, 1)
-        monkeypatch.setattr(graphs, "_JACOBI_SWEEPS", 0)
-        g = sample_bipartite(10, 3, SplitMix64(0))
-        assert jacobi_eigenvalues(g.grid())[1] is False
-        assert float_filter(g) is None
-        certified.clear()
-        capped = rejection_search("bipartite", 10, 3, 100, 0)
-        assert len(certified) == capped.trials_run == 3
-        assert capped.certificate == uncapped.certificate
-
     def test_lowest_eigenvalue_alone_can_skip(self):
+        margin = 1e-6  # the skip margin of the retired search screen
         g = sample_nonbipartite(12, 3, SplitMix64(3))
         bound_f = float(ramanujan_bound(3))
         eigs, converged = jacobi_eigenvalues(g.grid())
         assert converged
-        assert eigs[-2] < bound_f + FLOAT_SKIP_MARGIN
-        assert eigs[0] < -bound_f - FLOAT_SKIP_MARGIN
-        assert float_filter(g) > bound_f + FLOAT_SKIP_MARGIN
+        assert eigs[-2] < bound_f + margin
+        assert eigs[0] < -bound_f - margin
+        assert float_filter(g) > bound_f + margin
         assert certify(g).verdict == NOT_RAMANUJAN
 
     def test_agrees_with_the_exact_verdict_away_from_the_margin(self):
@@ -284,3 +273,115 @@ class TestFloatFilter:
             else:
                 assert cert.is_ramanujan
         assert checked > 900
+
+
+def _timeless(report):
+    return dataclasses.replace(report, wall_time=0.0)
+
+
+class _WatchedRow(list):
+    """Grid row that counts its writes."""
+
+    writes = 0
+
+    def __setitem__(self, key, value):
+        self.writes += 1
+        super().__setitem__(key, value)
+
+
+class TestInertiaVerdict:
+    """The Bareiss inertia test against the certificate it stands in for."""
+
+    def test_sampled_unions_agree_with_certify(self):
+        rng = SplitMix64(2026)
+        seen = Counter()
+        for mode, ds in (("bipartite", range(1, 13)), ("nonbipartite", range(2, 17, 2))):
+            for d in ds:
+                for m in range(1, 6):
+                    for _ in range(4):
+                        g = sampler(mode)(d, m, rng)
+                        verdict, exact = inertia_verdict(g), certify(g).verdict
+                        seen[verdict, exact] += 1
+                        if verdict is not None:
+                            assert verdict == exact, (mode, d, m, g.perms)
+                        if exact == WITH_BOUNDARY or m == 2:
+                            assert verdict is None, (mode, d, m, g.perms)
+        assert sum(seen.values()) == 400
+        assert {exact for _, exact in seen} == {STRICT, WITH_BOUNDARY, NOT_RAMANUJAN}
+        assert seen[STRICT, STRICT] >= 100 and seen[NOT_RAMANUJAN, NOT_RAMANUJAN] >= 100
+
+    def test_every_bipartite_boundary_case_falls_back(self):
+        images = [Permutation(p) for p in permutations(range(4))]
+        verdicts = Counter()
+        for p in images:
+            for q in images:
+                g = MatchingUnion("bipartite", 4, 2, (p, q))
+                assert inertia_verdict(g) is None
+                verdicts[certify(g).verdict] += 1
+        assert verdicts[WITH_BOUNDARY] > 0
+
+    def test_small_fixed_unions(self):
+        assert inertia_verdict(MIXED) == STRICT
+        assert inertia_verdict(ALIGNED) == NOT_RAMANUJAN
+        assert inertia_verdict(MatchingUnion("bipartite", 1, 1, (Permutation((0,)),))) == STRICT
+
+    def test_second_positive_pivot_stops_the_elimination(self, monkeypatch):
+        # a full elimination writes the last row once for the shift by
+        # 4(m-1) and once per earlier pivot
+        grids = []
+
+        def watched(n):
+            grids.append([_WatchedRow(row) for row in _gram(n)])
+            return grids[-1]
+
+        monkeypatch.setattr(graphs, "_gram", watched)
+        early = 0
+        for seed in range(20):
+            g = sample_bipartite(12, 3, SplitMix64(seed))
+            verdict = inertia_verdict(g)
+            last = grids[-1][-1]
+            if verdict == NOT_RAMANUJAN and last.writes < len(grids[-1]):
+                early += 1
+            assert verdict == certify(g).verdict
+        assert early > 0
+
+    @given(
+        st.lists(
+            st.lists(st.integers(min_value=-3, max_value=3), min_size=4, max_size=4),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_sparse_gram_matches_the_dense_product(self, n):
+        assert _gram(n) == [[sum(a * b for a, b in zip(ri, rj)) for rj in n] for ri in n]
+
+    def test_search_certifies_only_successes_and_fallbacks(self, monkeypatch):
+        certified = []
+        monkeypatch.setattr(search, "certify", lambda g: certified.append(g) or certify(g))
+        decided = rejection_search("bipartite", 10, 3, 100, 0)
+        assert decided.fallbacks == 0
+        assert len(certified) == decided.successes + decided.fallbacks == 1
+        # m = 2 puts the trivial eigenvalue on the bound: every trial falls
+        # back, and the returned one is among the fallbacks
+        certified.clear()
+        boundary = rejection_search("bipartite", 4, 2, 100, 0, allow_boundary=True)
+        assert boundary.certificate.verdict == WITH_BOUNDARY
+        assert len(certified) == boundary.fallbacks == boundary.trials_run
+        # the Jacobi sweep cap no longer reaches the search
+        monkeypatch.setattr(graphs, "_JACOBI_SWEEPS", 0)
+        certified.clear()
+        capped = rejection_search("bipartite", 10, 3, 100, 0)
+        assert len(certified) == 1
+        assert _timeless(capped) == _timeless(decided)
+
+    @pytest.mark.parametrize("mode, d", [("bipartite", 10), ("nonbipartite", 12)])
+    def test_search_uses_no_float(self, monkeypatch, mode, d):
+        expected = rejection_search(mode, d, 3, 200, 5)
+
+        def refuse(*args):
+            raise AssertionError("the search called a float eigensolver")
+
+        monkeypatch.setattr(search, "float_filter", refuse)
+        monkeypatch.setattr(graphs, "jacobi_eigenvalues", refuse)
+        assert _timeless(rejection_search(mode, d, 3, 200, 5)) == _timeless(expected)
+        assert expected.successes == 1

@@ -22,7 +22,7 @@ from ffc import (
     uniform_permutation,
     uniform_program,
 )
-from support import grid_matrix
+from support import bernoulli_oracle, grid_matrix
 
 
 def permutations_st(d: int):
@@ -152,3 +152,29 @@ class TestSampling:
             counts[p] = counts.get(p, 0) + 1
         assert len(counts) == 6
         assert all(abs(c - n / 6) < n / 6 for c in counts.values())
+
+
+UNIT_PROBABILITIES = st.one_of(
+    st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+    st.sampled_from([Fraction(0), Fraction(1), 0, 1]),
+)
+
+
+class TestBernoulli:
+    @given(
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.lists(UNIT_PROBABILITIES, max_size=30),
+    )
+    def test_draws_match_the_fraction_comparisons(self, seed, ps):
+        rng, oracle = SplitMix64(seed), SplitMix64(seed)
+        assert [rng.bernoulli(p) for p in ps] == [bernoulli_oracle(oracle, p) for p in ps]
+        assert rng._state == oracle._state
+
+    @given(st.fractions().filter(lambda p: p < 0 or p > 1))
+    def test_probabilities_outside_the_unit_interval_raise(self, p):
+        rng, oracle = SplitMix64(0), SplitMix64(0)
+        with pytest.raises(ValueError):
+            rng.bernoulli(p)
+        with pytest.raises(ValueError):
+            bernoulli_oracle(oracle, p)
+        assert rng._state == oracle._state == 0
