@@ -2,7 +2,8 @@
 
 Everything numeric here is exact unless a name says otherwise: polynomials
 and matrices live over the rationals, root locations are decided by Sturm
-counts on the integer remainder sequence of p and p' (no square-free part)
+counts on the integer remainder sequence of p and p' (no square-free part;
+multiplicities come from the tower of such chains of p, gcd(p, p'), ...)
 with endpoints in a real quadratic extension or, for the real spectra of the
 certifier, by Descartes counts on integer Taylor shifts, and floating point
 appears only in clearly-marked estimators (inverse Cauchy transforms,
@@ -42,13 +43,7 @@ from .perms import (
     uniform_permutation,
     uniform_program,
 )
-from .poly import (
-    RatPoly,
-    cauchy_root_bound,
-    poly_gcd,
-    squarefree_decomposition,
-    squarefree_part,
-)
+from .poly import RatPoly, cauchy_root_bound
 from .quadfield import QuadScalar, as_quad
 from .quadrature import (
     ExpectedPoly,
@@ -83,6 +78,7 @@ from .sturm import (
     isolate_real_roots,
     max_root_bracket,
     root_multiplicity_at,
+    squarefree_decomposition,
     sturm_chain,
 )
 from .transforms import (

@@ -89,7 +89,9 @@ class MatchingUnion:
     def __post_init__(self) -> None:
         check_shape(self.mode, self.d, self.m)
         if self.m != len(self.perms):
-            raise ParameterError("need m >= 1 permutations")
+            raise ParameterError(
+                f"m = {self.m} needs {self.m} permutations, got {len(self.perms)}"
+            )
         for p in self.perms:
             if p.degree != self.d:
                 raise ParameterError("permutation degree does not match d")
@@ -134,20 +136,14 @@ def _gram(n: list[list[int]]) -> list[list[int]]:
 
 def sample_nonbipartite(d: int, m: int, rng: SplitMix64) -> MatchingUnion:
     """Union of m uniform conjugates of the fixed matching on d vertices."""
-    if d < 2 or d % 2:
-        raise ParameterError("vertex count must be even and at least 2")
-    if m < 1:
-        raise ParameterError("need at least one matching")
+    check_shape("nonbipartite", d, m)
     perms = tuple(uniform_permutation(d, rng) for _ in range(m))
     return MatchingUnion("nonbipartite", d, m, perms)
 
 
 def sample_bipartite(d: int, m: int, rng: SplitMix64) -> MatchingUnion:
     """Union of m uniform matchings across a (d, d) bipartition."""
-    if d < 1:
-        raise ParameterError("side size must be positive")
-    if m < 1:
-        raise ParameterError("need at least one matching")
+    check_shape("bipartite", d, m)
     perms = tuple(uniform_permutation(d, rng) for _ in range(m))
     return MatchingUnion("bipartite", d, m, perms)
 

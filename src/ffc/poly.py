@@ -224,54 +224,7 @@ class RatPoly:
         return " ".join(parts)
 
 
-# -- gcd and square-free structure -------------------------------------------
-
-
-def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
-    """Monic greatest common divisor over the rationals."""
-    if a.is_zero and b.is_zero:
-        raise ParameterError("gcd(0, 0) is undefined")
-    while not b.is_zero:
-        _, r = divmod(a, b)
-        a, b = b, r
-    return a.monic() if a.degree > 0 else RatPoly.one()
-
-
-def squarefree_part(p: RatPoly) -> RatPoly:
-    """Monic polynomial with the same roots as p, all simple."""
-    if p.is_zero:
-        raise ParameterError("zero polynomial has no square-free part")
-    if p.degree == 0:
-        return RatPoly.one()
-    g = poly_gcd(p, p.derivative())
-    return p.div_exact(g).monic()
-
-
-def squarefree_decomposition(p: RatPoly) -> list[tuple[RatPoly, int]]:
-    """Yun decomposition: pairs (factor, multiplicity) with the factors monic,
-    square-free, pairwise coprime, and p = lead * prod(factor**multiplicity).
-    """
-    if p.is_zero:
-        raise ParameterError("zero polynomial has no square-free decomposition")
-    f = p.monic()
-    if f.degree == 0:
-        return []
-    fp = f.derivative()
-    g = poly_gcd(f, fp)
-    if g.degree == 0:
-        return [(f, 1)]
-    out: list[tuple[RatPoly, int]] = []
-    c = f.div_exact(g)
-    d = fp.div_exact(g) - c.derivative()
-    i = 1
-    while c.degree > 0:
-        a = poly_gcd(c, d)
-        if a.degree > 0:
-            out.append((a, i))
-        c = c.div_exact(a)
-        d = d.div_exact(a) - c.derivative()
-        i += 1
-    return out
+# -- root bounds and integer form ---------------------------------------------
 
 
 def cauchy_root_bound(p: RatPoly) -> Fraction:

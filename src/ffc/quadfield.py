@@ -17,11 +17,20 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParameterError
+from .errors import BudgetError, ParameterError
+
+# trial division runs to sqrt(r), about 10**6 steps at this limit
+MAX_RADICAND = 1 << 40
 
 
 def _squarefree_split(r: int) -> tuple[int, int]:
-    """Return (s, r0) with r = s*s*r0 and r0 square-free."""
+    """Return (s, r0) with r = s*s*r0 and r0 square-free.
+
+    Raises BudgetError for r >= MAX_RADICAND rather than run a trial
+    division that would not finish.
+    """
+    if r >= MAX_RADICAND:
+        raise BudgetError(f"radicand {r} is too large to normalize (limit 2**40)")
     s, r0, f = 1, r, 2
     while f * f <= r0:
         while r0 % (f * f) == 0:
@@ -29,6 +38,25 @@ def _squarefree_split(r: int) -> tuple[int, int]:
             s *= f
         f += 1
     return s, r0
+
+
+def quad_sign(a, b, r: int) -> int:
+    """Exact sign of a + b*sqrt(r) for rational (or integer) a, b and
+    square-free r >= 0: compares a**2 with b**2 * r when the signs differ."""
+    if b == 0 or r == 0:
+        return (a > 0) - (a < 0)
+    if a == 0:
+        return 1 if b > 0 else -1
+    if a > 0 and b > 0:
+        return 1
+    if a < 0 and b < 0:
+        return -1
+    lhs, rhs = a * a, b * b * r
+    if lhs == rhs:
+        return 0
+    if a > 0:
+        return 1 if lhs > rhs else -1
+    return -1 if lhs > rhs else 1
 
 
 def _coerce(v) -> Fraction:
@@ -127,22 +155,7 @@ class QuadScalar:
     # -- exact ordering --------------------------------------------------------
 
     def sign(self) -> int:
-        a, b, r = self.a, self.b, self.r
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        lhs, rhs = a * a, b * b * r
-        if lhs == rhs:
-            return 0
-        bigger_rational = lhs > rhs
-        if a > 0:
-            return 1 if bigger_rational else -1
-        return -1 if bigger_rational else 1
+        return quad_sign(self.a, self.b, self.r)
 
     def _cmp(self, other) -> int:
         return (self - other).sign()

@@ -35,7 +35,7 @@ from .perms import Permutation
 from .poly import RatPoly
 from .quadfield import QuadScalar, as_quad
 from .search import SearchReport
-from .transforms import TableRow
+from .transforms import TableRow, ramanujan_bound
 
 FORMAT_VERSION = 1
 
@@ -156,6 +156,14 @@ def parse_certificate(obj) -> RamanujanCertificate:
         bound = obj["bound"]
         if not isinstance(bound, dict):
             raise ParameterError("certificate bound must be an object")
+        # the bound is a function of m, so a different one is malformed, and
+        # parsing an arbitrary radicand could take unbounded time
+        expected = str(ramanujan_bound(obj["m"])) if obj["m"] >= 2 else "0"
+        if bound["exact"] != expected:
+            raise ParameterError(
+                f"certificate bound {bound['exact']!r} is not {expected!r}, "
+                f"the bound for m = {obj['m']}"
+            )
         cert = RamanujanCertificate(
             mode=obj["mode"],
             d=obj["d"],

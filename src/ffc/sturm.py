@@ -9,9 +9,15 @@ gcd(p, p'), which divides every element, so its sign variations count the
 distinct real roots of p without a square-free part (Sturm's theorem for
 the signed remainder sequence; Basu, Pollack and Roy, *Algorithms in Real
 Algebraic Geometry*, ch. 2), and deg p minus the degree of its last element
-is the number of distinct complex roots.  Only the multiplicity queries
-(``count_roots_in_mult``, ``root_multiplicity_at``, ``interlaces``) take a
-square-free decomposition over the rationals.
+is the number of distinct complex roots.
+
+Multiplicities come from the same chains.  The last element of the chain of
+g0 = p is g1 = gcd(p, p'), the last element of the chain of g1 is
+g2 = gcd(g1, g1'), and so on until a constant: a root of multiplicity mu is
+a root of g0, ..., g(mu-1) and of no later element.  So counts with
+multiplicity are sums of distinct-root counts over this gcd tower, and the
+square-free decomposition is read off it by exact division; no other
+polynomial gcd is computed.
 
 Sign variations are always evaluated just to the right of a point: the sign
 of q(x + epsilon) for arbitrarily small positive epsilon is the first nonzero
@@ -45,13 +51,8 @@ from math import gcd as int_gcd, lcm as int_lcm
 from typing import Iterator, Sequence
 
 from .errors import ParameterError
-from .poly import (
-    RatPoly,
-    cauchy_root_bound,
-    squarefree_decomposition,
-    to_primitive_int,
-)
-from .quadfield import QuadScalar, as_quad
+from .poly import RatPoly, cauchy_root_bound, to_primitive_int
+from .quadfield import as_quad, quad_sign
 
 
 class _Inf:
@@ -127,24 +128,6 @@ def _sign(v: int) -> int:
     return (v > 0) - (v < 0)
 
 
-def _sign_pair(x: int, y: int, r: int) -> int:
-    """Exact sign of x + y*sqrt(r) for integers x, y and square-free r."""
-    if y == 0 or r == 0:
-        return _sign(x)
-    if x == 0:
-        return _sign(y)
-    if x > 0 and y > 0:
-        return 1
-    if x < 0 and y < 0:
-        return -1
-    lhs, rhs = x * x, y * y * r
-    if lhs == rhs:
-        return 0
-    if x > 0:
-        return 1 if lhs > rhs else -1
-    return -1 if lhs > rhs else 1
-
-
 class _Point:
     """Endpoint in homogenized integer form: (u + v*sqrt(r)) / w."""
 
@@ -173,7 +156,7 @@ class _Point:
                 x * self.u + y * self.v * self.r + coeffs[k] * wpow[n - k],
                 x * self.v + y * self.u,
             )
-        return _sign_pair(x, y, self.r)
+        return quad_sign(x, y, self.r)
 
     def sign_just_right(self, coeffs: tuple[int, ...]) -> int:
         """Sign of the polynomial at this point + epsilon, epsilon -> 0+."""
@@ -209,10 +192,6 @@ class SturmChain:
 
     source: RatPoly
     elements: tuple[tuple[int, ...], ...]
-
-    @property
-    def polys(self) -> tuple[RatPoly, ...]:
-        return tuple(RatPoly.from_coeffs(e) for e in self.elements)
 
     def variations_right(self, point) -> int:
         if isinstance(point, _Inf):
@@ -279,14 +258,7 @@ def is_real_rooted(p: RatPoly) -> bool:
     return chain.count_all() == p.degree - (len(chain.elements[-1]) - 1)
 
 
-def count_roots_in(p: RatPoly, lo, hi, open_interval: bool = False) -> int:
-    """Distinct real roots of p inside the interval from lo to hi.
-
-    Endpoints may be rationals or QuadScalar values.  With
-    ``open_interval=True`` the interval is (lo, hi), else [lo, hi];
-    membership of roots at the endpoints is decided exactly.
-    """
-    chain = sturm_chain(p)
+def _count_in(chain: SturmChain, lo, hi, open_interval: bool) -> int:
     n = chain.count_half_open(lo, hi)
     if open_interval:
         if not isinstance(hi, _Inf) and chain.is_root(hi):
@@ -297,22 +269,63 @@ def count_roots_in(p: RatPoly, lo, hi, open_interval: bool = False) -> int:
     return n
 
 
+def count_roots_in(p: RatPoly, lo, hi, open_interval: bool = False) -> int:
+    """Distinct real roots of p inside the interval from lo to hi.
+
+    Endpoints may be rationals or QuadScalar values.  With
+    ``open_interval=True`` the interval is (lo, hi), else [lo, hi];
+    membership of roots at the endpoints is decided exactly.
+    """
+    return _count_in(sturm_chain(p), lo, hi, open_interval)
+
+
+def _gcd_tower(p: RatPoly) -> list[SturmChain]:
+    """Chains of g0 = p, g1 = gcd(g0, g0'), g2 = gcd(g1, g1'), ... down to
+    the last nonconstant element; each g(k+1) is the last element of the
+    chain of g(k), up to a constant factor."""
+    tower = []
+    chain = sturm_chain(p)
+    while len(chain.elements[0]) > 1:
+        tower.append(chain)
+        chain = sturm_chain(RatPoly.from_coeffs(chain.elements[-1]))
+    return tower
+
+
 def count_roots_in_mult(p: RatPoly, lo, hi, open_interval: bool = False) -> int:
     """Real roots in the interval counted with multiplicity."""
-    return sum(
-        mult * count_roots_in(factor, lo, hi, open_interval)
-        for factor, mult in squarefree_decomposition(p)
-    )
+    return sum(_count_in(chain, lo, hi, open_interval) for chain in _gcd_tower(p))
 
 
 def root_multiplicity_at(p: RatPoly, point) -> int:
     """Multiplicity of ``point`` as a root of p (0 if not a root)."""
     pt = _Point(point)
-    return sum(
-        mult
-        for factor, mult in squarefree_decomposition(p)
-        if pt.sign_of(to_primitive_int(factor)) == 0
-    )
+    mult = 0
+    for chain in _gcd_tower(p):
+        if not chain.is_root(pt):
+            break
+        mult += 1
+    return mult
+
+
+def squarefree_decomposition(p: RatPoly) -> list[tuple[RatPoly, int]]:
+    """Pairs (factor, multiplicity) with the factors monic, square-free,
+    pairwise coprime, and p = lead * prod(factor**multiplicity).
+
+    With g(k) the gcd tower and h(k) = g(k-1) / g(k), the product of the
+    factors of multiplicity at least k, the factor of multiplicity k is
+    h(k) / h(k+1).
+    """
+    if p.is_zero:
+        raise ParameterError("zero polynomial has no square-free decomposition")
+    gs = [RatPoly.from_coeffs(chain.elements[0]) for chain in _gcd_tower(p)]
+    gs.append(RatPoly.one())
+    hs = [a.div_exact(b) for a, b in zip(gs, gs[1:])]
+    hs.append(RatPoly.one())
+    return [
+        (a.div_exact(b).monic(), k)
+        for k, (a, b) in enumerate(zip(hs, hs[1:]), start=1)
+        if a.degree > b.degree
+    ]
 
 
 def max_root_bracket(p: RatPoly, width=Fraction(1, 1024)) -> tuple[Fraction, Fraction]:
@@ -444,21 +457,39 @@ def _holds_top_root(coeffs: tuple[int, ...], lo: int, hi: int, scale: int) -> bo
     return all(c >= 0 for c in _taylor_shift(homog, hi))
 
 
+def _top_cell(
+    chain: SturmChain, lo: Fraction, hi: Fraction, settled
+) -> tuple[Fraction, Fraction] | None:
+    """Bisect (lo, hi] toward the largest distinct real root of the chain's
+    source until ``settled(lo, hi, n)`` holds, n being the number of distinct
+    roots in (lo, hi]; None when (lo, hi] holds no root.
+
+    The sign variations at lo and hi are kept between steps, so each step
+    evaluates the chain at the midpoint only.
+    """
+    at_lo, at_hi = chain.variations_right(lo), chain.variations_right(hi)
+    if at_lo == at_hi:
+        return None
+    while not settled(lo, hi, at_lo - at_hi):
+        mid = (lo + hi) / 2
+        at_mid = chain.variations_right(mid)
+        if at_mid > at_hi:
+            lo, at_lo = mid, at_mid
+        else:
+            hi, at_hi = mid, at_mid
+    return lo, hi
+
+
 def _bisect_max_root(
     p: RatPoly, bound: Fraction, width: Fraction
 ) -> tuple[Fraction, Fraction]:
     """The same bracket by bisection of (-bound-1, bound] with Sturm counts."""
-    chain = sturm_chain(p)
-    lo, hi = -bound - 1, bound
-    if chain.count_half_open(lo, hi) == 0:
+    cell = _top_cell(
+        sturm_chain(p), -bound - 1, bound, lambda lo, hi, n: hi - lo <= width
+    )
+    if cell is None:
         raise ParameterError("polynomial has no real roots")
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        if chain.count_half_open(mid, hi) >= 1:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+    return cell
 
 
 def isolate_real_roots(p: RatPoly) -> list[tuple[Fraction, Fraction]]:
@@ -489,11 +520,12 @@ def _root_positions_with_mult(
 ) -> list[int]:
     """Roots of p as indices into isolating intervals, repeated by multiplicity."""
     positions: list[int] = []
-    for factor, mult in squarefree_decomposition(p):
-        chain = sturm_chain(factor)
-        for idx, (lo, hi) in enumerate(intervals):
-            if chain.count_half_open(lo, hi):
-                positions.extend([idx] * mult)
+    # a root of g(k+1) is a root of g(k), so each level checks only the
+    # intervals where the level before found one
+    held = range(len(intervals))
+    for chain in _gcd_tower(p):
+        held = [idx for idx in held if chain.count_half_open(*intervals[idx])]
+        positions.extend(held)
     positions.sort()
     return positions
 
@@ -528,20 +560,12 @@ def compare_max_roots(p: RatPoly, q: RatPoly) -> int:
         if poly.is_zero or poly.degree == 0:
             raise ParameterError("max-root comparison needs nonconstant inputs")
     pq = p * q
-    chain = sturm_chain(pq)
     bound = cauchy_root_bound(pq)
     # bisect (lo, hi] down to the one distinct root of p*q that is largest
-    lo, hi = -bound - 1, bound
-    at_lo, at_hi = chain.variations_right(lo), chain.variations_right(hi)
-    if at_lo == at_hi:
+    cell = _top_cell(sturm_chain(pq), -bound - 1, bound, lambda lo, hi, n: n == 1)
+    if cell is None:
         raise ParameterError("max-root comparison needs real roots")
-    while at_lo - at_hi > 1:
-        mid = (lo + hi) / 2
-        at_mid = chain.variations_right(mid)
-        if at_mid > at_hi:
-            lo, at_lo = mid, at_mid
-        else:
-            hi, at_hi = mid, at_mid
+    lo, hi = cell
     p_has = sturm_chain(p).count_half_open(lo, hi) >= 1
     q_has = sturm_chain(q).count_half_open(lo, hi) >= 1
     if p_has and q_has:

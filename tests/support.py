@@ -2,12 +2,17 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial
+from pathlib import Path
 
 from hypothesis import strategies as st
 
+import ffc
 from ffc import (
     MatchingUnion,
     ParameterError,
@@ -26,13 +31,33 @@ from ffc import (
     ramanujan_bound,
     relabel_grid,
     SturmChain,
+    count_roots_in,
+    is_real_rooted,
+    isolate_real_roots,
     root_multiplicity_at,
-    squarefree_part,
     sturm_chain,
     uniform_permutation,
 )
 from ffc.graphs import NOT_RAMANUJAN, STRICT, WITH_BOUNDARY
 from ffc.sturm import NEG_INF, POS_INF, _chain_from_coeffs, _homogenised
+
+
+def subprocess_env():
+    """The environment with the imported ``ffc`` first on ``PYTHONPATH``, so a
+    child interpreter runs the code under test, not another installed copy."""
+    env = dict(os.environ)
+    package_root = str(Path(ffc.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_cli_with_timeout(*argv, timeout: float = 30):
+    """Run ``python -m ffc ARGV...`` in a child process; a run that does not
+    finish within ``timeout`` seconds fails the test instead of hanging it."""
+    return subprocess.run(
+        [sys.executable, "-m", "ffc", *argv],
+        capture_output=True, text=True, env=subprocess_env(), timeout=timeout,
+    )
 
 
 def fractions_st(max_num: int = 6, max_den: int = 4):
@@ -333,6 +358,22 @@ def max_root_bracket_oracle(p: RatPoly, width=Fraction(1, 1024)) -> tuple:
     return lo, hi
 
 
+def bisect_max_root_oracle(p: RatPoly, bound: Fraction, width: Fraction) -> tuple:
+    """The bisection fallback of ``max_root_bracket`` before it shared the
+    top-root bisection: a full count of (mid, hi] at every step."""
+    chain = sturm_chain(p)
+    lo, hi = -bound - 1, bound
+    if chain.count_half_open(lo, hi) == 0:
+        raise ParameterError("polynomial has no real roots")
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        if chain.count_half_open(mid, hi) >= 1:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def inverse_cauchy_oracle(p: RatPoly, w, tol: float = 1e-12) -> float:
     """K(w) bisected on Fractions from [top + 1/(d w), top + 1/w]."""
     w = Fraction(w)
@@ -351,6 +392,91 @@ def inverse_cauchy_oracle(p: RatPoly, w, tol: float = 1e-12) -> float:
         else:
             hi = mid
     return float((lo + hi) / 2)
+
+
+# The Fraction gcd and Yun's square-free decomposition, which the library
+# used before it read multiplicities off the gcd tower of its integer chains,
+# and the multiplicity queries built on them.
+
+
+def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
+    """Monic greatest common divisor over the rationals, by Euclid."""
+    if a.is_zero and b.is_zero:
+        raise ParameterError("gcd(0, 0) is undefined")
+    while not b.is_zero:
+        _, r = divmod(a, b)
+        a, b = b, r
+    return a.monic() if a.degree > 0 else RatPoly.one()
+
+
+def squarefree_part(p: RatPoly) -> RatPoly:
+    """Monic polynomial with the same roots as p, all simple."""
+    if p.is_zero:
+        raise ParameterError("zero polynomial has no square-free part")
+    if p.degree == 0:
+        return RatPoly.one()
+    return p.div_exact(poly_gcd(p, p.derivative())).monic()
+
+
+def yun_decomposition(p: RatPoly) -> list[tuple[RatPoly, int]]:
+    """Yun's algorithm: monic, square-free, pairwise coprime factors with
+    their multiplicities, in increasing multiplicity."""
+    if p.is_zero:
+        raise ParameterError("zero polynomial has no square-free decomposition")
+    f = p.monic()
+    if f.degree == 0:
+        return []
+    fp = f.derivative()
+    g = poly_gcd(f, fp)
+    if g.degree == 0:
+        return [(f, 1)]
+    out: list[tuple[RatPoly, int]] = []
+    c = f.div_exact(g)
+    d = fp.div_exact(g) - c.derivative()
+    i = 1
+    while c.degree > 0:
+        a = poly_gcd(c, d)
+        if a.degree > 0:
+            out.append((a, i))
+        c = c.div_exact(a)
+        d = d.div_exact(a) - c.derivative()
+        i += 1
+    return out
+
+
+def count_roots_in_mult_oracle(p: RatPoly, lo, hi, open_interval: bool = False) -> int:
+    return sum(
+        mult * count_roots_in(factor, lo, hi, open_interval)
+        for factor, mult in yun_decomposition(p)
+    )
+
+
+def root_multiplicity_at_oracle(p: RatPoly, point) -> int:
+    return sum(
+        mult for factor, mult in yun_decomposition(p) if factor(as_quad(point)) == 0
+    )
+
+
+def interlaces_oracle(g: RatPoly, f: RatPoly) -> bool:
+    """Weak alternation of the root multisets, each root placed in an
+    isolating interval of f*g once per multiplicity of its Yun factor."""
+    if not (is_real_rooted(f) and is_real_rooted(g)):
+        raise ParameterError("interlacing needs real-rooted inputs")
+    if g.degree == 0:
+        return True
+    intervals = isolate_real_roots(f * g)
+
+    def positions(p: RatPoly) -> list[int]:
+        out = []
+        for factor, mult in yun_decomposition(p):
+            chain = sturm_chain(factor)
+            for idx, (lo, hi) in enumerate(intervals):
+                if chain.count_half_open(lo, hi):
+                    out.extend([idx] * mult)
+        return sorted(out)
+
+    pos_f, pos_g = positions(f), positions(g)
+    return all(pos_f[j] <= b <= pos_f[j + 1] for j, b in enumerate(pos_g))
 
 
 # Root location before the chain ran on p itself: the same integer primitive

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import json
-import os
 import shutil
 import subprocess
 import sys
@@ -10,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-import ffc
 import ffc.serial as serial
 from ffc.cli import main
+from support import run_cli_with_timeout, subprocess_env
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -32,15 +31,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
-
-
-def subprocess_env():
-    """The environment with the imported ``ffc`` first on ``PYTHONPATH``, so a
-    child interpreter runs the code under test, not another installed copy."""
-    env = dict(os.environ)
-    package_root = str(Path(ffc.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    return env
 
 
 def declared_console_script():
@@ -72,6 +62,11 @@ class TestBound:
         code, _, err = run(capsys, "bound", "--m", "1")
         assert code == 2
         assert err.strip()
+
+    def test_unnormalizable_radicand_exceeds_the_budget(self):
+        proc = run_cli_with_timeout("bound", "--m", "1000000000000000000000")
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("budget exceeded: ")
 
 
 class TestConvolve:

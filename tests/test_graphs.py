@@ -63,6 +63,28 @@ class TestConstruction:
         with pytest.raises(ParameterError):
             MatchingUnion("directed", 2, 2, (IDENT2, IDENT2))
 
+    def test_mismatch_message_names_m_and_the_count(self):
+        with pytest.raises(ParameterError, match=r"m = 3 needs 3 permutations, got 2"):
+            MatchingUnion("bipartite", 2, 3, (IDENT2, SWAP2))
+
+    @pytest.mark.parametrize(
+        "sampler, d, m",
+        [
+            (sample_nonbipartite, 3, 2),
+            (sample_nonbipartite, 0, 2),
+            (sample_nonbipartite, 4, 0),
+            (sample_bipartite, 0, 2),
+            (sample_bipartite, 2, 0),
+            (sample_bipartite, 2.0, 2),
+        ],
+    )
+    def test_samplers_check_the_shape_before_drawing(self, sampler, d, m):
+        rng = SplitMix64(7)
+        state = rng._state
+        with pytest.raises(ParameterError):
+            sampler(d, m, rng)
+        assert rng._state == state
+
 
 class TestAdjacency:
     def test_row_sums_equal_the_multiplicity(self):

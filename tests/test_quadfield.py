@@ -1,13 +1,15 @@
 """Exact arithmetic in quadratic extensions of the rationals."""
 from __future__ import annotations
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ffc import ParameterError, QuadScalar, as_quad
+from ffc import BudgetError, ParameterError, QuadScalar, as_quad, ramanujan_bound
+from ffc.quadfield import MAX_RADICAND, quad_sign
 
 
 class TestNormalization:
@@ -28,6 +30,16 @@ class TestNormalization:
     def test_square_factor_is_extracted(self):
         # sqrt(8) and 2*sqrt(2) must be the same element
         assert QuadScalar.sqrt_int(8) == QuadScalar(0, 2, 2)
+
+    def test_radicands_too_large_to_normalize_are_refused(self):
+        for r in (MAX_RADICAND, 10**21):
+            with pytest.raises(BudgetError):
+                QuadScalar.sqrt_int(r)
+        with pytest.raises(BudgetError):
+            ramanujan_bound(MAX_RADICAND + 1)
+        assert QuadScalar.sqrt_int(2**20 * 3) == QuadScalar(0, 2**10, 3)
+        # a zero coefficient drops the radicand without normalizing it
+        assert QuadScalar(1, 0, 10**21).is_rational
 
     def test_irrational_value_is_not_rational(self):
         assert not QuadScalar.sqrt_int(2).is_rational
@@ -75,6 +87,37 @@ class TestExactSign:
         assert Fraction(1) < QuadScalar.sqrt_int(2)
         assert QuadScalar.sqrt_int(2) < Fraction(3, 2)
         assert QuadScalar(0, 1, 2) < QuadScalar(0, 2, 2)
+
+
+def decimal_sign(a: Fraction, b: Fraction, r: int) -> int:
+    """Sign of a + b*sqrt(r) at 60 digits: exact for these small inputs,
+    which are either zero or more than 1e-7 away from it."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        v = Decimal(a.numerator) / a.denominator + Decimal(b.numerator) / b.denominator * Decimal(r).sqrt()
+    return (v > 0) - (v < 0)
+
+
+class TestQuadSign:
+    @given(
+        st.fractions(max_denominator=12).filter(lambda x: abs(x) < 100),
+        st.fractions(max_denominator=12).filter(lambda x: abs(x) < 100),
+        st.sampled_from([0, 2, 3, 5, 6, 7]),
+    )
+    def test_agrees_with_high_precision_decimals(self, a, b, r):
+        assert quad_sign(a, b, r) == decimal_sign(a, b, r)
+        assert quad_sign(a.numerator * b.denominator, b.numerator * a.denominator, r) == (
+            decimal_sign(a, b, r)
+        )
+
+    @given(
+        st.fractions(max_denominator=12),
+        st.fractions(max_denominator=12),
+        st.sampled_from([0, 2, 3, 8, 12]),
+    )
+    def test_quad_scalar_sign_is_the_shared_rule(self, a, b, r):
+        v = QuadScalar(a, b, r)
+        assert v.sign() == quad_sign(v.a, v.b, v.r)
 
 
 class TestCanonicalText:

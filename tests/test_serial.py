@@ -23,7 +23,7 @@ from ffc import (
     sample_nonbipartite,
 )
 from ffc.cli import main
-from support import fractions_st, matching_unions_st, real_rooted_st
+from support import fractions_st, matching_unions_st, real_rooted_st, run_cli_with_timeout
 
 
 class TestScalars:
@@ -253,6 +253,27 @@ class TestDocumentProperties:
             obj = dict(good, **{field: value})
             with pytest.raises(ParameterError):
                 serial.parse_search_report(obj)
+
+    @pytest.mark.parametrize("exact", ["2*sqrt(7)", "sqrt(1000000000000000003)"])
+    def test_certificate_bound_must_be_the_bound_for_its_m(self, tmp_path, exact):
+        report = rejection_search("bipartite", 3, 3, 50, seed=12)
+        obj = through_json(serial.search_report_to_obj(report, 12))
+        obj["certificate"]["bound"]["exact"] = exact
+        with pytest.raises(ParameterError, match="the bound for m = 3"):
+            serial.parse_certificate(obj["certificate"])
+        path = tmp_path / "report.json"
+        path.write_text(serial.dumps(obj))
+        proc = run_cli_with_timeout("certify", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+
+    def test_certificate_bound_for_m_one_is_zero(self):
+        obj = serial.certificate_to_obj(certify(sample_bipartite(3, 1, SplitMix64(1))))
+        assert obj["bound"]["exact"] == "0"
+        assert serial.parse_certificate(obj).bound == 0
+        obj["bound"] = dict(obj["bound"], exact="sqrt(0)")
+        with pytest.raises(ParameterError):
+            serial.parse_certificate(obj)
 
     def test_certificate_fields_must_fit_d(self):
         good = serial.certificate_to_obj(certify(sample_bipartite(3, 3, SplitMix64(1))))

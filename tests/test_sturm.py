@@ -24,23 +24,29 @@ from ffc import (
     isolate_real_roots,
     max_root_bracket,
     root_multiplicity_at,
+    squarefree_decomposition,
     sturm_chain,
 )
 from ffc.graphs import _split_at
 from ffc.poly import to_primitive_int
 from ffc.search import _fired_wins
-from ffc.sturm import NEG_INF, POS_INF, _holds_top_root, _taylor_shift
+from ffc.sturm import NEG_INF, POS_INF, _bisect_max_root, _holds_top_root, _taylor_shift
 from support import (
+    bisect_max_root_oracle,
     compare_max_roots_oracle,
+    count_roots_in_mult_oracle,
     count_roots_in_oracle,
     fired_wins_oracle,
     fractions_st,
     holds_top_root_oracle,
+    interlaces_oracle,
     is_real_rooted_oracle,
     max_root_bracket_oracle,
     real_rooted_st,
+    root_multiplicity_at_oracle,
     split_at_oracle,
     squarefree_sturm_chain,
+    yun_decomposition,
 )
 
 
@@ -348,6 +354,113 @@ class TestChainOnPItself:
         )
         assert is_real_rooted(p)
         assert not is_real_rooted(p * quadratic(Fraction(1), Fraction(1)))
+
+
+@st.composite
+def interlacing_pair_st(draw):
+    """Real-rooted g and f with deg g = deg f - 1, their roots drawn from a
+    small pool with +-sqrt(2) as a pair, so shared roots are common and
+    both outcomes occur."""
+    pair = RatPoly.from_coeffs([-2, 0, 1])
+    f_pairs, g_pairs = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    f_roots = draw(st.lists(ROOTS, min_size=1 - f_pairs, max_size=4))
+    if len(f_roots) + 2 * f_pairs - 1 - 2 * g_pairs < 0:
+        g_pairs = 0
+    g_size = len(f_roots) + 2 * f_pairs - 1 - 2 * g_pairs
+    g_roots = draw(st.lists(ROOTS, min_size=g_size, max_size=g_size))
+    f = RatPoly.from_roots(f_roots)
+    g = RatPoly.from_roots(g_roots)
+    for _ in range(f_pairs):
+        f = f * pair
+    for _ in range(g_pairs):
+        g = g * pair
+    return g.scale(draw(st.sampled_from([1, -3]))), f.scale(
+        draw(st.sampled_from([1, Fraction(-1, 2)]))
+    )
+
+
+def no_real_root_st():
+    return st.lists(st.tuples(fractions_st(), positive_st()), min_size=1, max_size=3).map(
+        lambda pairs: math.prod((quadratic(c, o) for c, o in pairs), start=RatPoly.one())
+    )
+
+
+class TestGcdTower:
+    """Multiplicities read off the gcd tower of the integer chains agree with
+    the retired Fraction Yun decomposition."""
+
+    @given(chain_case_st(), st.booleans())
+    def test_count_roots_in_mult(self, case, open_interval):
+        p, lo, hi = case
+        assert count_roots_in_mult(p, lo, hi, open_interval) == count_roots_in_mult_oracle(
+            p, lo, hi, open_interval
+        )
+
+    @given(chain_case_st())
+    def test_root_multiplicity_at(self, case):
+        p, lo, hi = case
+        for point in (lo, hi):
+            if point is not NEG_INF and point is not POS_INF:
+                assert root_multiplicity_at(p, point) == root_multiplicity_at_oracle(p, point)
+
+    @given(st.integers(min_value=2, max_value=5).flatmap(mixed_poly_st))
+    def test_multiplicity_at_every_root(self, p):
+        # every real root mixed_poly_st can place, each tried as a point
+        points = [-2, -1, 0, Fraction(1, 3), 1, 3]
+        points += [QuadScalar(0, sign, r) for r in (2, 3, 5) for sign in (1, -1)]
+        for point in points:
+            assert root_multiplicity_at(p, point) == root_multiplicity_at_oracle(p, point)
+
+    @given(st.integers(min_value=2, max_value=5).flatmap(mixed_poly_st))
+    @example(RatPoly.from_coeffs([5]))
+    @example(RatPoly.from_roots([1, 1, 1, -2, -2, 5]).scale(-7))
+    def test_squarefree_decomposition(self, p):
+        parts = squarefree_decomposition(p)
+        assert parts == yun_decomposition(p)
+        rebuilt = RatPoly.from_coeffs([p.lead])
+        for factor, mult in parts:
+            for _ in range(mult):
+                rebuilt = rebuilt * factor
+        assert rebuilt == p
+
+    @given(interlacing_pair_st())
+    @example((RatPoly.from_roots([1, 1]), RatPoly.from_roots([1, 1, 1])))
+    @example((RatPoly.from_roots([0, 3]), RatPoly.from_roots([0, 1, 3])))
+    @example((RatPoly.from_roots([1, 3]), RatPoly.from_roots([0, 1, 1])))
+    def test_interlaces(self, pair):
+        g, f = pair
+        assert interlaces(g, f) == interlaces_oracle(g, f)
+
+    def test_interlacing_examples_with_shared_roots(self):
+        assert interlaces(RatPoly.from_roots([1, 1]), RatPoly.from_roots([1, 1, 1]))
+        assert interlaces(RatPoly.from_roots([0, 3]), RatPoly.from_roots([0, 1, 3]))
+        assert not interlaces(RatPoly.from_roots([1, 3]), RatPoly.from_roots([0, 1, 1]))
+
+
+class TestTopCell:
+    """The shared top-root bisection gives the retired fallback's brackets."""
+
+    @given(
+        st.one_of(
+            st.integers(min_value=2, max_value=5).flatmap(mixed_poly_st),
+            no_real_root_st(),
+        ),
+        st.sampled_from([Fraction(1, 1024), Fraction(1, 10**9)]),
+    )
+    def test_bisect_max_root(self, p, width):
+        bound = cauchy_root_bound(p)
+        try:
+            expected = bisect_max_root_oracle(p, bound, width)
+        except ParameterError:
+            with pytest.raises(ParameterError, match="no real roots"):
+                _bisect_max_root(p, bound, width)
+        else:
+            assert _bisect_max_root(p, bound, width) == expected
+
+    @given(no_real_root_st())
+    def test_comparison_without_real_roots_raises(self, p):
+        with pytest.raises(ParameterError, match="needs real roots"):
+            compare_max_roots(p, p)
 
 
 def shifted_by_composition(c, t) -> RatPoly:
