@@ -51,12 +51,12 @@ def subprocess_env():
     return env
 
 
-def run_cli_with_timeout(*argv, timeout: float = 30):
+def run_cli_with_timeout(*argv):
     """Run ``python -m ffc ARGV...`` in a child process; a run that does not
-    finish within ``timeout`` seconds fails the test instead of hanging it."""
+    finish within 30 seconds fails the test instead of hanging it."""
     return subprocess.run(
         [sys.executable, "-m", "ffc", *argv],
-        capture_output=True, text=True, env=subprocess_env(), timeout=timeout,
+        capture_output=True, text=True, env=subprocess_env(), timeout=30,
     )
 
 
