@@ -3,7 +3,9 @@
 A sample is a union of m perfect matchings: in nonbipartite mode the sum of
 m permutation-conjugates of one fixed matching on d vertices, in bipartite
 mode the sum of m permutation matchings across a (d, d) bipartition.  Edge
-entries count multiplicity, so samples are multigraphs.
+entries count multiplicity, so samples are multigraphs.  ``union_grid``
+builds every union's integer grid from raw permutation images, for
+``MatchingUnion.grid`` and for the descent's conditional averages alike.
 
 Certification is exact and runs on integers.  The adjacency spectrum is real,
 so the verdict is a statement about the squared nontrivial eigenvalues
@@ -24,17 +26,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
+from typing import Iterable
 
 from .errors import ContractError, ParameterError
-from .matrix import RatMatrix, _grid_sum, char_poly, dilation
-from .perms import Permutation, relabel_grid, uniform_permutation
+from .matrix import RatMatrix, char_poly, dilation
+from .perms import Permutation, uniform_permutation
 from .poly import RatPoly, to_primitive_int
 from .quadfield import QuadScalar, as_quad
 from .rng import SplitMix64
 from .sturm import _taylor_shift
 
-# certify no longer counts roots with these; bench/tracing.py still looks
-# them up in this module, so the names stay importable here
+# unused here; bench/tracing.py still looks them up in this module
+from .perms import relabel_grid  # noqa: F401
 from .sturm import count_roots_in_mult, root_multiplicity_at  # noqa: F401
 from .transforms import ramanujan_bound
 
@@ -45,15 +48,29 @@ WITH_BOUNDARY = "ramanujan-with-boundary"
 NOT_RAMANUJAN = "not-ramanujan"
 
 
+def union_grid(mode: str, d: int, images: Iterable[tuple[int, ...]]) -> list[list[int]]:
+    """d x d grid, counting parallel edges, of the matchings ``images`` place
+    (raw tuples, not validated): the adjacency with image[2k] joined to
+    image[2k+1] (nonbipartite), or the biadjacency N with left j joined to
+    right image[j] in N[image[j]][j] (bipartite)."""
+    grid = [[0] * d for _ in range(d)]
+    for image in images:
+        if mode == "nonbipartite":
+            for k in range(0, d, 2):
+                a, b = image[k], image[k + 1]
+                grid[a][b] += 1
+                grid[b][a] += 1
+        else:
+            for j, i in enumerate(image):
+                grid[i][j] += 1
+    return grid
+
+
 def matching_grid(d: int) -> list[list[int]]:
     """Adjacency grid of the fixed perfect matching pairing (2k, 2k+1)."""
     if d < 2 or d % 2:
         raise ParameterError("perfect matching needs an even vertex count")
-    grid = [[0] * d for _ in range(d)]
-    for k in range(d // 2):
-        grid[2 * k][2 * k + 1] = 1
-        grid[2 * k + 1][2 * k] = 1
-    return grid
+    return union_grid("nonbipartite", d, [tuple(range(d))])
 
 
 def check_shape(mode, d, m) -> None:
@@ -103,18 +120,11 @@ class MatchingUnion:
     def grid(self) -> list[list[int]]:
         """Integer adjacency (nonbipartite) or d x d biadjacency N (bipartite),
         entries counting parallel edges."""
-        if self.mode == "nonbipartite":
-            base = matching_grid(self.d)
-            return _grid_sum([relabel_grid(base, p.image) for p in self.perms])
-        total = [[0] * self.d for _ in range(self.d)]
-        for p in self.perms:
-            for i, j in enumerate(p.image):
-                total[j][i] += 1
-        return total
+        return union_grid(self.mode, self.d, (p.image for p in self.perms))
 
     def adjacency(self) -> RatMatrix:
         """Symmetric integer adjacency with entries counting parallel edges."""
-        a = RatMatrix.from_rows(self.grid())
+        a = RatMatrix(tuple(tuple(map(Fraction, row)) for row in self.grid()))
         return a if self.mode == "nonbipartite" else dilation(a)
 
 
@@ -231,7 +241,7 @@ def certify(g: MatchingUnion) -> RamanujanCertificate:
     # m = 1 degenerates to bound 0; the general formula needs m >= 2
     bound = ramanujan_bound(g.m) if g.m >= 2 else as_quad(0)
     if g.mode == "bipartite":
-        q = char_poly(RatMatrix.from_rows(_gram(g.grid())))
+        q = char_poly(_gram(g.grid()))
         # one copy of the trivial eigenvalue m**2 of N N^T, i.e. of +-m
         squared = deflate_trivial(q, g.m * g.m, bipartite=False)
         cp, deflated = q.substitute_square(), squared.substitute_square()
@@ -239,7 +249,7 @@ def certify(g: MatchingUnion) -> RamanujanCertificate:
         # each squared singular value y stands for the pair +-sqrt(y)
         interior, boundary = 2 * below, 2 * at
     else:
-        cp = char_poly(RatMatrix.from_rows(g.grid()))
+        cp = char_poly(g.grid())
         deflated = deflate_trivial(cp, g.m, bipartite=False)
         squares = _graeffe_square(to_primitive_int(deflated))
         interior, boundary = _split_at(squares, 4 * (g.m - 1))

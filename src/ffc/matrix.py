@@ -5,9 +5,11 @@ is reduced to upper Hessenberg form modulo word-size primes, its
 characteristic polynomial is read off the Hessenberg recurrence modulo each
 prime, and the integer coefficients are rebuilt by the Chinese remainder
 theorem.  The number of primes comes from the a-priori bound
-|c_k| <= prod_i (1 + ||row_i||_2), so the result is exact, not probable.  A
-rational matrix clears its denominators first:
-det(xI - B/s) = s**-n * det(s x I - B).
+|c_k| <= prod_i (1 + ||row_i||_2), so the result is exact, not probable.
+``char_poly`` takes a ``RatMatrix`` or a plain square grid of ints or
+Fractions, so integer callers pass their grids straight through.  Rational
+entries are cleared by ``_clear_denominators`` first, the one helper the
+permutation averages share: det(xI - B/s) = s**-n * det(s x I - B).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import ContractError, ParameterError
 from .poly import RatPoly, _as_fraction
@@ -289,12 +291,20 @@ def charpoly_int_coeffs(rows: list[list[int]]) -> tuple[int, ...]:
     return out
 
 
-def char_poly(m: RatMatrix) -> RatPoly:
-    """Monic characteristic polynomial det(xI - M), exactly."""
-    if not m.is_square:
+def _clear_denominators(grids: Sequence[Sequence[Sequence]]) -> tuple[list, int]:
+    """Integer grids of s * A_i, int or Fraction entries, and the lcm s of
+    every denominator."""
+    s = lcm(*(v.denominator for g in grids for row in g for v in row))
+    return [[[v.numerator * (s // v.denominator) for v in row] for row in g] for g in grids], s
+
+
+def char_poly(m: RatMatrix | Sequence[Sequence]) -> RatPoly:
+    """Monic characteristic polynomial det(xI - M), exactly, of a
+    ``RatMatrix`` or a square grid of ints or Fractions."""
+    rows = m.rows if isinstance(m, RatMatrix) else m
+    n = len(rows)
+    if not n or any(len(row) != n for row in rows):
         raise ParameterError("characteristic polynomial needs a square matrix")
-    s = lcm(*(v.denominator for row in m.rows for v in row))
-    scaled = [[v.numerator * (s // v.denominator) for v in row] for row in m.rows]
+    (scaled,), s = _clear_denominators([rows])
     b = charpoly_int_coeffs(scaled)
-    n = m.nrows
     return RatPoly(tuple(Fraction(c, s ** (n - k)) for k, c in enumerate(b)))

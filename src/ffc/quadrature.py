@@ -41,7 +41,7 @@ from .config import DEFAULT_BUDGETS, Budgets
 from .convolution import asym_convolve, sym_convolve
 from .errors import BudgetError, ContractError, ParameterError
 from .graphs import _gram
-from .matrix import RatMatrix, _grid_sum, char_poly, charpoly_int_coeffs
+from .matrix import RatMatrix, _clear_denominators, _grid_sum, char_poly, charpoly_int_coeffs
 from .perms import (
     Permutation,
     SwapProgram,
@@ -173,12 +173,7 @@ def _grids(matrices: Sequence[RatMatrix]) -> tuple[list, int]:
     for m in matrices:
         if not m.is_square or m.nrows != n:
             raise ParameterError("matrices must be square and equally sized")
-    s = math.lcm(*(v.denominator for m in matrices for row in m.rows for v in row))
-    grids = [
-        [[v.numerator * (s // v.denominator) for v in row] for row in m.rows]
-        for m in matrices
-    ]
-    return grids, s
+    return _clear_denominators([m.rows for m in matrices])
 
 
 def _conjugated_sum_charpoly(grids: list) -> Callable[[tuple], tuple[int, ...]]:

@@ -9,10 +9,12 @@ random-swap programs realizing the uniform distribution and greedily fixes
 each swap to the branch whose conditional expected characteristic
 polynomial has the smaller largest nontrivial root.  Each conditional is one
 call of ``quadrature.weighted_charpoly_average`` over the per-program suffix
-distributions, with characteristic polynomials cached by image multiset.  In
-exact strategy the conditionals are full leaf enumerations and the greedy
-choice provably never increases that root, so the terminal graph beats the
-expected polynomial; this is exponential and meant for tiny sizes.  The
+distributions; each term is ``graphs.union_grid`` of the placed permutation
+images, cached by their multiset.  Bipartite conditionals average char(N N^T)
+of the d x d Gram matrix and substitute x**2 once.  In exact strategy the
+conditionals are full leaf enumerations and the greedy choice provably never
+increases that root, so the terminal graph beats the expected polynomial;
+this is exponential and meant for tiny sizes.  The
 sampled strategy substitutes per-program empirical suffix distributions.
 These are not products of independent swaps, so the averages form no
 interlacing family and need not be real-rooted, or have any real root; the
@@ -28,7 +30,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .config import DEFAULT_BUDGETS, Budgets
-from .convolution import m_fold_asym, m_fold_sym
 from .errors import BudgetError, ParameterError
 from .graphs import (
     MODES,
@@ -37,20 +38,21 @@ from .graphs import (
     WITH_BOUNDARY,
     MatchingUnion,
     RamanujanCertificate,
+    _gram,
     certify,
+    check_shape,
     deflate_trivial,
     inertia_verdict,
-    matching_grid,
     sample_bipartite,
     sample_nonbipartite,
+    union_grid,
 )
-from .matrix import RatMatrix, _grid_sum, charpoly_int_coeffs, dilation
+from .matrix import charpoly_int_coeffs
 from .perms import (
     Permutation,
     SwapProgram,
     bipartite_uniform_program,
     leaf_distribution,
-    relabel_grid,
     sample,
     uniform_program,
 )
@@ -58,11 +60,12 @@ from .poly import RatPoly
 from .quadrature import weighted_charpoly_average
 from .rng import SplitMix64, derive_seed
 from .sturm import compare_max_roots, sturm_chain
-from .transforms import bip_matching_nontrivial_poly, matching_nontrivial_poly
+from .transforms import matching_fold
 
 # the search no longer calls these; bench/tracing.py still looks them up in
 # this module, so the names stay importable here
 from .graphs import float_filter  # noqa: F401
+from .perms import relabel_grid  # noqa: F401
 from .transforms import ramanujan_bound  # noqa: F401
 
 
@@ -74,15 +77,10 @@ def expected_poly_for_graph_model(mode: str, d: int, m: int) -> RatPoly:
     (symmetric kind on d vertices; rectangular kind, squared back up, for
     the bipartite model on d + d vertices).
     """
-    if mode not in MODES:
-        raise ParameterError(f"unknown mode {mode!r}")
-    if m < 1:
-        raise ParameterError("need at least one matching")
+    check_shape(mode, d, m)
     if mode == "nonbipartite":
-        conv = m_fold_sym(matching_nontrivial_poly(d), m, d - 1)
-        return RatPoly.from_roots([Fraction(m)]) * conv
-    conv = m_fold_asym(bip_matching_nontrivial_poly(d), m, d - 1)
-    return RatPoly.from_roots([Fraction(m), Fraction(-m)]) * conv.substitute_square()
+        return RatPoly.from_roots([Fraction(m)]) * matching_fold("sym", m, d)
+    return RatPoly.from_roots([Fraction(m), Fraction(-m)]) * matching_fold("asym", m, d)
 
 
 @dataclass(frozen=True)
@@ -176,11 +174,11 @@ def rejection_search(
 
 
 @lru_cache(maxsize=256)
-def _suffix_distribution(program: SwapProgram, start: int):
+def _suffix_distribution(program: SwapProgram, start: int, max_swaps: int):
     """Leaf distribution of the program's swaps from ``start`` on, as a
-    sorted tuple of (image, probability)."""
+    sorted tuple of (image, probability); refused past ``max_swaps`` swaps."""
     tail = SwapProgram(program.dimension, program.swaps[start:])
-    dist = leaf_distribution(tail)
+    dist = leaf_distribution(tail, max_swaps)
     return tuple(sorted((p.image, pr) for p, pr in dist.items()))
 
 
@@ -188,12 +186,25 @@ def _compose_images(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[int
     return tuple(outer[v] for v in inner)
 
 
-class _ConditionalAverager:
-    """Exact average of char(sum_i Q_i M Q_i^T) over per-program image
-    distributions, with a cache keyed by the image multiset."""
+def _union_image(mode: str, d: int, image: tuple[int, ...]) -> tuple[int, ...]:
+    """The permutation a program image places in the union.  A bipartite
+    image permutes both sides of the matching joining i to d + i; with
+    left = image[:d] and right = image[d:] - d it places left o right**-1."""
+    if mode == "nonbipartite":
+        return image
+    placed = [0] * d
+    for i in range(d):
+        placed[image[d + i] - d] = image[i]
+    return tuple(placed)
 
-    def __init__(self, base_grid: list[list[int]], budgets: Budgets) -> None:
-        self.base = base_grid
+
+class _ConditionalAverager:
+    """Exact average of the union's characteristic polynomial over
+    per-program image distributions, cached by the placed image multiset."""
+
+    def __init__(self, mode: str, d: int, budgets: Budgets) -> None:
+        self.mode = mode
+        self.d = d
         self.budgets = budgets
         self.det_evals = 0
         self._cache: dict[tuple, tuple] = {}
@@ -203,22 +214,25 @@ class _ConditionalAverager:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        total = _grid_sum([relabel_grid(self.base, img) for img in images])
-        coeffs = charpoly_int_coeffs(total)
+        grid = union_grid(self.mode, self.d, key)
+        coeffs = charpoly_int_coeffs(grid if self.mode == "nonbipartite" else _gram(grid))
         self._cache[key] = coeffs
         return coeffs
 
     def average(self, dists: list[dict[tuple[int, ...], Fraction]]) -> RatPoly:
+        # one term per program image, even where two place the same union
+        placed = [
+            [(_union_image(self.mode, self.d, img), pr) for img, pr in dist.items()]
+            for dist in dists
+        ]
         try:
             poly, terms = weighted_charpoly_average(
-                [dist.items() for dist in dists],
-                self._charpoly,
-                self.budgets.max_det_evals - self.det_evals,
+                placed, self._charpoly, self.budgets.max_det_evals - self.det_evals
             )
         except BudgetError as exc:
             raise BudgetError(f"conditional {exc}; use strategy='sampled'") from None
         self.det_evals += terms
-        return poly
+        return poly if self.mode == "nonbipartite" else poly.substitute_square()
 
 
 def _fired_wins(fired: RatPoly, unfired: RatPoly) -> bool:
@@ -256,38 +270,20 @@ def interlacing_descent(
     program's suffix by an empirical distribution of ``samples_per_program``
     draws (deterministic from the seed) and is only a heuristic.
     """
-    if mode not in MODES:
-        raise ParameterError(f"unknown mode {mode!r}")
+    check_shape(mode, d, m)
     if strategy not in ("exact", "sampled"):
         raise ParameterError(f"unknown strategy {strategy!r}")
-    if m < 1:
-        raise ParameterError("need at least one matching")
     if samples_per_program < 1:
         raise ParameterError("need at least one sample per program")
     start = time.perf_counter()
-    if mode == "nonbipartite":
-        program = uniform_program(d)  # validates d
-        if d % 2:
-            raise ParameterError("nonbipartite mode needs an even vertex count")
-        base = matching_grid(d)
-    else:
-        program = bipartite_uniform_program(d)
-        base = dilation(RatMatrix.identity(d)).int_rows()
-    averager = _ConditionalAverager(base, budgets)
-    identity = tuple(range(len(base)))
+    program = (uniform_program if mode == "nonbipartite" else bipartite_uniform_program)(d)
+    averager = _ConditionalAverager(mode, d, budgets)
+    identity = tuple(range(program.dimension))
     fixed: list[tuple[int, ...]] = [identity] * m
-
-    def effective(
-        dist: tuple, onto: tuple[int, ...]
-    ) -> dict[tuple[int, ...], Fraction]:
-        out: dict[tuple[int, ...], Fraction] = {}
-        for img, pr in dist:
-            out[_compose_images(img, onto)] = pr
-        return out
 
     def exact_suffix(start_index: int) -> tuple:
         try:
-            return _suffix_distribution(program, start_index)
+            return _suffix_distribution(program, start_index, budgets.max_swaps)
         except BudgetError as exc:
             raise BudgetError(f"{exc}; use strategy='sampled'") from None
 
@@ -301,13 +297,11 @@ def interlacing_descent(
     def conditional(deciding: int, images: list) -> RatPoly:
         """Average over programs >= ``deciding`` still random (their current
         suffix composed onto the prefix image), earlier ones fully fixed."""
-        dists = []
-        for k in range(m):
-            if k < deciding:
-                dists.append({images[k]: Fraction(1)})
-            else:
-                dists.append(effective(step_dists[k], images[k]))
-        return averager.average(dists)
+        return averager.average([
+            {images[k]: Fraction(1)} if k < deciding
+            else {_compose_images(img, images[k]): pr for img, pr in step_dists[k]}
+            for k in range(m)
+        ])
 
     # conditional expectation before any decision, for the descent trace
     if strategy == "exact":
@@ -319,7 +313,6 @@ def interlacing_descent(
     initial = deflate_trivial(conditional(-1, fixed), m, bipartite)
 
     steps: list[DescentStep] = []
-    previous = initial
     n_swaps = len(program.swaps)
     for step_index, (i, j) in enumerate(
         (i, j) for i in range(m) for j in range(n_swaps)
@@ -346,19 +339,10 @@ def interlacing_descent(
             poly = conditional(i, trial_images)
             candidates[fired] = (img, deflate_trivial(poly, m, bipartite))
         fired = _fired_wins(candidates[True][1], candidates[False][1])
-        fixed[i] = candidates[fired][0]
-        previous = candidates[fired][1]
-        steps.append(DescentStep(i, j, fired, previous))
+        fixed[i], deflated = candidates[fired]
+        steps.append(DescentStep(i, j, fired, deflated))
 
-    if mode == "nonbipartite":
-        perms = tuple(Permutation(img) for img in fixed)
-    else:
-        perms = []
-        for img in fixed:
-            left = Permutation(img[:d])
-            right = Permutation(tuple(v - d for v in img[d:]))
-            perms.append(left.compose(right.inverse()))
-        perms = tuple(perms)
+    perms = tuple(Permutation(_union_image(mode, d, img)) for img in fixed)
     graph = MatchingUnion(mode, d, m, perms)
     cert = certify(graph)
     success = cert.verdict in (STRICT, WITH_BOUNDARY)

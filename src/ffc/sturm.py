@@ -51,7 +51,7 @@ from math import gcd as int_gcd, lcm as int_lcm
 from typing import Iterator, Sequence
 
 from .errors import ParameterError
-from .poly import RatPoly, cauchy_root_bound, to_primitive_int
+from .poly import RatPoly, _trim, cauchy_root_bound, to_primitive_int
 from .quadfield import as_quad, quad_sign
 
 
@@ -71,13 +71,6 @@ POS_INF = _Inf(+1, "+inf")
 
 
 # -- integer polynomial helpers ------------------------------------------------
-
-
-def _int_trim(c: list[int]) -> tuple[int, ...]:
-    last = len(c)
-    while last > 0 and c[last - 1] == 0:
-        last -= 1
-    return tuple(c[:last])
 
 
 def _int_primitive(c: tuple[int, ...]) -> tuple[int, ...]:
@@ -118,7 +111,7 @@ def _signed_prem(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         shift = d - db
         for j in range(db + 1):
             r[shift + j] -= coef * b[j]
-        r = list(_int_trim(r))
+        r = list(_trim(r))
     if flips:
         r = [-v for v in r]
     return tuple(r)
@@ -229,7 +222,7 @@ def _chain_from_coeffs(coeffs: tuple[Fraction, ...]) -> SturmChain:
     f0 = to_primitive_int(p)
     elements = [f0]
     if len(f0) > 1:
-        f1 = _int_primitive(_int_trim(list(_int_derivative(f0))))
+        f1 = _int_primitive(_trim(_int_derivative(f0)))
         elements.append(f1)
         while len(elements[-1]) > 1:
             nxt = _signed_prem(elements[-2], elements[-1])

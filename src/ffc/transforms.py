@@ -132,6 +132,15 @@ def bip_matching_nontrivial_poly(d: int) -> RatPoly:
     return RatPoly.from_roots([1] * (d - 1))
 
 
+def matching_fold(kind: str, m: int, d: int) -> RatPoly:
+    """The m-fold convolution, at level d - 1, of one perfect matching's
+    nontrivial polynomial: symmetric kind ("sym") on d vertices, or
+    rectangular kind ("asym") across a (d, d) bipartition, squared back up."""
+    if kind == "sym":
+        return m_fold_sym(matching_nontrivial_poly(d), m, d - 1)
+    return m_fold_asym(bip_matching_nontrivial_poly(d), m, d - 1).substitute_square()
+
+
 def ramanujan_bound(m: int) -> QuadScalar:
     """Exact 2*sqrt(m-1), the minimum of (x**2 + (m-1)) / x over x > 0."""
     if m < 2:
@@ -154,11 +163,7 @@ class TableRow:
 
 
 def _table_cell(m: int, d: int, mode: str, width: Fraction) -> TableRow:
-    if mode == "sym":
-        poly = m_fold_sym(matching_nontrivial_poly(d), m, d - 1)
-    else:
-        poly = m_fold_asym(bip_matching_nontrivial_poly(d), m, d - 1)
-        poly = poly.substitute_square()
+    poly = matching_fold(mode, m, d)
     bound = ramanujan_bound(m)
     lo, hi = max_root_bracket(poly, width)
     # the largest root lies in (lo, hi]; count roots only when it straddles

@@ -24,6 +24,7 @@ from ffc import (
     SignedCoeffs,
     SwapProgram,
     as_quad,
+    dilation,
     cauchy_root_bound,
     count_roots_in_mult,
     deflate_trivial,
@@ -39,6 +40,8 @@ from ffc import (
     uniform_permutation,
 )
 from ffc.graphs import NOT_RAMANUJAN, STRICT, WITH_BOUNDARY
+from ffc.matrix import _grid_sum, charpoly_int_coeffs
+from ffc.quadrature import weighted_charpoly_average
 from ffc.sturm import NEG_INF, POS_INF, _chain_from_coeffs, _homogenised
 
 
@@ -140,6 +143,20 @@ def swap_program_st(d: int, max_swaps: int = 4):
     ).filter(lambda raw: raw[0] != raw[1])
     return st.lists(swap, max_size=max_swaps).map(
         lambda raw: SwapProgram(d, tuple(RandomSwap(*sw) for sw in raw))
+    )
+
+
+def bipartite_program_st(d: int, max_swaps: int = 2):
+    """Programs on the 2d vertices of a (d, d) bipartition, left vertices
+    0..d-1 and right ones d..2d-1, with up to ``max_swaps`` swaps a side,
+    none of which crosses sides.  Needs d >= 2."""
+    side = swap_program_st(d, max_swaps)
+    return st.tuples(side, side).map(
+        lambda lr: SwapProgram(
+            2 * d,
+            lr[0].swaps
+            + tuple(RandomSwap(sw.s + d, sw.t + d, sw.prob) for sw in lr[1].swaps),
+        )
     )
 
 
@@ -276,6 +293,21 @@ def bip_pair_average_oracle(a, b) -> tuple[RatPoly, int]:
             acc[k] += c
         terms += 1
     return RatPoly.from_coeffs([c / terms for c in acc]), terms
+
+
+def dilation_conditional_oracle(d: int, dists) -> tuple[RatPoly, int]:
+    """The descent's bipartite conditional before it built unions from placed
+    images: each term relabels the 2d x 2d dilation of the identity matching
+    by its program images and takes the characteristic polynomial of the sum.
+    ``dists`` maps program images to probabilities, one dict per program."""
+    base = dilation(RatMatrix.identity(d)).int_rows()
+
+    def charpoly(images):
+        return charpoly_int_coeffs(_grid_sum([relabel_grid(base, im) for im in images]))
+
+    return weighted_charpoly_average(
+        [dist.items() for dist in dists], charpoly, max_evals=10**9
+    )
 
 
 def mc_oracle(matrices, trials: int, rng) -> tuple[RatPoly, tuple]:

@@ -3,10 +3,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ffc import RatMatrix, RatPoly, SplitMix64, char_poly, dilation
+from ffc import ParameterError, RatMatrix, RatPoly, SplitMix64, char_poly, dilation
 from ffc.matrix import charpoly_int_coeffs
 from support import faddeev_leverrier, fractions_st, grid_matrix, symmetric_grid_st
 
@@ -41,6 +42,15 @@ class TestCharPoly:
         assert charpoly_int_coeffs(rows) == tuple(
             int(c) for c in char_poly(m).coeffs
         )
+
+    @given(square_st(st.one_of(st.integers(min_value=-9, max_value=9), fractions_st()), 5))
+    def test_grids_agree_with_matrices(self, rows):
+        assert char_poly(rows) == char_poly(RatMatrix.from_rows(rows))
+
+    def test_grid_must_be_square(self):
+        for rows in ([], [[1, 2]], [[1, 2], [3]]):
+            with pytest.raises(ParameterError, match="square"):
+                char_poly(rows)
 
     @given(symmetric_grid_st(3))
     def test_trace_is_second_coefficient(self, m):

@@ -1,7 +1,9 @@
 """Random search and derandomized descent for certified expander unions."""
 from __future__ import annotations
 
+import hashlib
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,8 @@ from ffc import (
     Permutation,
     RatMatrix,
     RatPoly,
+    SplitMix64,
+    SwapProgram,
     certify,
     char_poly,
     bipartite_uniform_program,
@@ -27,9 +31,17 @@ from ffc import (
     m_fold_asym,
     rejection_search,
     relabel_grid,
+    sample,
 )
-from ffc.search import _ConditionalAverager, _fired_wins
-from support import grid_matrix, square_grids_st, swap_average_oracle, swap_program_st
+from ffc.search import _ConditionalAverager, _compose_images, _fired_wins
+from ffc.serial import dumps, poly_to_obj, search_report_to_obj
+from support import (
+    bipartite_program_st,
+    dilation_conditional_oracle,
+    grid_matrix,
+    swap_average_oracle,
+    swap_program_st,
+)
 
 
 def poly(*descending):
@@ -169,17 +181,90 @@ class TestInterlacingDescent:
 
     @given(data=st.data())
     def test_conditional_average_matches_the_retired_loop(self, data):
-        d = data.draw(st.integers(min_value=2, max_value=3))
+        mode = data.draw(st.sampled_from(["bipartite", "nonbipartite"]))
         m = data.draw(st.integers(min_value=1, max_value=3))
-        (base,) = data.draw(square_grids_st(st.integers(min_value=0, max_value=3), d, 1))
-        progs = [data.draw(swap_program_st(d)) for _ in range(m)]
+        if mode == "nonbipartite":
+            d = data.draw(st.sampled_from([2, 4]))
+            base = grid_matrix(matching_grid(d))
+            programs = swap_program_st(d, max_swaps=3)
+        else:
+            # the union base is the dilation of the identity matching
+            d = data.draw(st.integers(min_value=2, max_value=3))
+            base = dilation(RatMatrix.identity(d))
+            programs = bipartite_program_st(d, max_swaps=1 if m == 3 else 2)
+        progs = [data.draw(programs) for _ in range(m)]
         dists = [
             {p.image: pr for p, pr in leaf_distribution(prog).items()} for prog in progs
         ]
-        averager = _ConditionalAverager(base.int_rows(), Budgets())
+        averager = _ConditionalAverager(mode, d, Budgets())
         expected, terms = swap_average_oracle([base] * m, progs)
         assert averager.average(dists) == expected
         assert averager.det_evals == terms
+
+    @given(data=st.data())
+    def test_bipartite_conditionals_match_the_dilation_averager(self, data):
+        """Conditionals as the descent forms them: fixed programs pinned to
+        their prefix image, the others a suffix distribution composed onto
+        it, exact or empirical."""
+        exact = data.draw(st.booleans())
+        d = data.draw(st.integers(min_value=1, max_value=3))
+        m = data.draw(st.integers(min_value=1, max_value=3))
+        program = bipartite_uniform_program(d)
+        side = st.permutations(range(d))
+        deciding = data.draw(st.integers(min_value=0, max_value=m - 1))
+        dists = []
+        for k in range(m):
+            left, right = data.draw(side), data.draw(side)
+            onto = tuple(left) + tuple(d + v for v in right)
+            if k < deciding:
+                dists.append({onto: Fraction(1)})
+                continue
+            # at d = 3 an exact suffix keeps to the right side's swaps
+            first = 3 if exact and d == 3 else 0
+            start = data.draw(st.integers(min_value=first, max_value=len(program)))
+            tail = SwapProgram(2 * d, program.swaps[start:])
+            if exact:
+                outcomes = [(p.image, pr) for p, pr in leaf_distribution(tail).items()]
+            else:
+                rng = SplitMix64(data.draw(st.integers(min_value=0, max_value=2**64 - 1)))
+                draws = data.draw(st.integers(min_value=1, max_value=4))
+                counts = Counter(sample(tail, rng).image for _ in range(draws))
+                outcomes = [(img, Fraction(c, draws)) for img, c in counts.items()]
+            dists.append({_compose_images(img, onto): pr for img, pr in outcomes})
+        averager = _ConditionalAverager("bipartite", d, Budgets())
+        expected, terms = dilation_conditional_oracle(d, dists)
+        assert averager.average(dists) == expected
+        assert averager.det_evals == terms
+
+    # sha256 of each descent's search-report document and step trace, as the
+    # dilation averager produced them
+    PINNED_DESCENTS = [
+        (("bipartite", 2, 3, "exact", 0),
+         "b7d8d19c97034eb8c90bf5050e7f40b4100602ffb607b7d5eb14bb8cc699c56b"),
+        (("bipartite", 3, 2, "exact", 0),
+         "9c1594b8f6d39ce9cdb98c1acc67232919abe75ad763b8fb0a90c118d4156f44"),
+        (("bipartite", 3, 3, "sampled", 7),
+         "cd639b8d3d3a11c9877459f7608752b508502320c9af3f2f410da95aa656ac77"),
+    ]
+
+    @pytest.mark.parametrize("args, digest", PINNED_DESCENTS)
+    def test_descents_match_their_pinned_digests(self, args, digest):
+        mode, d, m, strategy, seed = args
+        report = interlacing_descent(mode, d, m, strategy=strategy, seed=seed)
+        trace = {
+            "report": search_report_to_obj(report, seed),
+            "initial": poly_to_obj(report.initial_deflated),
+            "steps": [
+                [s.program_index, s.swap_index, s.fired, poly_to_obj(s.deflated)]
+                for s in report.steps
+            ],
+        }
+        assert hashlib.sha256(dumps(trace).encode()).hexdigest() == digest
+
+    def test_swap_budget_is_enforced(self):
+        # uniform_program(4) has 7 swaps
+        with pytest.raises(BudgetError, match="budget allows 2"):
+            interlacing_descent("nonbipartite", 4, 2, budgets=Budgets(max_swaps=2))
 
     def test_determinant_budget_is_enforced(self):
         with pytest.raises(BudgetError, match="sampled"):
