@@ -1,15 +1,36 @@
 """Rational matrices, characteristic polynomials, and dilations."""
 from __future__ import annotations
 
+from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ffc import ParameterError, RatMatrix, RatPoly, SplitMix64, char_poly, dilation
-from ffc.matrix import charpoly_int_coeffs
-from support import faddeev_leverrier, fractions_st, grid_matrix, symmetric_grid_st
+import ffc.matrix as matrix
+from ffc import (
+    ContractError,
+    ParameterError,
+    RatMatrix,
+    RatPoly,
+    SplitMix64,
+    char_poly,
+    dilation,
+    sample_bipartite,
+    sample_nonbipartite,
+    uniform_permutation,
+)
+from ffc.graphs import _gram
+from ffc.matrix import _KRYLOV_MIN_N, _charpoly_mod, _hessenberg_mod, _prime, charpoly_int_coeffs
+from support import (
+    faddeev_leverrier,
+    fractions_st,
+    grid_matrix,
+    squarefree_part,
+    symmetric_grid_st,
+)
 
 
 def square_st(entries, max_n: int):
@@ -77,6 +98,182 @@ class TestAgainstFaddeevLeVerrier:
     @given(square_st(fractions_st(max_num=9, max_den=7), 5))
     def test_fraction_matrices(self, rows):
         assert char_poly(RatMatrix.from_rows(rows)).coeffs == faddeev_leverrier(rows)
+
+
+def symmetric_int_st(min_n: int, max_n: int, span: int = 9):
+    """Symmetric integer grids of side min_n..max_n."""
+    return st.integers(min_value=min_n, max_value=max_n).flatmap(
+        lambda n: symmetric_grid_st(n, span).map(lambda m: m.int_rows())
+    )
+
+
+def conjugated_sum(blocks, perm):
+    """The direct sum of square integer blocks, with rows and columns both
+    permuted by perm: a matrix similar to the direct sum."""
+    n = len(perm)
+    grid = [[0] * n for _ in range(n)]
+    at = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            grid[at + i][at:at + len(row)] = row
+        at += len(block)
+    return [[grid[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def repeated_blocks_st(draw):
+    """A symmetric block B repeated 2-3 times beside a symmetric block C,
+    conjugated by a random permutation: each eigenvalue of B is repeated,
+    so det(xI - A) has square factors."""
+    k = draw(st.integers(min_value=1, max_value=3))
+    reps = draw(st.integers(min_value=2, max_value=3))
+    rest = draw(st.integers(min_value=max(0, _KRYLOV_MIN_N - k * reps), max_value=_KRYLOV_MIN_N))
+    b = draw(symmetric_grid_st(k, 3)).int_rows()
+    blocks = [b] * reps
+    if rest:
+        blocks.append(draw(symmetric_grid_st(rest, 3)).int_rows())
+    perm = draw(st.permutations(range(k * reps + rest)))
+    return conjugated_sum(blocks, perm)
+
+
+def jacobi(diag, off=1):
+    """Symmetric tridiagonal grid with nonzero off-diagonal: its eigenvalues
+    are simple, so its minimal and characteristic polynomials agree."""
+    n = len(diag)
+    grid = [[0] * n for _ in range(n)]
+    for i, v in enumerate(diag):
+        grid[i][i] = v
+        if i + 1 < n:
+            grid[i][i + 1] = grid[i + 1][i] = off
+    return grid
+
+
+P = _prime(0)
+KERNELS = ("_krylov_minpoly_mod", "_complete_by_traces", "_hessenberg_mod")
+
+
+@contextmanager
+def kernel_calls():
+    """Count the calls ``_charpoly_mod`` makes to each of its kernels."""
+    calls = Counter()
+
+    def counted(name, real):
+        def run(*args):
+            calls[name] += 1
+            return real(*args)
+        return run
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in KERNELS:
+            mp.setattr(matrix, name, counted(name, getattr(matrix, name)))
+        yield calls
+
+
+def route(rows) -> str:
+    """The route ``_charpoly_mod`` takes on rows modulo P, after checking
+    its answer against the Hessenberg kernel."""
+    with kernel_calls() as calls:
+        got = _charpoly_mod(rows, P)
+    assert got == _hessenberg_mod(rows, P)
+    if calls["_complete_by_traces"]:
+        return "completion"
+    if calls["_hessenberg_mod"]:
+        return "hessenberg"
+    assert calls["_krylov_minpoly_mod"] == 1
+    return "krylov"
+
+
+def expected_route(rows) -> str:
+    """The route a symmetric grid of side at least the cutoff should take:
+    its minimal polynomial is the square-free part of its characteristic
+    polynomial, and the Krylov sequence finds all of it."""
+    chi = RatPoly.from_coeffs(faddeev_leverrier(rows))
+    gap = chi.degree - squarefree_part(chi).degree
+    return "krylov" if not gap else "completion" if gap <= 2 else "hessenberg"
+
+
+class TestKrylovRoute:
+    @given(symmetric_int_st(_KRYLOV_MIN_N, _KRYLOV_MIN_N + 4))
+    def test_symmetric_grids_at_and_above_the_cutoff(self, rows):
+        assert charpoly_int_coeffs(rows) == faddeev_leverrier(rows)
+        assert route(rows) == expected_route(rows)
+
+    @given(repeated_blocks_st())
+    def test_repeated_blocks(self, rows):
+        assert charpoly_int_coeffs(rows) == faddeev_leverrier(rows)
+        assert route(rows) == expected_route(rows)
+
+    @pytest.mark.parametrize(
+        "blocks, want",
+        [
+            # a Jacobi matrix alone: all n eigenvalues simple
+            ([jacobi([3, -1, 0, 2, 1, 1, -2, 0, 4, 1, -3, 2, 0])], "krylov"),
+            # the path on 13 vertices has a simple zero eigenvalue
+            ([jacobi([0] * 13)], "krylov"),
+            # one eigenvalue twice: r = 1
+            ([[[5]], [[5]], jacobi([1, 0, -1, 2, 0, 1, -2, 0, 1, 1])], "completion"),
+            # zero three times: r = 2 with a factor x**2 missing
+            ([[[0]], [[0]], [[0]], jacobi([1, 2, -1, 3, 1, -2, 2, 1, 1, 3])], "completion"),
+            # a 2x2 block with irrational eigenvalues, twice: r = 2
+            ([[[1, 1], [1, 0]]] * 2 + [jacobi([3, 0, -1, 2, 1, 0, -2, 3, 1])], "completion"),
+            # a 3x3 block twice: r = 3, so Hessenberg runs
+            ([jacobi([1, 0, 2])] * 2 + [jacobi([3, -1, 0, 2, 4, -2, 1])], "hessenberg"),
+            # the identity: r = n - 1
+            ([[[1]]] * 14, "hessenberg"),
+        ],
+    )
+    def test_forced_routes(self, blocks, want):
+        n = sum(map(len, blocks))
+        rows = conjugated_sum(blocks, uniform_permutation(n, SplitMix64(n)).image)
+        assert route(rows) == want == expected_route(rows)
+        assert charpoly_int_coeffs(rows) == faddeev_leverrier(rows)
+
+    def test_small_or_nonsymmetric_grids_skip_krylov(self):
+        small = jacobi(list(range(_KRYLOV_MIN_N - 1)))
+        skew = jacobi(list(range(_KRYLOV_MIN_N + 2)))
+        skew[0][1] += 1
+        for rows in (small, skew):
+            with kernel_calls() as calls:
+                assert charpoly_int_coeffs(rows) == faddeev_leverrier(rows)
+            assert calls == Counter(_hessenberg_mod=1)
+
+    def test_entries_that_need_several_primes(self):
+        rng = SplitMix64(9)
+        n = _KRYLOV_MIN_N
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = rng.below(2 * 10**15) - 10**15
+        with kernel_calls() as calls:
+            got = charpoly_int_coeffs(rows)
+        assert got == faddeev_leverrier(rows)
+        assert calls["_krylov_minpoly_mod"] > 1
+        assert calls == Counter(_krylov_minpoly_mod=calls["_krylov_minpoly_mod"])
+
+    def test_union_adjacencies_agree_with_hessenberg(self):
+        rng = SplitMix64(3)
+        for _ in range(20):
+            for rows in (
+                sample_nonbipartite(24, 3, rng).grid(),
+                _gram(sample_bipartite(20, 3, rng).grid()),
+            ):
+                assert _charpoly_mod(rows, P) == _hessenberg_mod(rows, P)
+
+
+class TestCoefficientChecks:
+    @pytest.mark.parametrize("index, message", [(1, "trace"), (2, r"tr\(A\^2\)")])
+    @pytest.mark.parametrize("n", [3, _KRYLOV_MIN_N + 1])
+    def test_a_corrupted_coefficient_is_caught(self, monkeypatch, index, message, n):
+        real = matrix._charpoly_mod
+
+        def corrupted(rows, p):
+            out = real(rows, p)
+            out[len(rows) - index] = (out[len(rows) - index] + 1) % p
+            return out
+
+        monkeypatch.setattr(matrix, "_charpoly_mod", corrupted)
+        with pytest.raises(ContractError, match=message):
+            charpoly_int_coeffs(jacobi(list(range(n))))
 
 
 class TestDilation:
