@@ -15,10 +15,11 @@ that of the d x d Gram matrix N N^T of the biadjacency N, whose
 characteristic polynomial q gives char(A) = q(x**2); the trivial root m**2
 is divided out of q.  In nonbipartite mode the trivial root m is divided out
 of char(A) and the Graeffe square of the rest has the squared eigenvalues as
-roots.  ``inertia_verdict`` reaches the same verdict for less, when it can,
-from the inertia of the integer matrix G - 4(m-1) I, where G is that Gram
-matrix or A**2.  No library path calls ``jacobi_eigenvalues`` or
-``float_filter``; no verdict depends on them.
+roots.  Both divisions are integer synthetic divisions of the integer
+characteristic polynomial.  ``inertia_verdict`` reaches the same verdict for
+less, when it can, from the inertia of the integer matrix G - 4(m-1) I,
+where G is that Gram matrix or A**2.  No library path calls
+``jacobi_eigenvalues`` or ``float_filter``; no verdict depends on them.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Iterable
 from .errors import ContractError, ParameterError
 from .matrix import RatMatrix, char_poly, dilation
 from .perms import Permutation, uniform_permutation
-from .poly import RatPoly, to_primitive_int
+from .poly import RatPoly
 from .quadfield import QuadScalar, as_quad
 from .rng import SplitMix64
 from .sturm import _taylor_shift
@@ -202,6 +203,28 @@ class RamanujanCertificate:
         return self.verdict in (STRICT, WITH_BOUNDARY)
 
 
+def _int_coeffs(p: RatPoly) -> tuple[int, ...]:
+    """Coefficients of a polynomial known to have integer ones, such as the
+    characteristic polynomial of an integer grid."""
+    return tuple(c.numerator for c in p.coeffs)
+
+
+def _deflate_int(p: tuple[int, ...], r: int) -> tuple[int, ...]:
+    """Quotient of the integer polynomial p by x - r, by synthetic division,
+    both ascending; one copy of the trivial root r, as in ``deflate_trivial``."""
+    out = [0] * (len(p) - 1)
+    acc = 0
+    for k in range(len(p) - 1, 0, -1):
+        acc = acc * r + p[k]
+        out[k - 1] = acc
+    if acc * r + p[0]:
+        raise ContractError(
+            f"characteristic polynomial has no root at {r}; "
+            "the graph is not regular of the claimed degree"
+        )
+    return tuple(out)
+
+
 def _graeffe_square(p: tuple[int, ...]) -> tuple[int, ...]:
     """(-1)**n p(sqrt(y)) p(-sqrt(y)) for p of degree n: its roots are the
     squares of the roots of p, with multiplicity."""
@@ -243,16 +266,17 @@ def certify(g: MatchingUnion) -> RamanujanCertificate:
     if g.mode == "bipartite":
         q = char_poly(_gram(g.grid()))
         # one copy of the trivial eigenvalue m**2 of N N^T, i.e. of +-m
-        squared = deflate_trivial(q, g.m * g.m, bipartite=False)
-        cp, deflated = q.substitute_square(), squared.substitute_square()
-        below, at = _split_at(to_primitive_int(squared), 4 * (g.m - 1))
+        squared = _deflate_int(_int_coeffs(q), g.m * g.m)
+        cp = q.substitute_square()
+        deflated = RatPoly.from_coeffs(squared).substitute_square()
+        below, at = _split_at(squared, 4 * (g.m - 1))
         # each squared singular value y stands for the pair +-sqrt(y)
         interior, boundary = 2 * below, 2 * at
     else:
         cp = char_poly(g.grid())
-        deflated = deflate_trivial(cp, g.m, bipartite=False)
-        squares = _graeffe_square(to_primitive_int(deflated))
-        interior, boundary = _split_at(squares, 4 * (g.m - 1))
+        rest = _deflate_int(_int_coeffs(cp), g.m)
+        deflated = RatPoly.from_coeffs(rest)
+        interior, boundary = _split_at(_graeffe_square(rest), 4 * (g.m - 1))
     if interior == deflated.degree:
         verdict = STRICT
     elif boundary and interior + boundary == deflated.degree:

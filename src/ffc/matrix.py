@@ -276,21 +276,22 @@ def _berlekamp_massey(s: list[int], p: int) -> list[int]:
     recurrent sequence over GF(p), exact when s has at least twice its
     degree in terms."""
     c, b = [1], [1]  # connection polynomials, constant term first
-    length, shift, last = 0, 1, 1
+    # inv_last inverts the discrepancy b was saved at; it changes only with b
+    length, shift, inv_last = 0, 1, 1
     for i, v in enumerate(s):
         k = min(len(c), i + 1)
         d = sum(map(mul, c[:k], reversed(s[i + 1 - k:i + 1]))) % p
         if not d:
             shift += 1
             continue
-        coef = d * pow(last, -1, p) % p
+        coef = d * inv_last % p
         prev = c
         c = c + [0] * (len(b) + shift - len(c))
         c[shift:shift + len(b)] = [
             (a - coef * e) % p for a, e in zip(c[shift:shift + len(b)], b)
         ]
         if 2 * length <= i:
-            length, b, last, shift = i + 1 - length, prev, d, 1
+            length, b, inv_last, shift = i + 1 - length, prev, pow(d, -1, p), 1
         else:
             shift += 1
     c += [0] * (length + 1 - len(c))
@@ -412,6 +413,9 @@ def charpoly_int_coeffs(rows: list[list[int]]) -> tuple[int, ...]:
 def _clear_denominators(grids: Sequence[Sequence[Sequence]]) -> tuple[list, int]:
     """Integer grids of s * A_i, int or Fraction entries, and the lcm s of
     every denominator."""
+    # an all-int grid, such as a matching union's, needs no lcm scan
+    if all(type(v) is int for g in grids for row in g for v in row):
+        return list(grids), 1
     s = lcm(*(v.denominator for g in grids for row in g for v in row))
     return [[[v.numerator * (s // v.denominator) for v in row] for row in g] for g in grids], s
 

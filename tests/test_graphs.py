@@ -32,6 +32,7 @@ from ffc import (
     sample_nonbipartite,
 )
 from ffc.graphs import NOT_RAMANUJAN, STRICT, WITH_BOUNDARY, _gram, inertia_verdict
+from ffc.poly import to_primitive_int
 from support import grid_matrix, sturm_certify
 
 
@@ -130,6 +131,19 @@ class TestDeflation:
     def test_wrong_claimed_degree_is_rejected(self):
         with pytest.raises(ContractError):
             deflate_trivial(poly(1, 0, -1), 2, bipartite=False)
+
+    @given(
+        st.lists(st.integers(min_value=-6, max_value=6), min_size=0, max_size=6),
+        st.integers(min_value=-6, max_value=36),
+    )
+    def test_integer_division_matches_the_rational_one(self, roots, r):
+        p = RatPoly.from_roots(roots + [r])
+        rest = graphs._deflate_int(to_primitive_int(p), r)
+        assert RatPoly.from_coeffs(rest) == deflate_trivial(p, r, bipartite=False)
+
+    def test_integer_division_rejects_a_missing_root(self):
+        with pytest.raises(ContractError, match="no root at 4; the graph is not regular"):
+            graphs._deflate_int((-1, 0, 1), 4)
 
 
 class TestCertify:
