@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import ContractError, ParameterError
 from .matrix import RatMatrix, char_poly, dilation
@@ -159,23 +159,16 @@ def sample_bipartite(d: int, m: int, rng: SplitMix64) -> MatchingUnion:
     return MatchingUnion("bipartite", d, m, perms)
 
 
-def deflate_trivial(p: RatPoly, m: int, bipartite: bool) -> RatPoly:
+def deflate_trivial(p: RatPoly, m: int | Fraction, bipartite: bool) -> RatPoly:
     """Divide out the trivial eigenvalue m once, and -m once in bipartite mode.
 
     Exactly one copy is removed, so a disconnected sample keeps its surplus
     eigenvalue m and fails certification honestly.
     """
-    out = p
-    roots = [Fraction(m), Fraction(-m)] if bipartite else [Fraction(m)]
-    for r in roots:
-        try:
-            out = out.div_exact(RatPoly.from_roots([r]))
-        except ContractError:
-            raise ContractError(
-                f"characteristic polynomial has no root at {r}; "
-                "the graph is not regular of the claimed degree"
-            ) from None
-    return out
+    coeffs = p.coeffs
+    for r in (m, -m) if bipartite else (m,):
+        coeffs = _deflate_int(coeffs, r)
+    return RatPoly.from_coeffs(coeffs)
 
 
 @dataclass(frozen=True)
@@ -209,9 +202,10 @@ def _int_coeffs(p: RatPoly) -> tuple[int, ...]:
     return tuple(c.numerator for c in p.coeffs)
 
 
-def _deflate_int(p: tuple[int, ...], r: int) -> tuple[int, ...]:
-    """Quotient of the integer polynomial p by x - r, by synthetic division,
-    both ascending; one copy of the trivial root r, as in ``deflate_trivial``."""
+def _deflate_int(p: Sequence, r) -> tuple:
+    """Quotient of p by x - r, by synthetic division, both ascending; one
+    copy of the trivial root r.  Exact over int or Fraction coefficients and
+    roots, so integer inputs stay integer."""
     out = [0] * (len(p) - 1)
     acc = 0
     for k in range(len(p) - 1, 0, -1):

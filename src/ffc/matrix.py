@@ -1,12 +1,15 @@
 """Exact rational matrices and characteristic polynomials.
 
 One characteristic-polynomial kernel serves every caller.  The integer
-coefficients of det(xI - A) are computed modulo word-size primes and rebuilt
-by the Chinese remainder theorem.  The number of primes comes from the
-a-priori bound |c_k| <= prod_i (1 + ||row_i||_2), so the result is exact, not
-probable, and it is checked against tr(A) and tr(A**2) before it is returned.
+coefficients of det(xI - A) are computed modulo one Mersenne prime
+p = 2**e - 1, the smallest in ``_MERSENNE_EXPONENTS`` above twice the
+a-priori bound |c_k| <= prod_i (1 + ||row_i||_2), and lifted to the
+symmetric range (-p/2, p/2).  Known Mersenne primes are proved prime by
+Lucas-Lehmer, so nothing is searched for, and one modulus needs no Chinese
+remainder step.  The result is exact, not probable, and it is checked
+against tr(A) and tr(A**2) before it is returned.
 
-Modulo each prime, a symmetric matrix of side n >= ``_KRYLOV_MIN_N`` takes
+Modulo p, a symmetric matrix of side n >= ``_KRYLOV_MIN_N`` takes
 Wiedemann's route: n sparse products give the 2n terms <x, A**k x> of a
 Krylov sequence, and Berlekamp-Massey finds their minimal polynomial f.
 f divides the minimal polynomial of A, which divides det(xI - A), so
@@ -26,12 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import isqrt, lcm
 from operator import getitem, mul
 from typing import Iterable, Optional, Sequence
 
-from .errors import ContractError, ParameterError
+from .errors import BudgetError, ContractError, ParameterError
 from .poly import RatPoly, _as_fraction
 
 
@@ -189,37 +191,15 @@ def dilation(m: RatMatrix) -> RatMatrix:
 
 # -- characteristic polynomials ---------------------------------------------
 
-_PRIME_CEILING = 1 << 62
-# deterministic Miller-Rabin witnesses for every n < 3.3e24
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin primality for odd n > 41, deterministic below 3.3e24."""
-    d, s = n - 1, 0
-    while not d & 1:
-        d >>= 1
-        s += 1
-    for a in _WITNESSES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-@lru_cache(maxsize=None)
-def _prime(i: int) -> int:
-    """The i-th prime below 2**62, counting down; found on first use."""
-    c = (_prime(i - 1) if i else _PRIME_CEILING + 1) - 2
-    while not _is_prime(c):
-        c -= 2
-    return c
+# Exponents e of the known Mersenne primes 2**e - 1 from 61 up, each proved
+# prime by Lucas-Lehmer.  Only the modulus a call needs is ever built.
+_MERSENNE_EXPONENTS = (
+    61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689,
+    9941, 11213, 19937, 21701, 23209, 44497, 86243, 110503, 132049, 216091,
+    756839, 859433, 1257787, 1398269, 2976221, 3021377, 6972593, 13466917,
+    20996011, 24036583, 25964951, 30402457, 32582657, 37156667, 42643801,
+    43112609, 57885161, 74207281, 77232917, 82589933,
+)
 
 
 # Below this side the Hessenberg kernel is faster: small unions are often
@@ -384,20 +364,17 @@ def charpoly_int_coeffs(rows: list[list[int]]) -> tuple[int, ...]:
         sq = sum(map(mul, row, row))
         r = isqrt(sq)
         bound *= 1 + r + (r * r < sq)  # 1 + ceil(||row||_2)
-    coeffs: list[int] = []
-    modulus, i = 1, 0
-    while modulus <= 2 * bound:
-        p = _prime(i)
-        i += 1
-        residues = _charpoly_mod(rows, p)
-        if coeffs:
-            inv = pow(modulus, -1, p)
-            coeffs = [a + modulus * ((b - a) * inv % p) for a, b in zip(coeffs, residues)]
-        else:
-            coeffs = residues
-        modulus *= p
-    half = modulus // 2
-    out = tuple(c - modulus if c > half else c for c in coeffs)
+    # 2**e - 1 > 2 * bound exactly when e reaches the bit length of 2 * bound + 1
+    need = (2 * bound + 1).bit_length()
+    e = next((k for k in _MERSENNE_EXPONENTS if k >= need), None)
+    if e is None:
+        raise BudgetError(
+            f"coefficient bound of {bound.bit_length()} bits needs a modulus "
+            f"past 2**{_MERSENNE_EXPONENTS[-1]} - 1"
+        )
+    p = (1 << e) - 1
+    half = p // 2
+    out = tuple(c - p if c > half else c for c in _charpoly_mod(rows, p))
     n = len(rows)
     tr = sum(map(getitem, rows, range(n)))
     if -out[n - 1] != tr:

@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from .config import DEFAULT_BUDGETS, Budgets
 from .convolution import asym_convolve, sym_convolve
 from .errors import BudgetError, ContractError, ParameterError
-from .graphs import _gram
+from .graphs import _gram, deflate_trivial
 from .matrix import RatMatrix, _clear_denominators, _grid_sum, char_poly, charpoly_int_coeffs
 from .perms import (
     Permutation,
@@ -271,10 +271,6 @@ def expected_charpoly_mc(
 # -- quadrature identity checks -----------------------------------------------------
 
 
-def _strip_linear_root(p: RatPoly, root: Fraction) -> RatPoly:
-    return p.div_exact(RatPoly.from_coeffs([-root, 1]))
-
-
 def verify_sym_quadrature(
     a: RatMatrix, b: RatMatrix, budgets: Budgets = DEFAULT_BUDGETS
 ) -> QuadratureReport:
@@ -294,8 +290,8 @@ def verify_sym_quadrature(
     if ra is None or rb is None:
         raise ContractError("constant row sums required and missing")
     lhs = expected_charpoly_perm([a, b], budgets)
-    p = _strip_linear_root(char_poly(a), ra)
-    q = _strip_linear_root(char_poly(b), rb)
+    p = deflate_trivial(char_poly(a), ra, bipartite=False)
+    q = deflate_trivial(char_poly(b), rb, bipartite=False)
     rhs = RatPoly.from_coeffs([-(ra + rb), 1]) * sym_convolve(p, q, d - 1)
     return QuadratureReport(
         kind="sym", dim=d, lhs=lhs.poly, rhs=rhs, terms=lhs.terms
@@ -335,8 +331,8 @@ def verify_bip_quadrature(
         [_Uniform(d), _Uniform(d)], gram_charpoly, budgets.max_det_evals, s * s
     )
     lhs = gram_avg.substitute_square()
-    p = _strip_linear_root(char_poly(a @ a.transpose()), ra * ra)
-    q = _strip_linear_root(char_poly(b @ b.transpose()), rb * rb)
+    p = deflate_trivial(char_poly(a @ a.transpose()), ra * ra, bipartite=False)
+    q = deflate_trivial(char_poly(b @ b.transpose()), rb * rb, bipartite=False)
     conv = asym_convolve(p, q, d - 1)
     shifted = RatPoly.from_coeffs([-((ra + rb) ** 2), 0, 1])
     rhs = shifted * conv.substitute_square()

@@ -268,13 +268,28 @@ def interlacing_descent(
     satisfies the expected-polynomial bound; cost is exponential in d and m
     and guarded by the determinant budget.  Sampled strategy replaces each
     program's suffix by an empirical distribution of ``samples_per_program``
-    draws (deterministic from the seed) and is only a heuristic.
+    draws (deterministic from the seed) and is only a heuristic.  A program
+    too long for the swap budget (exact) or the determinant budget (sampled)
+    is refused before it is built.
     """
     check_shape(mode, d, m)
     if strategy not in ("exact", "sampled"):
         raise ParameterError(f"unknown strategy {strategy!r}")
     if samples_per_program < 1:
         raise ParameterError("need at least one sample per program")
+    # refuse before building a program of 2**(d-1) - 1 (plain) or 2**d - 2
+    # (bipartite) swaps; each step averages two conditionals of >= 1 term
+    n_swaps = (1 << (d - 1)) - 1 if mode == "nonbipartite" else (1 << d) - 2
+    if strategy == "exact" and n_swaps > budgets.max_swaps:
+        raise BudgetError(
+            f"program has {n_swaps} swaps, budget allows {budgets.max_swaps}; "
+            "use strategy='sampled'"
+        )
+    if strategy == "sampled" and 1 + 2 * m * n_swaps > budgets.max_det_evals:
+        raise BudgetError(
+            f"sampled descent needs at least {1 + 2 * m * n_swaps} determinant "
+            f"evaluations, budget allows {budgets.max_det_evals}"
+        )
     start = time.perf_counter()
     program = (uniform_program if mode == "nonbipartite" else bipartite_uniform_program)(d)
     averager = _ConditionalAverager(mode, d, budgets)
@@ -282,10 +297,7 @@ def interlacing_descent(
     fixed: list[tuple[int, ...]] = [identity] * m
 
     def exact_suffix(start_index: int) -> tuple:
-        try:
-            return _suffix_distribution(program, start_index, budgets.max_swaps)
-        except BudgetError as exc:
-            raise BudgetError(f"{exc}; use strategy='sampled'") from None
+        return _suffix_distribution(program, start_index, budgets.max_swaps)
 
     def empirical_suffix(start_index: int, rng: SplitMix64) -> tuple:
         tail = SwapProgram(program.dimension, program.swaps[start_index:])
@@ -313,7 +325,6 @@ def interlacing_descent(
     initial = deflate_trivial(conditional(-1, fixed), m, bipartite)
 
     steps: list[DescentStep] = []
-    n_swaps = len(program.swaps)
     for step_index, (i, j) in enumerate(
         (i, j) for i in range(m) for j in range(n_swaps)
     ):

@@ -1,6 +1,7 @@
 """Shared strategies and helpers for the tests."""
 from __future__ import annotations
 
+import functools
 import math
 import os
 import subprocess
@@ -40,7 +41,7 @@ from ffc import (
     uniform_permutation,
 )
 from ffc.graphs import NOT_RAMANUJAN, STRICT, WITH_BOUNDARY
-from ffc.matrix import _grid_sum, charpoly_int_coeffs
+from ffc.matrix import _charpoly_mod, _grid_sum, charpoly_int_coeffs
 from ffc.quadrature import weighted_charpoly_average
 from ffc.sturm import NEG_INF, POS_INF, _chain_from_coeffs, _homogenised
 
@@ -184,6 +185,73 @@ def faddeev_leverrier(rows) -> tuple:
         else:
             c[n - k] = -t / k
     return tuple(c)
+
+
+_PRIME_CEILING = 1 << 62
+# deterministic Miller-Rabin witnesses for every n < 3.3e24
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin primality for odd n > 41, deterministic below 3.3e24."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@functools.lru_cache(maxsize=None)
+def _prime(i: int) -> int:
+    """The i-th prime below 2**62, counting down; found on first use."""
+    c = (_prime(i - 1) if i else _PRIME_CEILING + 1) - 2
+    while not _is_prime(c):
+        c -= 2
+    return c
+
+
+def charpoly_crt_oracle(rows) -> tuple:
+    """The integer characteristic polynomial the library computed before one
+    Mersenne modulus: ``_charpoly_mod`` modulo as many primes below 2**62 as
+    the row-norm bound needs, glued by the Chinese remainder theorem."""
+    bound = 1
+    for row in rows:
+        sq = sum(v * v for v in row)
+        r = math.isqrt(sq)
+        bound *= 1 + r + (r * r < sq)
+    coeffs: list[int] = []
+    modulus, i = 1, 0
+    while modulus <= 2 * bound:
+        p = _prime(i)
+        i += 1
+        residues = _charpoly_mod(rows, p)
+        if coeffs:
+            inv = pow(modulus, -1, p)
+            coeffs = [a + modulus * ((b - a) * inv % p) for a, b in zip(coeffs, residues)]
+        else:
+            coeffs = residues
+        modulus *= p
+    half = modulus // 2
+    return tuple(c - modulus if c > half else c for c in coeffs)
+
+
+def deflate_trivial_oracle(p: RatPoly, m, bipartite: bool) -> RatPoly:
+    """``deflate_trivial`` before it used synthetic division: a Fraction
+    divmod by x - m, and by x + m in bipartite mode."""
+    out = p
+    for r in [Fraction(m), Fraction(-m)] if bipartite else [Fraction(m)]:
+        out = out.div_exact(RatPoly.from_roots([r]))
+    return out
 
 
 def sturm_certify(g) -> RamanujanCertificate:

@@ -261,6 +261,23 @@ class TestDescend:
         assert code == 2
         assert "sample" in err
 
+    # the plain d=40 program has 2**39 - 1 swaps: building it exhausts memory
+    @pytest.mark.parametrize(
+        "mode, strategy, message",
+        [
+            ("plain", "exact", "program has 549755813887 swaps, budget allows 22"),
+            ("plain", "sampled", "at least 3298534883323 determinant evaluations"),
+            ("bipartite", "sampled", "at least 6597069766645 determinant evaluations"),
+        ],
+    )
+    def test_oversized_programs_are_refused_up_front(self, mode, strategy, message):
+        proc = run_cli_with_timeout(
+            "descend", "--mode", mode, "--d", "40", "--m", "3", "--strategy", strategy
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("budget exceeded: ")
+        assert message in proc.stderr
+
 
 class TestExpected:
     def test_prints_a_polynomial(self, capsys):

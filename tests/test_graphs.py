@@ -33,7 +33,7 @@ from ffc import (
 )
 from ffc.graphs import NOT_RAMANUJAN, STRICT, WITH_BOUNDARY, _gram, inertia_verdict
 from ffc.poly import to_primitive_int
-from support import grid_matrix, sturm_certify
+from support import deflate_trivial_oracle, fractions_st, grid_matrix, sturm_certify
 
 
 def poly(*descending):
@@ -133,13 +133,17 @@ class TestDeflation:
             deflate_trivial(poly(1, 0, -1), 2, bipartite=False)
 
     @given(
-        st.lists(st.integers(min_value=-6, max_value=6), min_size=0, max_size=6),
-        st.integers(min_value=-6, max_value=36),
+        st.lists(st.integers(min_value=-6, max_value=6) | fractions_st(), min_size=0, max_size=6),
+        st.integers(min_value=-6, max_value=36) | fractions_st(),
+        st.booleans(),
     )
-    def test_integer_division_matches_the_rational_one(self, roots, r):
-        p = RatPoly.from_roots(roots + [r])
+    def test_integer_division_matches_the_rational_one(self, roots, r, bipartite):
+        p = RatPoly.from_roots(roots + [r, -r])
+        assert deflate_trivial(p, r, bipartite) == deflate_trivial_oracle(p, r, bipartite)
         rest = graphs._deflate_int(to_primitive_int(p), r)
-        assert RatPoly.from_coeffs(rest) == deflate_trivial(p, r, bipartite=False)
+        assert RatPoly.from_coeffs(rest).monic() == deflate_trivial_oracle(p, r, bipartite=False)
+        # an integer polynomial and root give integer coefficients
+        assert type(r) is not int or all(type(c) is int for c in rest)
 
     def test_integer_division_rejects_a_missing_root(self):
         with pytest.raises(ContractError, match="no root at 4; the graph is not regular"):

@@ -6,7 +6,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ffc.matrix as matrix
@@ -23,8 +23,16 @@ from ffc import (
     uniform_permutation,
 )
 from ffc.graphs import _gram
-from ffc.matrix import _KRYLOV_MIN_N, _charpoly_mod, _hessenberg_mod, _prime, charpoly_int_coeffs
+from ffc.errors import BudgetError
+from ffc.matrix import (
+    _KRYLOV_MIN_N,
+    _MERSENNE_EXPONENTS,
+    _charpoly_mod,
+    _hessenberg_mod,
+    charpoly_int_coeffs,
+)
 from support import (
+    charpoly_crt_oracle,
     faddeev_leverrier,
     fractions_st,
     grid_matrix,
@@ -44,6 +52,25 @@ def square_st(entries, max_n: int):
 
 def poly(*descending):
     return RatPoly.from_coeffs([Fraction(c) for c in reversed(descending)])
+
+
+# the modulus of every matching union at the benchmark sizes
+MERSENNE_61 = (1 << 61) - 1
+
+
+@contextmanager
+def moduli():
+    """The modulus of each ``_charpoly_mod`` call, in order."""
+    used = []
+    real = matrix._charpoly_mod
+
+    def recorded(rows, p):
+        used.append(p)
+        return real(rows, p)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrix, "_charpoly_mod", recorded)
+        yield used
 
 
 class TestCharPoly:
@@ -88,11 +115,13 @@ class TestAgainstFaddeevLeVerrier:
     def test_integer_matrices(self, rows):
         assert charpoly_int_coeffs(rows) == faddeev_leverrier(rows)
 
-    def test_entries_that_need_several_primes(self):
+    def test_entries_that_need_a_large_modulus(self):
         rng = SplitMix64(5)
         for n in (2, 5, 8):
             rows = [[rng.below(2 * 10**15) - 10**15 for _ in range(n)] for _ in range(n)]
-            assert charpoly_int_coeffs(rows) == faddeev_leverrier(rows)
+            with moduli() as used:
+                assert charpoly_int_coeffs(rows) == faddeev_leverrier(rows)
+            assert len(used) == 1 and used[0] > MERSENNE_61
 
     def test_sparse_matrices_that_need_pivot_swaps(self):
         rows = [[0, 0, 1, 0], [0, 0, 0, 2], [3, 0, 0, 0], [0, 4, 0, 5]]
@@ -152,7 +181,7 @@ def jacobi(diag, off=1):
     return grid
 
 
-P = _prime(0)
+P = MERSENNE_61
 KERNELS = ("_krylov_minpoly_mod", "_complete_by_traces", "_hessenberg_mod")
 
 
@@ -241,18 +270,18 @@ class TestKrylovRoute:
                 assert charpoly_int_coeffs(rows) == faddeev_leverrier(rows)
             assert calls == Counter(_hessenberg_mod=1)
 
-    def test_entries_that_need_several_primes(self):
+    def test_entries_that_need_a_large_modulus(self):
         rng = SplitMix64(9)
         n = _KRYLOV_MIN_N
         rows = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
                 rows[i][j] = rows[j][i] = rng.below(2 * 10**15) - 10**15
-        with kernel_calls() as calls:
+        with kernel_calls() as calls, moduli() as used:
             got = charpoly_int_coeffs(rows)
         assert got == faddeev_leverrier(rows)
-        assert calls["_krylov_minpoly_mod"] > 1
-        assert calls == Counter(_krylov_minpoly_mod=calls["_krylov_minpoly_mod"])
+        assert len(used) == 1 and used[0] > MERSENNE_61
+        assert calls == Counter(_krylov_minpoly_mod=1)
 
     def test_union_adjacencies_agree_with_hessenberg(self):
         rng = SplitMix64(3)
@@ -262,6 +291,73 @@ class TestKrylovRoute:
                 _gram(sample_bipartite(20, 3, rng).grid()),
             ):
                 assert _charpoly_mod(rows, P) == _hessenberg_mod(rows, P)
+
+
+@st.composite
+def modulus_grids_st(draw):
+    """Grids of side 1-20 with entries up to 10**60 in size, dense or sparse,
+    symmetric or not, and the repeated blocks that force each Krylov route,
+    scaled up so that they need large moduli too."""
+    top = draw(st.sampled_from([9, 10**6, 10**15, 10**60]))
+    kind = draw(st.sampled_from(["square", "symmetric", "blocks"]))
+    if kind == "blocks":
+        scale = draw(st.integers(min_value=1, max_value=top))
+        return [[v * scale for v in row] for row in draw(repeated_blocks_st())]
+    n = draw(st.integers(min_value=1, max_value=20))
+    entry = st.integers(min_value=-top, max_value=top)
+    if draw(st.booleans()):
+        entry = st.just(0) | entry
+    cells = draw(st.lists(entry, min_size=n * n, max_size=n * n))
+    rows = [cells[i * n:(i + 1) * n] for i in range(n)]
+    if kind == "symmetric":
+        rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    return rows
+
+
+class TestMersenneModulus:
+    @settings(max_examples=500)
+    @given(modulus_grids_st())
+    def test_one_modulus_matches_the_crt(self, rows):
+        with moduli() as used:
+            got = charpoly_int_coeffs(rows)
+        assert got == charpoly_crt_oracle(rows)
+        assert len(used) == 1
+
+    # the bound of [[a]] is 1 + |a|: 2**60 - 1 is the largest that 2**61 - 1
+    # covers, and the lift of the constant term -a sits next to p / 2
+    @pytest.mark.parametrize("a, e", [(2**60 - 2, 61), (2**60 - 1, 89)])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_the_switch_from_61_to_89_bits(self, a, e, sign):
+        rows = [[sign * a]]
+        with moduli() as used:
+            assert charpoly_int_coeffs(rows) == faddeev_leverrier(rows) == (-sign * a, 1)
+        assert used == [(1 << e) - 1]
+
+    @pytest.mark.parametrize(
+        "mode, d, e", [("plain", 24, 61), ("bipartite", 20, 61), ("plain", 48, 89)]
+    )
+    def test_one_kernel_call_per_union(self, mode, d, e):
+        rng = SplitMix64(1)
+        if mode == "plain":
+            rows = sample_nonbipartite(d, 3, rng).grid()
+        else:
+            rows = _gram(sample_bipartite(d, 3, rng).grid())
+        with moduli() as used:
+            got = charpoly_int_coeffs(rows)
+        assert used == [(1 << e) - 1]
+        assert got == charpoly_crt_oracle(rows)
+
+    def test_a_bound_past_the_last_exponent_is_refused(self, monkeypatch):
+        monkeypatch.setattr(matrix, "_MERSENNE_EXPONENTS", (61,))
+        rows = [[2**60 - 1]]
+        with moduli() as used, pytest.raises(BudgetError, match="past 2\\*\\*61 - 1"):
+            charpoly_int_coeffs(rows)
+        assert used == []
+        assert charpoly_int_coeffs([[2**60 - 2]]) == (-(2**60 - 2), 1)
+
+    def test_exponents_ascend_from_61(self):
+        assert _MERSENNE_EXPONENTS[0] == 61
+        assert list(_MERSENNE_EXPONENTS) == sorted(set(_MERSENNE_EXPONENTS))
 
 
 class TestCoefficientChecks:
