@@ -151,11 +151,15 @@ def bipartite_uniform_program(d: int) -> SwapProgram:
 
 def sample(program: SwapProgram, rng: SplitMix64) -> Permutation:
     """Draw one realization of the program's product permutation."""
-    image = tuple(range(program.dimension))
+    image = list(range(program.dimension))
+    where = list(image)  # where[v] is the position of value v in image
     for sw in program.swaps:
         if rng.bernoulli(sw.prob):
-            image = _swap_image(image, sw.s, sw.t)
-    return Permutation(image)
+            s, t = sw.s, sw.t
+            i, j = where[s], where[t]
+            image[i], image[j] = t, s
+            where[s], where[t] = j, i
+    return Permutation(tuple(image))
 
 
 def leaf_distribution(

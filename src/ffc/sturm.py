@@ -39,6 +39,13 @@ chooses which cell to check, so the bracket is the bisection's, bit for bit;
 the bisection itself runs only when the proof fails.  The shift is the
 package's one integer Taylor-shift kernel, ``_taylor_shift``; the certifier
 in ``ffc.graphs`` counts roots with it too.
+
+Comparisons of largest roots use the same guess and proof.  Each input's
+largest root is proved to lie in a cell of width 2**-63 on the 2**-64 grid;
+disjoint cells give the sign, and equal inputs tie, with no chain built.
+Only when a cell cannot be proved (a top root of even multiplicity, no real
+root, a poor guess) or the two cells overlap does ``compare_max_roots``
+bisect the chain of p*q, as the bracket's fallback does.
 """
 
 from __future__ import annotations
@@ -348,9 +355,7 @@ def max_root_bracket(p: RatPoly, width=Fraction(1, 1024)) -> tuple[Fraction, Fra
     levels = (-(-span * width.denominator // (den * width.numerator)) - 1).bit_length()
     scale = den << levels
     start = -(num + den) << levels
-    coeffs = to_primitive_int(p)
-    if coeffs[-1] < 0:
-        coeffs = tuple(-c for c in coeffs)
+    coeffs = _positive_int(p)
     guess = _top_root_guess(coeffs)
     if guess is not None:
         gnum, gden = guess
@@ -364,6 +369,13 @@ def max_root_bracket(p: RatPoly, width=Fraction(1, 1024)) -> tuple[Fraction, Fra
 
 _GUESS_STEPS = 100
 _GUESS_BITS = 64
+
+
+def _positive_int(p: RatPoly) -> tuple[int, ...]:
+    """Primitive integer coefficients of a nonzero multiple of p with a
+    positive leading coefficient; p and its nonzero multiples share roots."""
+    coeffs = to_primitive_int(p)
+    return tuple(-c for c in coeffs) if coeffs[-1] < 0 else coeffs
 
 
 def _homogenised(coeffs: tuple[int, ...], scale: int) -> list[int]:
@@ -448,6 +460,24 @@ def _holds_top_root(coeffs: tuple[int, ...], lo: int, hi: int, scale: int) -> bo
     if at_lo >= 0:
         return False
     return all(c >= 0 for c in _taylor_shift(homog, hi))
+
+
+def _proved_top_cell(coeffs: tuple[int, ...]) -> tuple[int, int] | None:
+    """Numerators (lo, hi) of a cell (lo, hi] / 2**64 of width 2**-63
+    proved to hold the largest real root of a polynomial with positive
+    leading coefficient, or None when no proof is found.
+
+    The guess, rounded up to x on the 2**-64 grid, only picks the cell
+    (x - 1, x + 1]; ``_holds_top_root`` proves it on integers.
+    """
+    guess = _top_root_guess(coeffs)
+    if guess is None:
+        return None
+    num, den = guess
+    x = -((-num << _GUESS_BITS) // den)
+    if _holds_top_root(coeffs, x - 1, x + 1, 1 << _GUESS_BITS):
+        return x - 1, x + 1
+    return None
 
 
 def _top_cell(
@@ -548,10 +578,30 @@ def interlaces(g: RatPoly, f: RatPoly) -> bool:
 
 
 def compare_max_roots(p: RatPoly, q: RatPoly) -> int:
-    """-1, 0, or +1 comparing the largest real roots of p and q, exactly."""
+    """-1, 0, or +1 comparing the largest real roots of p and q, exactly.
+
+    Proved cells decide first (``_proved_top_cell``): when p's and q's are
+    disjoint, or p has one and q is a multiple of p, no chain is built.
+    Otherwise (no proof, as for a top root of even multiplicity or no real
+    root, or overlapping cells) the chain of p*q is bisected down to its one
+    largest distinct root, and the sign is read off which of p and q have a
+    root in that cell.  Either way the verdict rests on integer arithmetic.
+    """
     for poly in (p, q):
         if poly.is_zero or poly.degree == 0:
             raise ParameterError("max-root comparison needs nonconstant inputs")
+    p_int = _positive_int(p)
+    p_cell = _proved_top_cell(p_int)
+    if p_cell is not None:
+        q_int = _positive_int(q)
+        if q_int == p_int:
+            return 0
+        q_cell = _proved_top_cell(q_int)
+        if q_cell is not None:
+            if p_cell[1] <= q_cell[0]:
+                return -1
+            if q_cell[1] <= p_cell[0]:
+                return 1
     pq = p * q
     bound = cauchy_root_bound(pq)
     # bisect (lo, hi] down to the one distinct root of p*q that is largest

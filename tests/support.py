@@ -678,3 +678,12 @@ def bernoulli_oracle(rng, p) -> bool:
     if p == 1:
         return True
     return rng.below(p.denominator) < p.numerator
+
+
+def sample_oracle(program: SwapProgram, rng) -> Permutation:
+    """The sampler that rebuilt the image tuple for every fired swap."""
+    image = tuple(range(program.dimension))
+    for sw in program.swaps:
+        if rng.bernoulli(sw.prob):
+            image = tuple(sw.t if v == sw.s else sw.s if v == sw.t else v for v in image)
+    return Permutation(image)

@@ -261,18 +261,22 @@ class TestDescend:
         assert code == 2
         assert "sample" in err
 
-    # the plain d=40 program has 2**39 - 1 swaps: building it exhausts memory
+    # the plain d=40 program has 2**39 - 1 swaps: building it exhausts memory;
+    # plain d=6 with 10**9 samples a program would draw suffixes for hours
+    OVERSIZED = [
+        ("plain", "exact", "program has 549755813887 swaps, budget allows 22", ("--d", "40")),
+        ("plain", "sampled", "at least 3298534883323 determinant evaluations", ("--d", "40")),
+        ("bipartite", "sampled", "at least 6597069766645 determinant evaluations", ("--d", "40")),
+        ("plain", "sampled", "draws 282000000000 suffixes", ("--d", "6", "--samples", "1000000000")),
+    ]
+
     @pytest.mark.parametrize(
-        "mode, strategy, message",
-        [
-            ("plain", "exact", "program has 549755813887 swaps, budget allows 22"),
-            ("plain", "sampled", "at least 3298534883323 determinant evaluations"),
-            ("bipartite", "sampled", "at least 6597069766645 determinant evaluations"),
-        ],
+        "mode, strategy, message, size",
+        [pytest.param(*case, id="-".join(case[:3])) for case in OVERSIZED],
     )
-    def test_oversized_programs_are_refused_up_front(self, mode, strategy, message):
+    def test_oversized_programs_are_refused_up_front(self, mode, strategy, message, size):
         proc = run_cli_with_timeout(
-            "descend", "--mode", mode, "--d", "40", "--m", "3", "--strategy", strategy
+            "descend", "--mode", mode, "--m", "3", "--strategy", strategy, *size
         )
         assert proc.returncode == 3
         assert proc.stderr.startswith("budget exceeded: ")

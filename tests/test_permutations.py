@@ -22,7 +22,7 @@ from ffc import (
     uniform_permutation,
     uniform_program,
 )
-from support import bernoulli_oracle, grid_matrix
+from support import bernoulli_oracle, grid_matrix, sample_oracle, swap_program_st
 
 
 def permutations_st(d: int):
@@ -152,6 +152,20 @@ class TestSampling:
             counts[p] = counts.get(p, 0) + 1
         assert len(counts) == 6
         assert all(abs(c - n / 6) < n / 6 for c in counts.values())
+
+    @given(
+        st.integers(min_value=2, max_value=6).flatmap(
+            lambda d: swap_program_st(d, max_swaps=12)
+        ),
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.integers(min_value=1, max_value=3),
+    )
+    def test_matches_the_rebuilding_sampler(self, program, seed, draws):
+        """Same images, and the generator left in the same state."""
+        rng, oracle = SplitMix64(seed), SplitMix64(seed)
+        for _ in range(draws):
+            assert sample(program, rng) == sample_oracle(program, oracle)
+        assert rng.next_u64() == oracle.next_u64()
 
 
 UNIT_PROBABILITIES = st.one_of(

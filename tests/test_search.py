@@ -33,10 +33,13 @@ from ffc import (
     relabel_grid,
     sample,
 )
+from ffc import search
+from ffc.matrix import charpoly_int_coeffs
 from ffc.search import _ConditionalAverager, _compose_images, _fired_wins
 from ffc.serial import dumps, poly_to_obj, search_report_to_obj
 from support import (
     bipartite_program_st,
+    compare_max_roots_oracle,
     dilation_conditional_oracle,
     grid_matrix,
     swap_average_oracle,
@@ -261,6 +264,24 @@ class TestInterlacingDescent:
         }
         assert hashlib.sha256(dumps(trace).encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("mode, d", [("nonbipartite", 6), ("bipartite", 3)])
+    def test_sampled_descents_match_the_chain_comparison(self, monkeypatch, mode, d):
+        """Comparisons decided by proved cells take the steps that bisecting
+        the square-free chain takes, conditionals without real roots included."""
+
+        def traces():
+            reports = [
+                interlacing_descent(
+                    mode, d, 3, strategy="sampled", seed=seed, samples_per_program=2
+                )
+                for seed in range(15)
+            ]
+            return [(r.initial_deflated, r.steps) for r in reports]
+
+        fast = traces()
+        monkeypatch.setattr(search, "compare_max_roots", compare_max_roots_oracle)
+        assert traces() == fast
+
     def test_swap_budget_is_enforced(self):
         # uniform_program(4) has 7 swaps
         with pytest.raises(BudgetError, match="budget allows 2"):
@@ -289,3 +310,45 @@ class TestInterlacingDescent:
 
         with pytest.raises(ParameterError):
             interlacing_descent("bipartite", 2, 3, strategy="greedy")
+
+
+class TestConditionalCache:
+    @pytest.fixture
+    def charpolys(self, monkeypatch):
+        """The grids ``charpoly_int_coeffs`` is called on, in call order."""
+        calls = []
+
+        def counted(rows):
+            calls.append(tuple(map(tuple, rows)))
+            return charpoly_int_coeffs(rows)
+
+        monkeypatch.setattr(search, "charpoly_int_coeffs", counted)
+        return calls
+
+    def test_multisets_placing_one_grid_share_a_charpoly(self, charpolys):
+        averager = _ConditionalAverager("nonbipartite", 4, Budgets())
+        # each multiset pairs 0-1 and 2-3 once and 0-2 and 1-3 once
+        first = averager.average([{(0, 1, 2, 3): Fraction(1)}, {(0, 2, 1, 3): Fraction(1)}])
+        second = averager.average([{(1, 0, 3, 2): Fraction(1)}, {(2, 0, 3, 1): Fraction(1)}])
+        assert first == second
+        assert len(charpolys) == 1
+        assert averager.det_evals == 2
+
+    def test_a_sampled_descent_computes_each_grid_once(self, charpolys, monkeypatch):
+        averagers = []
+
+        class Recorded(_ConditionalAverager):
+            def __init__(self, *args):
+                super().__init__(*args)
+                averagers.append(self)
+
+        monkeypatch.setattr(search, "_ConditionalAverager", Recorded)
+        interlacing_descent(
+            "nonbipartite", 6, 3, strategy="sampled", seed=11, samples_per_program=2
+        )
+        assert len(charpolys) == len(set(charpolys))
+        (averager,) = averagers
+        # 802 image multisets place these grids, and 830 terms are averaged,
+        # as with the multiset cache alone
+        assert len(charpolys) < len(averager._cache) == 802
+        assert averager.det_evals == 830

@@ -30,7 +30,15 @@ from ffc import (
 from ffc.graphs import _split_at
 from ffc.poly import to_primitive_int
 from ffc.search import _fired_wins
-from ffc.sturm import NEG_INF, POS_INF, _bisect_max_root, _holds_top_root, _taylor_shift
+from ffc.sturm import (
+    NEG_INF,
+    POS_INF,
+    _bisect_max_root,
+    _holds_top_root,
+    _positive_int,
+    _proved_top_cell,
+    _taylor_shift,
+)
 from support import (
     bisect_max_root_oracle,
     compare_max_roots_oracle,
@@ -252,6 +260,77 @@ class TestCompareMaxRoots:
     @given(real_rooted_st(), real_rooted_st())
     def test_antisymmetry(self, p, q):
         assert compare_max_roots(p, q) == -compare_max_roots(q, p)
+
+
+def proved_cell(p: RatPoly):
+    return _proved_top_cell(_positive_int(p))
+
+
+class TestComparisonRoutes:
+    """Which route ``compare_max_roots`` takes, seen through the number of
+    chain bisections (``_top_cell`` calls) it runs; each answer is also
+    checked against the square-free chain oracle."""
+
+    @pytest.fixture
+    def bisections(self, monkeypatch):
+        calls = []
+        top_cell = ffc.sturm._top_cell
+
+        def counted(*args):
+            calls.append(args)
+            return top_cell(*args)
+
+        monkeypatch.setattr(ffc.sturm, "_top_cell", counted)
+        return calls
+
+    def test_disjoint_proved_cells_decide(self, bisections):
+        p, q = RatPoly.from_roots([-1, -1, 1]), RatPoly.from_roots([0, Fraction(3, 2)])
+        assert compare_max_roots(p, q) == compare_max_roots_oracle(p, q) == -1
+        assert compare_max_roots(q, p) == 1
+        assert bisections == []
+
+    def test_equal_inputs_tie_without_a_chain(self, bisections):
+        p = RatPoly.from_roots([-1, 1, Fraction(7, 3)])
+        assert compare_max_roots(p, p) == compare_max_roots_oracle(p, p) == 0
+        assert compare_max_roots(p, p.scale(Fraction(-2, 5))) == 0
+        assert bisections == []
+
+    def test_equal_inputs_without_real_roots_still_raise(self, bisections):
+        p = poly(1, 0, 1) * poly(1, -2, 5)
+        with pytest.raises(ParameterError, match="needs real roots"):
+            compare_max_roots(p, p)
+        assert len(bisections) == 1
+
+    def test_shared_top_root_overlaps(self, bisections):
+        p, q = RatPoly.from_roots([-1, 2]), RatPoly.from_roots([0, 1, 2])
+        p_cell, q_cell = proved_cell(p), proved_cell(q)
+        assert p_cell is not None and q_cell is not None
+        assert p_cell[0] < q_cell[1] and q_cell[0] < p_cell[1]
+        assert compare_max_roots(p, q) == compare_max_roots_oracle(p, q) == 0
+        assert len(bisections) == 1
+
+    def test_top_root_of_even_multiplicity_is_not_proved(self, bisections):
+        p, q = RatPoly.from_roots([-1, 2, 2]), RatPoly.from_roots([0, 1])
+        assert proved_cell(p) is None
+        assert compare_max_roots(p, q) == compare_max_roots_oracle(p, q) == 1
+        assert compare_max_roots(q, p) == -1
+        assert len(bisections) == 2
+
+    def test_input_without_real_roots_is_not_proved(self, bisections):
+        p, q = poly(1, 0, 1), RatPoly.from_roots([0, 1])
+        assert proved_cell(p) is None
+        assert compare_max_roots(p, q) == compare_max_roots_oracle(p, q) == -1
+        assert len(bisections) == 1
+
+    def test_top_roots_closer_than_the_cells(self, bisections):
+        p = RatPoly.from_roots([-3, 1])
+        q = RatPoly.from_roots([-3, 1 + Fraction(1, 2**70)])
+        p_cell, q_cell = proved_cell(p), proved_cell(q)
+        assert p_cell is not None and q_cell is not None
+        assert p_cell[0] < q_cell[1] and q_cell[0] < p_cell[1]
+        assert compare_max_roots(p, q) == compare_max_roots_oracle(p, q) == -1
+        assert compare_max_roots(q, p) == 1
+        assert len(bisections) == 2
 
 
 class TestIsolation:
