@@ -11,13 +11,7 @@ Fourier sweeps) that never decide a verdict.
 """
 
 from .config import DEFAULT_BUDGETS, PACKAGE_VERSION, Budgets
-from .convolution import (
-    SignedCoeffs,
-    asym_convolve,
-    m_fold_asym,
-    m_fold_sym,
-    sym_convolve,
-)
+from .convolution import asym_convolve, m_fold_asym, m_fold_sym, sym_convolve
 from .errors import BudgetError, ContractError, ParameterError, PoleError
 from .graphs import (
     MatchingUnion,

@@ -65,6 +65,10 @@ from .transforms import mfold_root_bound_table, ramanujan_bound
 
 MODE_CHOICES = ("bipartite", "plain")
 
+# The most (m, d, kind) cells one table may ask for; the grid m 3..30,
+# d 4..128:2 in both kinds has 3528.
+MAX_TABLE_CELLS = 100_000
+
 
 def _internal_mode(cli_mode: str) -> str:
     return "bipartite" if cli_mode == "bipartite" else "nonbipartite"
@@ -84,7 +88,7 @@ def _parse_poly_arg(text: str) -> RatPoly:
     return RatPoly(tuple(reversed(descending)))
 
 
-def _parse_range(text: str) -> list[int]:
+def _parse_range(text: str) -> range:
     """"lo..hi" or "lo..hi:step" or a single integer."""
     step = 1
     body = text
@@ -106,7 +110,7 @@ def _parse_range(text: str) -> list[int]:
         raise ParameterError(f"cannot parse range {text!r}") from None
     if hi < lo:
         raise ParameterError(f"empty range {text!r}")
-    return list(range(lo, hi + 1, step))
+    return range(lo, hi + 1, step)
 
 
 def _emit(args, text: str, primary_name: str) -> None:
@@ -161,6 +165,12 @@ def _cmd_table(args) -> int:
     ms = _parse_range(args.m)
     ds = _parse_range(args.d)
     modes = ("sym", "asym") if args.mode == "both" else (args.mode,)
+    # len() of a range past sys.maxsize overflows, so count by hand
+    cells = len(modes)
+    for r in (ms, ds):
+        cells *= (r.stop - r.start - 1) // r.step + 1
+    if cells > MAX_TABLE_CELLS:
+        raise BudgetError(f"table has {cells} cells, budget allows {MAX_TABLE_CELLS}")
     rows = []
     for mode in modes:
         rows.extend(mfold_root_bound_table(ms, ds, mode))

@@ -22,45 +22,19 @@ of power series: the rescaled output is sum_{i+j=k} r_i s_j for k <= d
 (MSS, *Finite free convolutions of polynomials*, arXiv:1504.00350).  So a
 convolution is one series product and an m-fold convolution is one series
 raised to the m-th power, O(d**2) whatever m is.  Both run on integers:
-each input is put over one common denominator, and the result is divided
-once per coefficient.
+each input is put over one common denominator with the sign (-1)**i folded
+into the integer numerator, and the result is divided once per coefficient,
+straight into the ascending coefficients of the output polynomial.  The one
+kernel serves both kinds; only the exponent of the rescaling differs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 
 from .errors import ParameterError
 from .poly import RatPoly
-
-
-@dataclass(frozen=True)
-class SignedCoeffs:
-    """Signed coefficient vector of a polynomial at level d."""
-
-    level: int
-    a: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if self.level < 0 or len(self.a) != self.level + 1:
-            raise ParameterError("signed coefficient vector has wrong length")
-
-    @classmethod
-    def from_poly(cls, p: RatPoly, d: int) -> "SignedCoeffs":
-        if p.degree > d:
-            raise ParameterError(f"degree {p.degree} exceeds level {d}")
-        a = tuple(
-            (-1) ** i * p.coeff(d - i) for i in range(d + 1)
-        )
-        return cls(level=d, a=a)
-
-    def to_poly(self) -> RatPoly:
-        d = self.level
-        return RatPoly.from_coeffs(
-            [(-1) ** (d - k) * self.a[d - k] for k in range(d + 1)]
-        )
 
 
 def _check_level(p: RatPoly, q: RatPoly, d: int) -> None:
@@ -73,11 +47,11 @@ def _check_level(p: RatPoly, q: RatPoly, d: int) -> None:
 def _series(p: RatPoly, d: int, squared: bool) -> tuple[list[int], int]:
     """Integers s_i and a denominator D > 0 with s_i / D = a_i (d-i)!/d!,
     the factor squared for the asymmetric kind."""
-    a = SignedCoeffs.from_poly(p, d).a
     e = 2 if squared else 1
-    den = lcm(*(c.denominator for c in a))
+    den = lcm(*(c.denominator for c in p.coeffs))
+    a = [p.coeff(d - i) for i in range(d + 1)]
     s = [
-        c.numerator * (den // c.denominator) * factorial(d - i) ** e
+        (-1) ** i * c.numerator * (den // c.denominator) * factorial(d - i) ** e
         for i, c in enumerate(a)
     ]
     return s, den * factorial(d) ** e
@@ -88,10 +62,11 @@ def _from_series(c: list[int], den: int, d: int, squared: bool) -> RatPoly:
     c_k / den."""
     e = 2 if squared else 1
     top = factorial(d) ** e
-    a = tuple(
-        Fraction(c[k] * top, den * factorial(d - k) ** e) for k in range(d + 1)
+    # x**k carries (-1)**(d-k) a_(d-k), and a_(d-k) = c_(d-k) top / (den k!**e)
+    return RatPoly.from_coeffs(
+        Fraction((-1) ** (d - k) * c[d - k] * top, den * factorial(k) ** e)
+        for k in range(d + 1)
     )
-    return SignedCoeffs(level=d, a=a).to_poly()
 
 
 def _convolve(p: RatPoly, q: RatPoly, d: int, squared: bool) -> RatPoly:

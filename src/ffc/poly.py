@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import ContractError, ParameterError
@@ -244,11 +244,11 @@ def to_primitive_int(p: RatPoly) -> tuple[int, ...]:
     """
     if p.is_zero:
         return ()
-    denom_lcm = 1
-    for c in p.coeffs:
-        denom_lcm = denom_lcm * c.denominator // int_gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in p.coeffs]
-    content = 0
-    for v in ints:
-        content = int_gcd(content, abs(v))
-    return tuple(v // content for v in ints)
+    den = lcm(*(c.denominator for c in p.coeffs))
+    return _int_primitive(tuple(c.numerator * (den // c.denominator) for c in p.coeffs))
+
+
+def _int_primitive(c: tuple[int, ...]) -> tuple[int, ...]:
+    """c divided by its content, the gcd of its entries."""
+    content = gcd(*c)
+    return tuple(v // content for v in c) if content > 1 else c

@@ -85,9 +85,14 @@ def poly_to_obj(p: RatPoly) -> dict:
 
 
 def parse_poly(obj) -> RatPoly:
+    """Inverse of ``poly_to_obj``, which never writes a trailing zero: one
+    would make the stored degree a lie, so it is malformed."""
     if not isinstance(obj, dict) or not isinstance(obj.get("coeffs"), list):
         raise ParameterError("polynomial document needs a 'coeffs' list")
-    return RatPoly(tuple(parse_fraction(c) for c in obj["coeffs"]))
+    coeffs = tuple(parse_fraction(c) for c in obj["coeffs"])
+    if coeffs and coeffs[-1] == 0:
+        raise ParameterError("polynomial document has a trailing zero coefficient")
+    return RatPoly(coeffs)
 
 
 def graph_to_obj(g: MatchingUnion, seed: int | None = None) -> dict:

@@ -54,11 +54,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd as int_gcd, lcm as int_lcm
+from math import lcm as int_lcm
 from typing import Iterator, Sequence
 
 from .errors import ParameterError
-from .poly import RatPoly, _trim, cauchy_root_bound, to_primitive_int
+from .poly import RatPoly, _int_primitive, _trim, cauchy_root_bound, to_primitive_int
 from .quadfield import as_quad, quad_sign
 
 
@@ -78,13 +78,6 @@ POS_INF = _Inf(+1, "+inf")
 
 
 # -- integer polynomial helpers ------------------------------------------------
-
-
-def _int_primitive(c: tuple[int, ...]) -> tuple[int, ...]:
-    content = 0
-    for v in c:
-        content = int_gcd(content, abs(v))
-    return tuple(v // content for v in c) if content > 1 else c
 
 
 def _int_derivative(c: tuple[int, ...]) -> tuple[int, ...]:
@@ -136,8 +129,8 @@ class _Point:
     def __init__(self, value):
         q = as_quad(value)
         w = int_lcm(q.a.denominator, q.b.denominator)
-        self.u = int(q.a * w)
-        self.v = int(q.b * w)
+        self.u = q.a.numerator * (w // q.a.denominator)
+        self.v = q.b.numerator * (w // q.b.denominator)
         self.w = w
         self.r = q.r
         self.quad = q
@@ -190,7 +183,6 @@ class SturmChain:
     gcd(p, p') up to a positive factor.
     """
 
-    source: RatPoly
     elements: tuple[tuple[int, ...], ...]
 
     def variations_right(self, point) -> int:
@@ -210,7 +202,7 @@ class SturmChain:
         return flips
 
     def count_half_open(self, lo, hi) -> int:
-        """Distinct real roots of the source in (lo, hi]."""
+        """Distinct real roots of the chain's polynomial in (lo, hi]."""
         if not _point_lt(lo, hi):
             raise ParameterError("need lo < hi exactly")
         return self.variations_right(lo) - self.variations_right(hi)
@@ -225,8 +217,7 @@ class SturmChain:
 
 @lru_cache(maxsize=512)
 def _chain_from_coeffs(coeffs: tuple[Fraction, ...]) -> SturmChain:
-    p = RatPoly(coeffs)
-    f0 = to_primitive_int(p)
+    f0 = to_primitive_int(RatPoly(coeffs))
     elements = [f0]
     if len(f0) > 1:
         f1 = _int_primitive(_trim(_int_derivative(f0)))
@@ -236,7 +227,7 @@ def _chain_from_coeffs(coeffs: tuple[Fraction, ...]) -> SturmChain:
             if not nxt:
                 break
             elements.append(_int_primitive(tuple(-v for v in nxt)))
-    return SturmChain(source=p, elements=tuple(elements))
+    return SturmChain(elements=tuple(elements))
 
 
 def sturm_chain(p: RatPoly) -> SturmChain:
@@ -484,7 +475,7 @@ def _top_cell(
     chain: SturmChain, lo: Fraction, hi: Fraction, settled
 ) -> tuple[Fraction, Fraction] | None:
     """Bisect (lo, hi] toward the largest distinct real root of the chain's
-    source until ``settled(lo, hi, n)`` holds, n being the number of distinct
+    polynomial until ``settled(lo, hi, n)`` holds, n being the number of distinct
     roots in (lo, hi]; None when (lo, hi] holds no root.
 
     The sign variations at lo and hi are kept between steps, so each step

@@ -22,7 +22,6 @@ from ffc import (
     RatMatrix,
     RandomSwap,
     RatPoly,
-    SignedCoeffs,
     SwapProgram,
     as_quad,
     dilation,
@@ -43,7 +42,7 @@ from ffc import (
 from ffc.graphs import NOT_RAMANUJAN, STRICT, WITH_BOUNDARY
 from ffc.matrix import _charpoly_mod, _grid_sum, charpoly_int_coeffs
 from ffc.quadrature import weighted_charpoly_average
-from ffc.sturm import NEG_INF, POS_INF, _chain_from_coeffs, _homogenised
+from ffc.sturm import NEG_INF, POS_INF, _homogenised
 
 
 def subprocess_env():
@@ -407,10 +406,16 @@ def mc_oracle(matrices, trials: int, rng) -> tuple[RatPoly, tuple]:
 # repeated convolutions.
 
 
+def _signed(p: RatPoly, d: int) -> list[Fraction]:
+    """The signed coefficient vector a with p = sum x**(d-i) (-1)**i a_i."""
+    if p.degree > d:
+        raise ParameterError(f"degree {p.degree} exceeds level {d}")
+    return [(-1) ** i * p.coeff(d - i) for i in range(d + 1)]
+
+
 def convolve_oracle(p: RatPoly, q: RatPoly, d: int, squared: bool) -> RatPoly:
     """Sym (``squared`` false) or asym convolution at level d, weight by weight."""
-    ap = SignedCoeffs.from_poly(p, d).a
-    aq = SignedCoeffs.from_poly(q, d).a
+    ap, aq = _signed(p, d), _signed(q, d)
     out = []
     for k in range(d + 1):
         c = Fraction(0)
@@ -421,7 +426,7 @@ def convolve_oracle(p: RatPoly, q: RatPoly, d: int, squared: bool) -> RatPoly:
             )
             c += (w * w if squared else w) * ap[i] * aq[j]
         out.append(c)
-    return SignedCoeffs(level=d, a=tuple(out)).to_poly()
+    return RatPoly.from_coeffs((-1) ** (d - k) * out[d - k] for k in range(d + 1))
 
 
 def m_fold_oracle(p: RatPoly, m: int, d: int, squared: bool) -> RatPoly:
@@ -579,15 +584,31 @@ def interlaces_oracle(g: RatPoly, f: RatPoly) -> bool:
     return all(pos_f[j] <= b <= pos_f[j + 1] for j, b in enumerate(pos_g))
 
 
+# Denominator clearing before it ran on numerators: each coefficient times
+# the lcm as a Fraction product, then a running gcd.
+
+
+def to_primitive_int_oracle(p: RatPoly) -> tuple[int, ...]:
+    if p.is_zero:
+        return ()
+    denom_lcm = 1
+    for c in p.coeffs:
+        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
+    ints = [int(c * denom_lcm) for c in p.coeffs]
+    content = 0
+    for v in ints:
+        content = math.gcd(content, abs(v))
+    return tuple(v // content for v in ints)
+
+
 # Root location before the chain ran on p itself: the same integer primitive
 # remainder sequence started from the Fraction square-free part, and the
 # queries built on it.
 
 
 def squarefree_sturm_chain(p: RatPoly) -> SturmChain:
-    """The chain of squarefree_part(p), with p as its source."""
-    chain = _chain_from_coeffs(squarefree_part(p).coeffs)
-    return SturmChain(source=p, elements=chain.elements)
+    """The chain of squarefree_part(p)."""
+    return sturm_chain(squarefree_part(p))
 
 
 def is_real_rooted_oracle(p: RatPoly) -> bool:

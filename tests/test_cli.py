@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import ffc.cli as cli
 import ffc.serial as serial
 from ffc.cli import main
 from support import run_cli_with_timeout, subprocess_env
@@ -104,6 +105,26 @@ class TestTable:
     def test_bad_range_is_a_usage_error(self, capsys):
         code, _, _ = run(capsys, "table", "--m", "3..x", "--d", "4")
         assert code == 2
+
+    # building the first grid's list of m values alone exhausts memory
+    @pytest.mark.parametrize(
+        "m, d, cells",
+        [("3..10000000000", "4", 2 * 9999999998), ("3", "2..1" + "0" * 30, 2 * 10**30 - 2)],
+    )
+    def test_absurd_ranges_are_refused_up_front(self, m, d, cells):
+        proc = run_cli_with_timeout("table", "--m", m, "--d", d)
+        assert proc.returncode == 3
+        assert proc.stderr == f"budget exceeded: table has {cells} cells, budget allows 100000\n"
+
+    def test_cells_are_counted_with_the_step(self, capsys, monkeypatch):
+        # 3..4 x 4..8:2 x both kinds is 2 * 3 * 2 = 12 cells
+        monkeypatch.setattr(cli, "MAX_TABLE_CELLS", 11)
+        code, out, err = run(capsys, "table", "--m", "3..4", "--d", "4..8:2")
+        assert (code, out) == (3, "")
+        assert "table has 12 cells" in err
+        monkeypatch.setattr(cli, "MAX_TABLE_CELLS", 12)
+        code, out, _ = run(capsys, "table", "--m", "3..4", "--d", "4..8:2")
+        assert code == 0 and len(out.strip().split("\n")) == 1 + 12
 
 
 class TestVerify:

@@ -18,6 +18,7 @@ from ffc import (
     m_fold_sym,
     sym_convolve,
 )
+from ffc.convolution import _from_series, _series
 from support import (
     convolve_oracle,
     fractions_st,
@@ -199,3 +200,21 @@ class TestPowerSeriesKernel:
             assert fold(p, 1, 6) == p
             assert fold(p, 2, 6) == m_fold_oracle(p, 2, 6, squared) == RatPoly.zero()
             assert fold(RatPoly.zero(), 3, 6) == RatPoly.zero()
+
+
+class TestSeriesRoundTrip:
+    """``_from_series`` inverts ``_series`` for both kinds at every level."""
+
+    @given(level_and_poly(), st.booleans())
+    def test_round_trip(self, level_p, squared):
+        d, p = level_p
+        assert _from_series(*_series(p, d, squared), d, squared) == p
+
+    @pytest.mark.parametrize("d", [5, 6])
+    @pytest.mark.parametrize("squared", [False, True])
+    def test_fractions_below_the_level(self, d, squared):
+        p = RatPoly.from_coeffs([Fraction(-7, 3), Fraction(1, 2), 0, Fraction(5, 4)])
+        s, den = _series(p, d, squared)
+        # degree 3 at level d: the leading d - 3 entries are zero
+        assert s[: d - 3] == [0] * (d - 3) and s[d - 3] != 0
+        assert _from_series(s, den, d, squared) == p

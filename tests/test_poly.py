@@ -1,6 +1,7 @@
 """Exact polynomial arithmetic."""
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ffc import ContractError, RatPoly
-from support import fractions_st, real_rooted_st
+from ffc.poly import to_primitive_int
+from support import fractions_st, real_rooted_st, to_primitive_int_oracle
 
 
 def poly(*descending):
@@ -102,3 +104,22 @@ class TestArithmetic:
         for i, c in enumerate(p.coeffs):
             assert p.coeff(i) == c
         assert p.coeff(p.degree + 5) == 0
+
+
+class TestPrimitiveInt:
+    """``to_primitive_int`` against the Fraction-multiplying loop it replaced."""
+
+    @given(st.lists(fractions_st(max_num=10**6, max_den=10**4), max_size=9))
+    def test_matches_the_fraction_loop(self, coeffs):
+        p = RatPoly.from_coeffs(coeffs)
+        ints = to_primitive_int(p)
+        assert ints == to_primitive_int_oracle(p)
+        if p.is_zero:
+            assert ints == ()
+            return
+        assert all(type(v) is int for v in ints)
+        assert math.gcd(*ints) == 1
+        # one positive multiple t of p, so every sign is kept
+        t = ints[-1] / p.lead
+        assert t > 0
+        assert [Fraction(v) for v in ints] == [t * c for c in p.coeffs]

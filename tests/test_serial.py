@@ -68,6 +68,19 @@ class TestPolyDocuments:
         obj = serial.poly_to_obj(RatPoly.from_roots([Fraction(1, 3)]))
         assert obj["coeffs"] == ["-1/3", "1"]
 
+    @pytest.mark.parametrize(
+        "coeffs", [["0"], ["1", "0"], ["1", "0/3"], ["-43/9", "-1", "3", "0"]]
+    )
+    def test_trailing_zeros_are_rejected(self, coeffs):
+        with pytest.raises(ParameterError, match="trailing zero"):
+            serial.parse_poly({"coeffs": coeffs})
+
+    def test_zero_polynomial_has_no_coefficients(self):
+        from ffc import RatPoly
+
+        assert serial.poly_to_obj(RatPoly.zero()) == {"coeffs": []}
+        assert serial.parse_poly({"coeffs": []}) == RatPoly.zero()
+
 
 class TestGraphDocuments:
     def test_round_trip_random_samples(self):
@@ -203,7 +216,9 @@ def malformed_tables_st(draw):
     """A valid bound table with one field missing, mislabelled or out of range."""
     obj = through_json(serial.table_to_obj(draw(tables_st(min_rows=1))))
     row = draw(st.sampled_from(obj["rows"]))
-    how = draw(st.sampled_from(["kind", "version", "rows", "drop", "m", "d", "mode", "bracket", "bound"]))
+    how = draw(st.sampled_from(
+        ["kind", "version", "rows", "drop", "m", "d", "mode", "bracket", "bound", "poly"]
+    ))
     if how == "kind":
         obj["kind"] = draw(st.sampled_from(sorted(PARSERS) + [None, 1]))
     elif how == "version":
@@ -221,6 +236,13 @@ def malformed_tables_st(draw):
         row["mode"] = draw(st.sampled_from(["plain", "bipartite", "SYM", "", None, 1]))
     elif how == "bracket":
         row["bracket_lo"], row["bracket_hi"] = row["bracket_hi"], row["bracket_lo"]
+    elif how == "poly":
+        # a zero in place of the leading coefficient, or one more after it
+        coeffs = row["poly"]["coeffs"]
+        if draw(st.booleans()):
+            coeffs[-1] = "0"
+        else:
+            coeffs.append("0")
     else:
         row["bound"] = dict(row["bound"], exact=draw(st.sampled_from(["2*sqrt(7)", "3", None])))
     return obj
@@ -314,6 +336,18 @@ class TestDocumentProperties:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ")
 
+    def test_certify_exits_two_on_a_padded_certificate_polynomial(self, tmp_path):
+        report = rejection_search("bipartite", 3, 3, 50, seed=12)
+        obj = through_json(serial.search_report_to_obj(report, 12))
+        obj["certificate"]["char_poly"]["coeffs"][-1] = "0"
+        with pytest.raises(ParameterError, match="trailing zero"):
+            serial.parse_certificate(obj["certificate"])
+        path = tmp_path / "report.json"
+        path.write_text(serial.dumps(obj))
+        proc = run_cli_with_timeout("certify", str(path))
+        assert proc.returncode == 2
+        assert "trailing zero" in proc.stderr
+
     def test_certificate_bound_for_m_one_is_zero(self):
         obj = serial.certificate_to_obj(certify(sample_bipartite(3, 1, SplitMix64(1))))
         assert obj["bound"]["exact"] == "0"
@@ -343,6 +377,9 @@ class TestDocumentProperties:
             ("verdict", "maybe"),
             ("bound", "2*sqrt(2)"),
             ("char_poly", {"coeffs": [1, 2]}),
+            ("char_poly", {"coeffs": good["char_poly"]["coeffs"][:-1] + ["0"]}),
+            ("deflated", {"coeffs": good["deflated"]["coeffs"][:-1] + ["0"]}),
+            ("deflated", {"coeffs": good["deflated"]["coeffs"] + ["0"]}),
         ]:
             obj = dict(good, **{field: value})
             with pytest.raises(ParameterError):
