@@ -231,9 +231,13 @@ def cauchy_root_bound(p: RatPoly) -> Fraction:
     """Rational B with every real root of p in [-B, B]."""
     if p.is_zero or p.degree == 0:
         raise ParameterError("root bound needs a nonconstant polynomial")
-    lead = abs(p.lead)
-    biggest = max(abs(c) for c in p.coeffs[:-1])
-    return 1 + biggest / lead
+    return _int_cauchy_bound(to_primitive_int(p))
+
+
+def _int_cauchy_bound(c: tuple[int, ...]) -> Fraction:
+    """1 + max |c_i| / |c_n| over the lower coefficients of a nonconstant
+    integer polynomial: the Cauchy bound, which no nonzero multiple changes."""
+    return Fraction(max(abs(v) for v in c[:-1]), abs(c[-1])) + 1
 
 
 def to_primitive_int(p: RatPoly) -> tuple[int, ...]:

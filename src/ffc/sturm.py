@@ -40,6 +40,18 @@ the bisection itself runs only when the proof fails.  The shift is the
 package's one integer Taylor-shift kernel, ``_taylor_shift``; the certifier
 in ``ffc.graphs`` counts roots with it too.
 
+The bracket runs on primitive integer coefficients from start to finish
+(``_int_max_root_bracket``, which ``ffc.transforms`` calls directly with
+the integer polynomial of K(w)): the Cauchy bound is read off the integers,
+and a RatPoly is built only for the bisection.  The shift's cost grows with
+the length of the denominator it runs over, and the grid's denominator
+carries the Cauchy bound's (1245 bits for the largest asymmetric table
+cell, m=30 and d=128).  So when that denominator is longer than 2**64 and
+the cell holds the short point x0 = ceil(guess * 2**64) / 2**64 + 2**-64,
+the shift runs at x0 first, over 2**64: no root above x0 is none above the
+cell's right end.  Only when it has a negative coefficient does the shift
+at the right end run.
+
 Comparisons of largest roots use the same guess and proof.  Each input's
 largest root is proved to lie in a cell of width 2**-63 on the 2**-64 grid;
 disjoint cells give the sign, and equal inputs tie, with no chain built.
@@ -58,7 +70,14 @@ from math import lcm as int_lcm
 from typing import Iterator, Sequence
 
 from .errors import ParameterError
-from .poly import RatPoly, _int_primitive, _trim, cauchy_root_bound, to_primitive_int
+from .poly import (
+    RatPoly,
+    _int_cauchy_bound,
+    _int_primitive,
+    _trim,
+    cauchy_root_bound,
+    to_primitive_int,
+)
 from .quadfield import as_quad, quad_sign
 
 
@@ -327,18 +346,35 @@ def max_root_bracket(p: RatPoly, width=Fraction(1, 1024)) -> tuple[Fraction, Fra
     holds the largest real root: the interval that bisection of (-B-1, B]
     by Sturm counts ends in.  Exactly one cell holds that root, so proving
     that a candidate cell holds it proves the candidate is that interval.
-    A guess at the root (``_top_root_guess``) picks the candidate; integer
-    arithmetic proves it (``_holds_top_root``).  Only when the proof fails
-    (a top root of even multiplicity, no real root, a float overflow or a
-    poor guess) does the Sturm bisection run, so no float reaches the
-    result.
+    The work runs on the primitive integer coefficients of p
+    (``_int_max_root_bracket``): B comes from them, a guess at the root
+    (``_top_root_guess``) picks the candidate, and integer arithmetic proves
+    it (``_holds_top_root``), with the Descartes shift at a point of the
+    2**-64 grid inside the cell when the grid's denominator is longer than
+    2**64.  Only when the proof fails (a top root of even multiplicity, no
+    real root, a float overflow or a poor guess) does the Sturm bisection
+    run, so no float reaches the result.
     """
     width = Fraction(width)
     if width <= 0:
         raise ParameterError("bracket width must be positive")
     if p.is_zero or p.degree == 0:
         raise ParameterError("bracket needs a nonconstant polynomial")
-    bound = cauchy_root_bound(p)
+    return _int_max_root_bracket(_positive_int(p), width)
+
+
+def _int_max_root_bracket(
+    coeffs: tuple[int, ...], width: Fraction
+) -> tuple[Fraction, Fraction]:
+    """``max_root_bracket`` of the nonconstant polynomial with primitive
+    integer coefficients ``coeffs`` and a positive leading one; a RatPoly is
+    built only for the bisection fallback.
+
+    The proof tries the shift at x0 = ceil(guess * 2**64) / 2**64 + 2**-64
+    (``_holds_top_root``'s ``short``) only when the grid's denominator is
+    longer than 2**64, so that it always runs over the shorter denominator.
+    """
+    bound = _int_cauchy_bound(coeffs)
     # In units of 1/scale the grid starts at start = -B-1 and its cells have
     # width span; levels is the fewest halvings of 2B+1 down to width.
     num, den = bound.numerator, bound.denominator
@@ -346,16 +382,21 @@ def max_root_bracket(p: RatPoly, width=Fraction(1, 1024)) -> tuple[Fraction, Fra
     levels = (-(-span * width.denominator // (den * width.numerator)) - 1).bit_length()
     scale = den << levels
     start = -(num + den) << levels
-    coeffs = _positive_int(p)
     guess = _top_root_guess(coeffs)
     if guess is not None:
         gnum, gden = guess
         # the j with start + j*span < guess*scale <= start + (j+1)*span
         j = -((start * gden - gnum * scale) // (span * gden)) - 1
         lo = start + min(max(j, 0), (1 << levels) - 1) * span
-        if _holds_top_root(coeffs, lo, lo + span, scale):
-            return Fraction(lo, scale), Fraction(lo + span, scale)
-    return _bisect_max_root(p, bound, width)
+        hi = lo + span
+        short = None
+        if scale.bit_length() > _GUESS_BITS + 1:
+            x0 = -((-gnum << _GUESS_BITS) // gden) + 1
+            if lo << _GUESS_BITS < x0 * scale <= hi << _GUESS_BITS:
+                short = x0
+        if _holds_top_root(coeffs, lo, hi, scale, short):
+            return Fraction(lo, scale), Fraction(hi, scale)
+    return _bisect_max_root(RatPoly.from_coeffs(coeffs), bound, width)
 
 
 _GUESS_STEPS = 100
@@ -435,7 +476,9 @@ def _top_root_guess(coeffs: tuple[int, ...]) -> tuple[int, int] | None:
     return num, den
 
 
-def _holds_top_root(coeffs: tuple[int, ...], lo: int, hi: int, scale: int) -> bool:
+def _holds_top_root(
+    coeffs: tuple[int, ...], lo: int, hi: int, scale: int, short: int | None = None
+) -> bool:
     """True when the largest real root of the polynomial (positive leading
     coefficient) lies in (lo/scale, hi/scale]; False when this is not proved.
 
@@ -443,6 +486,12 @@ def _holds_top_root(coeffs: tuple[int, ...], lo: int, hi: int, scale: int) -> bo
     Taylor shift P(hi + s) has no negative coefficient.  By Descartes' rule
     of signs the shift has no positive root, so p has no real root above
     hi/scale, and p(lo/scale) < 0 <= p(hi/scale) puts a root in the cell.
+
+    ``short`` is a numerator x0 with lo/scale < x0/2**64 <= hi/scale.  The
+    shift then runs at x0 first, over the 2**64 denominator: no root above
+    x0/2**64 is none above hi/scale either, and p(x0/2**64) >= 0 puts the
+    root in (lo/scale, x0/2**64].  Only when that shift has a negative
+    coefficient does the shift at hi run.
     """
     homog = _homogenised(coeffs, scale)
     at_lo = 0
@@ -450,7 +499,18 @@ def _holds_top_root(coeffs: tuple[int, ...], lo: int, hi: int, scale: int) -> bo
         at_lo = at_lo * lo + c
     if at_lo >= 0:
         return False
-    return all(c >= 0 for c in _taylor_shift(homog, hi))
+    if short is not None and _no_root_above(
+        _homogenised(coeffs, 1 << _GUESS_BITS), short
+    ):
+        return True
+    return _no_root_above(homog, hi)
+
+
+def _no_root_above(homog: list[int], x: int) -> bool:
+    """True when the Taylor shift of the homogenised polynomial P at x has
+    no negative coefficient, so that P has no real root above x (Descartes'
+    rule of signs, with the positive leading coefficient)."""
+    return all(c >= 0 for c in _taylor_shift(homog, x))
 
 
 def _proved_top_cell(coeffs: tuple[int, ...]) -> tuple[int, int] | None:

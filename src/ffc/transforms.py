@@ -4,7 +4,10 @@ The Cauchy transform of a degree-d polynomial is G(x) = p'(x) / (d p(x)),
 evaluated exactly on rationals.  Its inverse K(w), the unique solution of
 G(x) = w to the right of the largest root, is the largest root of
 d w p - p', so it comes from that polynomial's certified max-root bracket
-and only the returned midpoint is floating point.  The root-bound table is
+and only the returned midpoint is floating point.  That polynomial is built
+on integers, from the primitive coefficients of p and the numerator and
+denominator of w, and goes straight to the integer bracket core, with no
+Fraction polynomial in between.  The root-bound table is
 exact end to end: a bracket (lo, hi] of the largest root decides the verdict
 against 2*sqrt(m-1) by exact comparison in Q(sqrt(m-1)) when the bound lies
 outside it, and a Sturm count with quadratic irrational endpoints decides it
@@ -18,11 +21,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .convolution import asym_convolve, m_fold_asym, m_fold_sym, sym_convolve
+from .convolution import (
+    asym_convolve,
+    check_level_budget,
+    m_fold_asym,
+    m_fold_sym,
+    sym_convolve,
+)
 from .errors import ParameterError, PoleError
-from .poly import RatPoly, cauchy_root_bound
+from .poly import RatPoly, _int_primitive, cauchy_root_bound
 from .quadfield import QuadScalar
-from .sturm import count_roots_in, is_real_rooted, max_root_bracket
+from .sturm import (
+    _int_max_root_bracket,
+    _positive_int,
+    count_roots_in,
+    is_real_rooted,
+    max_root_bracket,
+)
 
 
 def cauchy_transform(p: RatPoly, x) -> Fraction:
@@ -42,9 +57,10 @@ def inverse_cauchy(p: RatPoly, w, tol: float = 1e-12) -> float:
     For p with positive leading coefficient, d w p - p' = d p (w - G) has
     exactly one root right of the largest root of p, where G falls from
     +inf to 0, and none beyond it, so K(w) is exactly the largest root of
-    d w p - p'.  It returns the midpoint of the certified ``max_root_bracket``
-    of that polynomial at width tol/2; only the midpoint is floating point.
-    Requires w > 0, a finite tol > 0 and a real-rooted p of degree >= 1.
+    d w p - p'.  That polynomial is built on integers (``_k_poly``) and its
+    certified max-root bracket taken at width tol/2 on them; only the
+    returned midpoint is floating point.  Requires w > 0, a finite tol > 0
+    and a real-rooted p of degree >= 1.
     """
     if not 0 < tol < math.inf:
         raise ParameterError(f"tolerance must be finite and positive, got {tol!r}")
@@ -53,11 +69,24 @@ def inverse_cauchy(p: RatPoly, w, tol: float = 1e-12) -> float:
     w = Fraction(w)
     if w <= 0:
         raise ParameterError("inverse transform needs w > 0")
-    if p.lead < 0:
-        p = p.scale(-1)
-    k_poly = p.scale(p.degree * w) - p.derivative()
-    lo, hi = max_root_bracket(k_poly, Fraction(tol) / 2)
+    lo, hi = _int_max_root_bracket(_k_poly(p, w), Fraction(tol) / 2)
     return float((lo + hi) / 2)
+
+
+def _k_poly(p: RatPoly, w: Fraction) -> tuple[int, ...]:
+    """Primitive integer coefficients, with a positive leading one, of
+    d w p - p' for p made to lead positively and w = a/b > 0.
+
+    With c = ``_positive_int(p)``, b (d w c - c') has the integer entries
+    d a c_i - b (i+1) c_(i+1), and d a c_d on top; that vector is a positive
+    multiple of d w p - p', so its primitive part is that polynomial's.
+    """
+    c = _positive_int(p)
+    d = len(c) - 1
+    da, b = d * w.numerator, w.denominator
+    k = [da * c[i] - b * (i + 1) * c[i + 1] for i in range(d)]
+    k.append(da * c[d])
+    return _int_primitive(tuple(k))
 
 
 @dataclass(frozen=True)
@@ -96,16 +125,18 @@ def check_asym_bound(
     p: RatPoly, q: RatPoly, d: int, w, tol: float = 1e-9
 ) -> BoundReport:
     """Check K of the square-substituted asymmetric convolution against the
-    sum of the square-substituted marginals minus 1/w."""
+    sum of the square-substituted marginals minus 1/w.
+
+    The inputs must be real-rooted with no negative root.  Once the Sturm
+    count has proved them real-rooted, the sign pattern of their
+    coefficients decides the second condition exactly
+    (``_has_negative_root``).
+    """
     w = Fraction(w)
     if not (is_real_rooted(p) and is_real_rooted(q)):
         raise ParameterError("bound check needs real-rooted inputs")
-    for poly in (p, q):
-        if poly.degree < 1:
-            continue
-        floor = -cauchy_root_bound(poly) - 1
-        if count_roots_in(poly, floor, Fraction(0), open_interval=True):
-            raise ParameterError("asym bound check needs nonnegative roots")
+    if _has_negative_root(p) or _has_negative_root(q):
+        raise ParameterError("asym bound check needs nonnegative roots")
     conv = asym_convolve(p, q, d).substitute_square()
     lhs = inverse_cauchy(conv, w)
     rhs = (
@@ -114,6 +145,17 @@ def check_asym_bound(
         - 1.0 / float(w)
     )
     return BoundReport(kind="asym", w=w, lhs=lhs, rhs=rhs, tol=tol)
+
+
+def _has_negative_root(p: RatPoly) -> bool:
+    """True when the real-rooted polynomial p has a negative root.
+
+    Descartes' rule of signs is exact for real-rooted polynomials, so p has
+    as many negative roots, with multiplicity, as the coefficients of
+    p(-x), (-1)**k c_k, have sign variations: none exactly when the nonzero
+    ones share one sign.
+    """
+    return len({(c > 0) == (k % 2 == 0) for k, c in enumerate(p.coeffs) if c}) > 1
 
 
 def matching_nontrivial_poly(d: int) -> RatPoly:
@@ -135,7 +177,9 @@ def bip_matching_nontrivial_poly(d: int) -> RatPoly:
 def matching_fold(kind: str, m: int, d: int) -> RatPoly:
     """The m-fold convolution, at level d - 1, of one perfect matching's
     nontrivial polynomial: symmetric kind ("sym") on d vertices, or
-    rectangular kind ("asym") across a (d, d) bipartition, squared back up."""
+    rectangular kind ("asym") across a (d, d) bipartition, squared back up.
+    A level past ``MAX_LEVEL`` is refused before the polynomial is built."""
+    check_level_budget(d - 1)
     if kind == "sym":
         return m_fold_sym(matching_nontrivial_poly(d), m, d - 1)
     return m_fold_asym(bip_matching_nontrivial_poly(d), m, d - 1).substitute_square()

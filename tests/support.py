@@ -25,7 +25,6 @@ from ffc import (
     SwapProgram,
     as_quad,
     dilation,
-    cauchy_root_bound,
     count_roots_in_mult,
     deflate_trivial,
     leaf_distribution,
@@ -441,6 +440,12 @@ def m_fold_oracle(p: RatPoly, m: int, d: int, squared: bool) -> RatPoly:
 # Cauchy interval, and the inverse Cauchy transform bisected on Fractions.
 
 
+def cauchy_root_bound_oracle(p: RatPoly) -> Fraction:
+    """1 + max |c_i| / |c_n| compared on Fractions, as the bound was before
+    it was read off the primitive integer coefficients."""
+    return 1 + max(abs(c) for c in p.coeffs[:-1]) / abs(p.lead)
+
+
 def max_root_bracket_oracle(p: RatPoly, width=Fraction(1, 1024)) -> tuple:
     """(lo, hi] from bisecting (-B-1, B] with Sturm counts until hi - lo <= width.
 
@@ -448,7 +453,7 @@ def max_root_bracket_oracle(p: RatPoly, width=Fraction(1, 1024)) -> tuple:
     variations V; V(hi) is kept from the step that set hi.
     """
     chain = sturm_chain(p)
-    bound = cauchy_root_bound(p)
+    bound = cauchy_root_bound_oracle(p)
     lo, hi = -bound - 1, bound
     at_hi = chain.variations_right(hi)
     if chain.variations_right(lo) == at_hi:
@@ -497,6 +502,25 @@ def inverse_cauchy_oracle(p: RatPoly, w, tol: float = 1e-12) -> float:
         else:
             hi = mid
     return float((lo + hi) / 2)
+
+
+def k_poly_oracle(p: RatPoly, w) -> RatPoly:
+    """d w p - p' built from Fraction polynomials, with p made to lead
+    positively: the polynomial ``inverse_cauchy`` bracketed before it was
+    built on integers."""
+    if p.lead < 0:
+        p = p.scale(-1)
+    return p.scale(p.degree * Fraction(w)) - p.derivative()
+
+
+def has_negative_root_oracle(p: RatPoly) -> bool:
+    """A Sturm count of the roots in (-B-1, 0), B the Cauchy bound: how
+    ``check_asym_bound`` refused negative roots before it read the sign
+    pattern of the coefficients."""
+    if p.degree < 1:
+        return False
+    floor = -cauchy_root_bound_oracle(p) - 1
+    return count_roots_in(p, floor, Fraction(0), open_interval=True) > 0
 
 
 # The Fraction gcd and Yun's square-free decomposition, which the library
@@ -634,7 +658,7 @@ def compare_max_roots_oracle(p: RatPoly, q: RatPoly) -> int:
     sp, sq = squarefree_part(p), squarefree_part(q)
     s = squarefree_part(sp * sq)
     chain = sturm_chain(s)
-    bound = cauchy_root_bound(s)
+    bound = cauchy_root_bound_oracle(s)
     lo, hi = -bound - 1, bound
     if chain.count_half_open(lo, hi) == 0:
         raise ParameterError("max-root comparison needs real roots")

@@ -86,6 +86,11 @@ class TestConvolve:
         code, _, err = run(capsys, "convolve", "--p", "1,,2", "--q", "1")
         assert code == 2
 
+    def test_oversized_level_is_refused_up_front(self):
+        proc = run_cli_with_timeout("convolve", "--p", "1,0,-1", "--q", "1,0,-1", "--level", "100000000")
+        assert proc.returncode == 3
+        assert proc.stderr == "budget exceeded: convolution level 100000000 exceeds the budget of 1024\n"
+
 
 class TestTable:
     def test_small_grid_tsv(self, capsys):
@@ -313,6 +318,12 @@ class TestExpected:
     def test_bipartite_single_pair(self, capsys):
         code, out, _ = run(capsys, "expected", "--mode", "bipartite", "--d", "1", "--m", "3")
         assert (code, out) == (0, "x^2 - 9\n")
+
+    @pytest.mark.parametrize("mode", ["plain", "bipartite"])
+    def test_oversized_size_is_refused_up_front(self, mode):
+        proc = run_cli_with_timeout("expected", "--mode", mode, "--d", "2000000", "--m", "3")
+        assert proc.returncode == 3
+        assert proc.stderr == "budget exceeded: convolution level 1999999 exceeds the budget of 1024\n"
 
 
 class TestUsage:

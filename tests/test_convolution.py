@@ -2,12 +2,15 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ffc.transforms
 from ffc import (
+    BudgetError,
     ParameterError,
     RatPoly,
     asym_convolve,
@@ -18,7 +21,8 @@ from ffc import (
     m_fold_sym,
     sym_convolve,
 )
-from ffc.convolution import _from_series, _series
+from ffc.convolution import MAX_LEVEL, _from_series, _series
+from ffc.transforms import matching_fold
 from support import (
     convolve_oracle,
     fractions_st,
@@ -218,3 +222,36 @@ class TestSeriesRoundTrip:
         # degree 3 at level d: the leading d - 3 entries are zero
         assert s[: d - 3] == [0] * (d - 3) and s[d - 3] != 0
         assert _from_series(s, den, d, squared) == p
+
+
+class TestLevelBudget:
+    """Levels past MAX_LEVEL are refused before any series is built."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p, d: sym_convolve(p, p, d),
+            lambda p, d: asym_convolve(p, p, d),
+            lambda p, d: m_fold_sym(p, 3, d),
+            lambda p, d: m_fold_asym(p, 3, d),
+        ],
+        ids=["sym_convolve", "asym_convolve", "m_fold_sym", "m_fold_asym"],
+    )
+    def test_kernels_refuse_before_the_series(self, call):
+        p = poly(1, 0, -1)
+        with mock.patch("ffc.convolution._series") as series:
+            with pytest.raises(BudgetError, match="exceeds the budget"):
+                call(p, MAX_LEVEL + 1)
+        assert not series.called
+        call(p, MAX_LEVEL)
+
+    @pytest.mark.parametrize("kind", ["sym", "asym"])
+    def test_matching_fold_refuses_before_the_polynomial(self, kind):
+        with mock.patch.object(ffc.transforms, "matching_nontrivial_poly") as plain, \
+                mock.patch.object(ffc.transforms, "bip_matching_nontrivial_poly") as bip:
+            with pytest.raises(BudgetError):
+                matching_fold(kind, 3, MAX_LEVEL + 2)
+        assert not plain.called and not bip.called
+
+    def test_the_budget_covers_the_largest_table_cells(self):
+        assert MAX_LEVEL >= 8 * 127

@@ -9,8 +9,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ffc import ContractError, RatPoly
-from ffc.poly import to_primitive_int
-from support import fractions_st, real_rooted_st, to_primitive_int_oracle
+from ffc.poly import _int_cauchy_bound, cauchy_root_bound, to_primitive_int
+from support import (
+    cauchy_root_bound_oracle,
+    fractions_st,
+    real_rooted_st,
+    to_primitive_int_oracle,
+)
 
 
 def poly(*descending):
@@ -123,3 +128,22 @@ class TestPrimitiveInt:
         t = ints[-1] / p.lead
         assert t > 0
         assert [Fraction(v) for v in ints] == [t * c for c in p.coeffs]
+
+
+class TestCauchyBound:
+    """The bound read off primitive integer coefficients against the
+    Fraction comparison it replaced."""
+
+    @given(
+        st.lists(fractions_st(max_num=10**6, max_den=10**4), min_size=1, max_size=9),
+        fractions_st(max_num=10**6, max_den=10**4).filter(bool),
+    )
+    def test_integer_bound_is_exact(self, lower, lead):
+        p = RatPoly.from_coeffs(lower + [lead])
+        expected = cauchy_root_bound_oracle(p)
+        assert cauchy_root_bound(p) == expected
+        assert _int_cauchy_bound(to_primitive_int(p)) == expected
+        assert _int_cauchy_bound(to_primitive_int(p.scale(-1))) == expected
+
+    def test_pure_power(self):
+        assert cauchy_root_bound(RatPoly.x_power(4)) == 1

@@ -35,10 +35,15 @@ from ffc.sturm import (
     POS_INF,
     _bisect_max_root,
     _holds_top_root,
+    _homogenised,
+    _no_root_above,
+    _Point,
     _positive_int,
     _proved_top_cell,
     _taylor_shift,
+    _top_root_guess,
 )
+from ffc.transforms import matching_fold
 from support import (
     bisect_max_root_oracle,
     compare_max_roots_oracle,
@@ -593,3 +598,122 @@ class TestTaylorShift:
         lo = int(top) + lo_off
         expected = holds_top_root_oracle(coeffs, lo, lo + span, scale)
         assert _holds_top_root(coeffs, lo, lo + span, scale) == expected
+
+
+def proofs_at_x0_and_hi(p: RatPoly, width: Fraction):
+    """Verdicts of the Descartes proof at x0 and at hi for the cell (lo, hi]
+    that ``max_root_bracket`` checks, whatever the length of its grid's
+    denominator; None when no cell is checked or x0 lies outside it.
+
+    Both proofs need p(lo) < 0; the x0 proof then needs no root above x0,
+    the hi proof none above hi.
+    """
+    with mock.patch.object(
+        ffc.sturm, "_holds_top_root", wraps=ffc.sturm._holds_top_root
+    ) as spy:
+        max_root_bracket(p, width)
+    if not spy.called:
+        return None
+    coeffs, lo, hi, scale, _ = spy.call_args.args
+    gnum, gden = _top_root_guess(coeffs)
+    x0 = Fraction(-((-gnum << 64) // gden) + 1, 1 << 64)
+    lo, hi = Fraction(lo, scale), Fraction(hi, scale)
+    if not lo < x0 <= hi:
+        return None
+    below = _Point(lo).sign_of(coeffs) < 0
+
+    def none_above(t: Fraction) -> bool:
+        return _no_root_above(_homogenised(coeffs, t.denominator), t.numerator)
+
+    return below and none_above(x0), below and none_above(hi)
+
+
+def long_root_st():
+    """Odd numerators over 2**22 to 2**40, so that a product of three or more
+    linear factors has a leading coefficient past 2**64."""
+    return st.builds(
+        lambda a, k: Fraction(2 * a + 1, 2**k),
+        st.integers(min_value=-(2**44), max_value=2**44),
+        st.integers(min_value=22, max_value=40),
+    )
+
+
+class TestShortPointProof:
+    """On real-rooted inputs, the Descartes proof at
+    x0 = ceil(guess * 2**64) / 2**64 + 2**-64 accepts exactly the cells that
+    the proof at hi accepts."""
+
+    @given(
+        st.lists(long_root_st(), min_size=3, max_size=7),
+        st.sampled_from([Fraction(1, 1024), Fraction(1, 10**9), Fraction(1e-12)]),
+    )
+    def test_random_long_leads(self, roots, width):
+        p = RatPoly.from_roots(roots)
+        assert _positive_int(p)[-1] > 2**64
+        proofs = proofs_at_x0_and_hi(p, width)
+        if proofs is not None:
+            assert proofs[0] == proofs[1]
+
+    @given(
+        st.lists(long_root_st(), min_size=3, max_size=5),
+        st.lists(positive_st(), min_size=1, max_size=2),
+        fractions_st(),
+        st.sampled_from([Fraction(1, 1024), Fraction(1, 10**9)]),
+    )
+    def test_long_leads_with_complex_roots(self, roots, offsets, centre, width):
+        # complex roots near the top root can leave sign variations in the
+        # shift at x0 that are gone at hi (the proofs agree only on
+        # real-rooted inputs), but by Budan's theorem never the reverse
+        p = RatPoly.from_roots(roots)
+        for c in offsets:
+            p = p * quadratic(centre, c)
+        proofs = proofs_at_x0_and_hi(p, width)
+        if proofs is not None:
+            assert proofs[1] or not proofs[0]
+
+    @pytest.mark.parametrize("mode", ["sym", "asym"])
+    def test_readme_grid_cells(self, mode):
+        compared = 0
+        for m in range(3, 9):
+            for d in range(4, 25, 2):
+                proofs = proofs_at_x0_and_hi(matching_fold(mode, m, d), Fraction(1, 1024))
+                if proofs is not None:
+                    assert proofs == (True, True)
+                    compared += 1
+        assert compared == 66
+
+    @pytest.mark.parametrize("mode", ["sym", "asym"])
+    def test_largest_table_cells(self, mode):
+        proofs = proofs_at_x0_and_hi(matching_fold(mode, 30, 128), Fraction(1, 1024))
+        assert proofs == (True, True)
+
+    def test_largest_asym_cell_needs_no_bisection(self):
+        # its grid denominator has 1245 bits, so the shift runs at x0 only
+        with mock.patch.object(
+            ffc.sturm, "_bisect_max_root", wraps=ffc.sturm._bisect_max_root
+        ) as bisect, mock.patch.object(
+            ffc.sturm, "_holds_top_root", wraps=ffc.sturm._holds_top_root
+        ) as proof, mock.patch.object(
+            ffc.sturm, "_no_root_above", wraps=ffc.sturm._no_root_above
+        ) as shift:
+            lo, hi = max_root_bracket(matching_fold("asym", 30, 128))
+        assert not bisect.called
+        scale, short = proof.call_args.args[3:]
+        assert scale.bit_length() > 1200 and short is not None
+        assert shift.call_count == 1
+        assert shift.call_args.args[1] == short
+        assert hi - lo <= Fraction(1, 1024)
+
+    @pytest.mark.parametrize("offset", [2, 5, 2**30])
+    def test_x0_past_the_guessed_cell_is_not_used(self, offset):
+        # cells of width 2**-100 are far finer than the 2**-64 grid, so a
+        # guess a few cells below the top root has its x0 above that root;
+        # the proof at x0 would wrongly accept the guessed cell
+        width = Fraction(1, 2**100)
+        p = RatPoly.from_roots([Fraction(1, 3), -2])
+        guess = Fraction(1, 3) - offset * width
+        with mock.patch.object(
+            ffc.sturm, "_top_root_guess",
+            return_value=(guess.numerator, guess.denominator),
+        ):
+            assert max_root_bracket(p, width) == max_root_bracket_oracle(p, width)

@@ -32,10 +32,15 @@ from ffc import (
     ramanujan_bound,
     sym_convolve,
 )
+from ffc.poly import to_primitive_int
 from ffc.serial import dumps, table_to_obj
+from ffc.transforms import _has_negative_root, _k_poly
 from support import (
+    fractions_st,
     grid_matrix,
+    has_negative_root_oracle,
     inverse_cauchy_oracle,
+    k_poly_oracle,
     max_root_bracket_oracle,
     nonneg_rooted_st,
     real_rooted_st,
@@ -101,6 +106,71 @@ class TestInverseCauchyAgainstBisection:
     @given(real_rooted_st(max_degree=5), WEIGHTS, st.sampled_from([1e-3, 1e-6, 1e-9]))
     def test_coarse_tolerances(self, p, w, tol):
         assert abs(inverse_cauchy(p, w, tol) - inverse_cauchy_oracle(p, w, tol)) <= tol
+
+
+class TestIntegerKPoly:
+    """The integer d w p - p' against the Fraction polynomials it replaced."""
+
+    @given(
+        real_rooted_st(max_degree=6),
+        fractions_st(max_num=10**4, max_den=10**3).filter(bool),
+        st.one_of(WEIGHTS, fractions_st(max_num=10**4, max_den=10**3).map(abs).filter(bool)),
+    )
+    def test_matches_the_fraction_route(self, p, c, w):
+        # c of either sign gives both signs of the lead
+        p = p.scale(c)
+        k = _k_poly(p, w)
+        assert k == to_primitive_int(k_poly_oracle(p, w))
+        assert k[-1] > 0
+        assert len(k) == p.degree + 1
+
+
+def sign_pattern_inputs_st():
+    """Real-rooted polynomials times a nonzero constant of either sign: a
+    root at 0 of multiplicity 0 to 3, at most one negative root, the rest
+    positive; constants when there are no roots."""
+    positive = fractions_st(max_num=8, max_den=5).map(abs).filter(bool)
+    negative = positive.map(lambda r: -r)
+    return st.builds(
+        lambda pos, zeros, neg, c: RatPoly.from_roots(pos + [0] * zeros + neg).scale(c),
+        st.lists(positive, max_size=4),
+        st.integers(min_value=0, max_value=3),
+        st.lists(negative, max_size=1),
+        fractions_st().filter(bool),
+    )
+
+
+class TestNegativeRootSignPattern:
+    """The sign pattern of p(-x) against the Sturm count it replaced."""
+
+    @given(sign_pattern_inputs_st())
+    def test_matches_the_sturm_count(self, p):
+        assert _has_negative_root(p) == has_negative_root_oracle(p)
+
+    @pytest.mark.parametrize(
+        "p, negative",
+        [
+            (RatPoly.from_coeffs([Fraction(-3, 2)]), False),
+            (RatPoly.from_roots([0, 0, 0]), False),
+            (RatPoly.from_roots([0, 0, 2, 5]).scale(-1), False),
+            (RatPoly.from_roots([-1, 0, 0, 3]), True),
+            (RatPoly.from_roots([Fraction(-1, 7)]), True),
+        ],
+    )
+    def test_examples(self, p, negative):
+        assert _has_negative_root(p) == has_negative_root_oracle(p) == negative
+
+    @given(sign_pattern_inputs_st())
+    def test_asym_check_refuses_exactly_the_negative_roots(self, p):
+        one = RatPoly.from_roots([1])
+        d = max(p.degree, 1)
+        if has_negative_root_oracle(p):
+            with pytest.raises(ParameterError, match="nonnegative roots"):
+                check_asym_bound(p, one, d, Fraction(1))
+            with pytest.raises(ParameterError, match="nonnegative roots"):
+                check_asym_bound(one, p, d, Fraction(1))
+        elif p.degree >= 1:
+            check_asym_bound(p, one, d, Fraction(1))
 
 
 class TestBoundReports:
