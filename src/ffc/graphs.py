@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import sqrt
 from typing import Iterable, Sequence
 
-from .errors import ContractError, ParameterError
+from .errors import BudgetError, ContractError, ParameterError
 from .matrix import RatMatrix, char_poly, dilation
 from .perms import Permutation, uniform_permutation
 from .poly import RatPoly
@@ -43,6 +43,11 @@ from .sturm import count_roots_in_mult, root_multiplicity_at  # noqa: F401
 from .transforms import ramanujan_bound
 
 MODES = ("bipartite", "nonbipartite")
+
+# The most permutation entries, d * m, that one sampled union may hold.
+# Drawing the largest takes a few seconds; past it a request such as
+# d = 10**8 would exhaust memory before the first permutation is complete.
+MAX_SAMPLE_ENTRIES = 1 << 20
 
 STRICT = "strictly-ramanujan"
 WITH_BOUNDARY = "ramanujan-with-boundary"
@@ -145,16 +150,27 @@ def _gram(n: list[list[int]]) -> list[list[int]]:
     return out
 
 
+def _check_sample_size(mode: str, d: int, m: int) -> None:
+    check_shape(mode, d, m)
+    if d * m > MAX_SAMPLE_ENTRIES:
+        raise BudgetError(
+            f"a union of {m} permutations of {d} points has {d * m} entries, "
+            f"budget allows {MAX_SAMPLE_ENTRIES}"
+        )
+
+
 def sample_nonbipartite(d: int, m: int, rng: SplitMix64) -> MatchingUnion:
-    """Union of m uniform conjugates of the fixed matching on d vertices."""
-    check_shape("nonbipartite", d, m)
+    """Union of m uniform conjugates of the fixed matching on d vertices;
+    refused before any draw past ``MAX_SAMPLE_ENTRIES``."""
+    _check_sample_size("nonbipartite", d, m)
     perms = tuple(uniform_permutation(d, rng) for _ in range(m))
     return MatchingUnion("nonbipartite", d, m, perms)
 
 
 def sample_bipartite(d: int, m: int, rng: SplitMix64) -> MatchingUnion:
-    """Union of m uniform matchings across a (d, d) bipartition."""
-    check_shape("bipartite", d, m)
+    """Union of m uniform matchings across a (d, d) bipartition; refused
+    before any draw past ``MAX_SAMPLE_ENTRIES``."""
+    _check_sample_size("bipartite", d, m)
     perms = tuple(uniform_permutation(d, rng) for _ in range(m))
     return MatchingUnion("bipartite", d, m, perms)
 

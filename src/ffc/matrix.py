@@ -358,7 +358,14 @@ def _grid_sum(grids: Iterable[list[list[int]]]) -> list[list[int]]:
 
 
 def charpoly_int_coeffs(rows: list[list[int]]) -> tuple[int, ...]:
-    """Ascending coefficients of det(xI - A) for an integer matrix A."""
+    """Ascending coefficients of det(xI - A) for an integer matrix A.
+
+    Its only limit is on the modulus: a coefficient bound past the largest
+    listed Mersenne prime raises BudgetError.  Nothing limits its time,
+    which grows with the side cubed and with the bound's length, so callers
+    that take sizes from users refuse them before building the matrix
+    (``search.MAX_SEARCH_SIDE``, for one).
+    """
     bound = 1
     for row in rows:
         sq = sum(map(mul, row, row))

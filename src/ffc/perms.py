@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .config import DEFAULT_SWAP_BUDGET
 from .errors import BudgetError, ParameterError
@@ -121,6 +122,12 @@ class SwapProgram:
     def __len__(self) -> int:
         return len(self.swaps)
 
+    @cached_property
+    def _probs(self) -> tuple[tuple[int, int], ...]:
+        """(numerator, denominator) of each swap's probability, for
+        ``SplitMix64.bernoulli_hits``; computed once per program."""
+        return tuple((sw.prob.numerator, sw.prob.denominator) for sw in self.swaps)
+
 
 def uniform_program(d: int) -> SwapProgram:
     """Program of 2**(d-1) - 1 swaps whose product is uniform on all d!
@@ -149,17 +156,32 @@ def bipartite_uniform_program(d: int) -> SwapProgram:
     return SwapProgram(2 * d, base.swaps + shifted)
 
 
-def sample(program: SwapProgram, rng: SplitMix64) -> Permutation:
-    """Draw one realization of the program's product permutation."""
+def sample(program: SwapProgram, rng: SplitMix64, start: int = 0) -> Permutation:
+    """Draw one realization of the product of the program's swaps from
+    index ``start`` on (the whole program by default).
+
+    The swaps' Bernoulli draws run in one loop on the generator
+    (``SplitMix64.bernoulli_hits``), the same draws in the same order as
+    one ``rng.bernoulli(sw.prob)`` per swap, so images and the generator's
+    final state match; only the fired swaps are then applied.
+    """
+    return Permutation(_sample_image(program, rng, start))
+
+
+def _sample_image(program: SwapProgram, rng: SplitMix64, start: int) -> tuple[int, ...]:
+    """``sample``'s image tuple, for callers that need no ``Permutation``."""
+    if not 0 <= start <= len(program.swaps):
+        raise ParameterError(f"start {start} outside the program's {len(program.swaps)} swaps")
     image = list(range(program.dimension))
     where = list(image)  # where[v] is the position of value v in image
-    for sw in program.swaps:
-        if rng.bernoulli(sw.prob):
-            s, t = sw.s, sw.t
-            i, j = where[s], where[t]
-            image[i], image[j] = t, s
-            where[s], where[t] = j, i
-    return Permutation(tuple(image))
+    swaps = program.swaps
+    for k in rng.bernoulli_hits(program._probs[start:]):
+        sw = swaps[start + k]
+        s, t = sw.s, sw.t
+        i, j = where[s], where[t]
+        image[i], image[j] = t, s
+        where[s], where[t] = j, i
+    return tuple(image)
 
 
 def leaf_distribution(

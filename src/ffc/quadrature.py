@@ -7,10 +7,12 @@ Conjugating the whole sum by P_1^T shows the average is unchanged when P_1 is
 pinned to the identity, so the enumeration walks (d!)**(m-1) tuples.
 
 Every exact average here, and the descent's conditional averages in
-``ffc.search``, runs through one kernel, ``weighted_charpoly_average``: one
+``ffc.search``, runs through one kernel, ``weighted_charpoly_sum``: one
 (image, weight) distribution per summand, the budget checked before any
-work, integer weights over each distribution's common denominator, integer
-characteristic polynomials, and one division at the end.  Rational matrices
+work, integer weights over each distribution's common denominator, and
+integer characteristic polynomials summed on integers.  The averages here
+divide once at the end (``weighted_charpoly_average``); the descent keeps
+the integers and one denominator.  Rational matrices
 clear their denominators once per call.
 
 ``verify_sym_quadrature`` and ``verify_bip_quadrature`` compare such averages
@@ -110,11 +112,31 @@ def weighted_charpoly_average(
     ``dists`` holds one sized collection of (image, weight) pairs per
     summand; ``charpoly`` maps a tuple of images, one per summand, to the
     ascending integer coefficients of det(x I - scale * M) for the summed
-    matrix M of size n.  Work over the budget is refused before any
-    evaluation.  Each distribution's weights are put over their common
-    denominator, so the sum runs on integers and is divided once at the end,
-    coefficient k also by scale**(n - k).  Returns the polynomial and the
-    number of terms.
+    matrix M of size n.  The sum runs on integers (``weighted_charpoly_sum``)
+    and is divided once at the end, coefficient k also by scale**(n - k).
+    Returns the polynomial and the number of terms.
+    """
+    acc, denominator, count = weighted_charpoly_sum(dists, charpoly, max_evals)
+    n = len(acc) - 1
+    poly = RatPoly.from_coeffs(
+        Fraction(c, denominator * scale ** (n - k)) for k, c in enumerate(acc)
+    )
+    return poly, count
+
+
+def weighted_charpoly_sum(
+    dists: Sequence[Iterable[tuple]],
+    charpoly: Callable[[tuple], Sequence[int]],
+    max_evals: int,
+) -> tuple[list[int], int, int]:
+    """The integer core of ``weighted_charpoly_average``: coefficients acc
+    and one positive denominator with sum_k acc[k] x**k / denominator the
+    weighted sum of the polynomials ``charpoly`` returns, and the number of
+    terms.
+
+    Work over the budget is refused before any evaluation.  Each
+    distribution's weights are put over their common denominator, whose
+    product is the denominator, so the sum runs on integers.
     """
     count = math.prod(len(dist) for dist in dists)
     if count > max_evals:
@@ -141,11 +163,7 @@ def weighted_charpoly_average(
             acc = [0] * len(coeffs)
         for k, c in enumerate(coeffs):
             acc[k] += weight * c
-    n = len(acc) - 1
-    poly = RatPoly.from_coeffs(
-        Fraction(c, denominator * scale ** (n - k)) for k, c in enumerate(acc)
-    )
-    return poly, count
+    return acc, denominator, count
 
 
 class _Uniform:

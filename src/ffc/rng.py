@@ -14,16 +14,19 @@ Bernoulli draws with rational probability are exact (no floating point).
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 def mix64(z: int) -> int:
     """Bijective 64-bit finalizer used by the splitmix construction."""
     z &= _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
     return (z ^ (z >> 31)) & _MASK
 
 
@@ -62,13 +65,40 @@ class SplitMix64:
 
     def bernoulli(self, p: Fraction) -> bool:
         """True with probability exactly ``p`` (a rational in [0, 1])."""
-        # a Fraction's denominator is positive, so the range check runs on
-        # integers; p = 0 and p = 1 have denominator 1, and below(1) draws
-        # nothing
-        num, den = p.numerator, p.denominator
-        if num < 0 or num > den:
-            raise ValueError("bernoulli probability must lie in [0, 1]")
-        return self.below(den) < num
+        return bool(self.bernoulli_hits(((p.numerator, p.denominator),)))
+
+    def bernoulli_hits(self, probs: Sequence[tuple[int, int]]) -> list[int]:
+        """Indices k, ascending, at which a draw with probability
+        num_k / den_k comes up True, for the integer pairs (num_k, den_k)
+        in order (each needs 0 <= num_k <= den_k and den_k >= 1).
+
+        Each draw is ``below(den_k) < num_k`` on the same ``next_u64``
+        sequence, so den_k = 1 (probability 0 or 1) draws nothing; the
+        generator step and the masked rejection run inline, in one loop,
+        for the descent's many short suffix draws.
+        """
+        state = self._state
+        hits = []
+        for k, (num, den) in enumerate(probs):
+            if den < 1 or not 0 <= num <= den:
+                self._state = state
+                raise ValueError("bernoulli probability must lie in [0, 1]")
+            if den == 1:
+                if num:
+                    hits.append(k)
+                continue
+            mask = (1 << (den - 1).bit_length()) - 1
+            while True:
+                state = (state + _GAMMA) & _MASK
+                z = ((state ^ (state >> 30)) * _MIX1) & _MASK
+                z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+                v = (z ^ (z >> 31)) & mask
+                if v < den:
+                    break
+            if v < num:
+                hits.append(k)
+        self._state = state
+        return hits
 
     def uniform(self) -> float:
         """Float in [0, 1) with 53 random bits."""

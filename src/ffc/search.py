@@ -4,25 +4,39 @@ Two routes.  ``rejection_search`` samples unions of uniform matchings and
 decides each by the exact integer inertia test ``inertia_verdict``, leaving
 to ``certify`` only the union it returns and the trials the test cannot
 decide; existence holds with nonzero probability, so exhausting the trial
-budget is reported rather than raised.  ``interlacing_descent`` walks the
-random-swap programs realizing the uniform distribution and greedily fixes
-each swap to the branch whose conditional expected characteristic
-polynomial has the smaller largest nontrivial root.  Each conditional is one
-call of ``quadrature.weighted_charpoly_average`` over the per-program suffix
-distributions; each term is ``graphs.union_grid`` of the placed permutation
-images, cached by their multiset and, on a miss, by the grid itself: many
-multisets place one grid (a sampled plain d=6, m=3 descent evaluates about
-800 multisets that make 300-350 grids; the exact plain d=4, m=3 one, 2600
-that make 10), and the multiset key is checked first because building a
-grid on every call costs more than it saves.  Bipartite conditionals
-average char(N N^T) of the d x d Gram matrix and substitute x**2 once.  In
-exact strategy the conditionals are full leaf enumerations and the greedy
-choice provably never increases that root, so the terminal graph beats the
-expected polynomial; this is exponential and meant for tiny sizes.  The
-sampled strategy substitutes per-program empirical suffix distributions.
-These are not products of independent swaps, so the averages form no
-interlacing family and need not be real-rooted, or have any real root; the
-strategy offers no guarantee.
+budget is reported rather than raised.  A trial past ``MAX_SEARCH_SIDE`` or
+``MAX_SEARCH_DEGREE`` is refused before anything is sampled.
+``interlacing_descent`` walks the random-swap programs realizing the
+uniform distribution and greedily fixes each swap to the branch whose
+conditional expected characteristic polynomial has the smaller largest
+nontrivial root.
+
+Each step runs on integers.  A conditional is one call of
+``quadrature.weighted_charpoly_sum`` over the per-program suffix
+distributions: integer coefficients and one denominator, with no RatPoly.
+Each term is ``graphs.union_grid`` of the placed permutation images, cached
+by their multiset and, on a miss, by the grid itself: many multisets place
+one grid (a sampled plain d=6, m=3 descent evaluates about 800 multisets
+that make 300-350 grids; the exact plain d=4, m=3 one, 2600 that make 10),
+and the multiset key is checked first because building a grid on every call
+costs more than it saves.  Bipartite conditionals average char(N N^T) of
+the d x d Gram matrix.  The trivial root is divided out of the integers by
+``graphs._deflate_int``, m in plain mode and m**2 in the Gram variable in
+bipartite mode, before x**2 is substituted; the quotient is exact because
+x - m and y - m**2 are monic.  The two candidates are compared on their
+primitive integer coefficients (``_fired_wins``), by proved top-root cells
+first, and only the winner becomes a RatPoly, for the step's record.
+Sampled suffixes are drawn from a start index of the one program
+(``perms.sample``), with each suffix's Bernoulli trials in one loop on the
+generator.
+
+In exact strategy the conditionals are full leaf enumerations and the
+greedy choice provably never increases that root, so the terminal graph
+beats the expected polynomial; this is exponential and meant for tiny
+sizes.  The sampled strategy substitutes per-program empirical suffix
+distributions.  These are not products of independent swaps, so the
+averages form no interlacing family and need not be real-rooted, or have
+any real root; the strategy offers no guarantee.
 """
 
 from __future__ import annotations
@@ -42,10 +56,10 @@ from .graphs import (
     WITH_BOUNDARY,
     MatchingUnion,
     RamanujanCertificate,
+    _deflate_int,
     _gram,
     certify,
     check_shape,
-    deflate_trivial,
     inertia_verdict,
     sample_bipartite,
     sample_nonbipartite,
@@ -55,22 +69,31 @@ from .matrix import charpoly_int_coeffs
 from .perms import (
     Permutation,
     SwapProgram,
+    _sample_image,
     bipartite_uniform_program,
     leaf_distribution,
-    sample,
     uniform_program,
 )
-from .poly import RatPoly
-from .quadrature import weighted_charpoly_average
+from .poly import RatPoly, _int_primitive
+from .quadrature import weighted_charpoly_sum
 from .rng import SplitMix64, derive_seed
-from .sturm import compare_max_roots, sturm_chain
+from .sturm import _compare_int, _int_chain, _proved_top_cell
 from .transforms import matching_fold
 
 # the search no longer calls these; bench/tracing.py still looks them up in
 # this module, so the names stay importable here
-from .graphs import float_filter  # noqa: F401
+from .graphs import deflate_trivial, float_filter  # noqa: F401
 from .perms import relabel_grid  # noqa: F401
+from .sturm import compare_max_roots  # noqa: F401
 from .transforms import ramanujan_bound  # noqa: F401
+
+
+# The largest side d and degree m a search trial may have.  Each trial runs
+# exact integer work on a d x d matrix (the inertia test and the
+# certificate); at the limit one trial takes about 8 s (plain) and 12 s
+# (bipartite) on one core, and d = 3000 would run for hours.
+MAX_SEARCH_SIDE = 256
+MAX_SEARCH_DEGREE = 32
 
 
 def expected_poly_for_graph_model(mode: str, d: int, m: int) -> RatPoly:
@@ -135,6 +158,12 @@ def rejection_search(
         raise ParameterError(f"unknown mode {mode!r}")
     if max_trials < 1:
         raise ParameterError("need at least one trial")
+    check_shape(mode, d, m)
+    if d > MAX_SEARCH_SIDE or m > MAX_SEARCH_DEGREE:
+        raise BudgetError(
+            f"a search trial at d = {d}, m = {m} exceeds the budget of "
+            f"d <= {MAX_SEARCH_SIDE}, m <= {MAX_SEARCH_DEGREE}"
+        )
     start = time.perf_counter()
     sampler = sample_bipartite if mode == "bipartite" else sample_nonbipartite
     fallbacks = 0
@@ -204,8 +233,8 @@ def _union_image(mode: str, d: int, image: tuple[int, ...]) -> tuple[int, ...]:
 
 class _ConditionalAverager:
     """Exact average of the union's characteristic polynomial over
-    per-program image distributions, cached by the placed image multiset
-    and, on a miss, by the union grid."""
+    per-program image distributions, on integers, cached by the placed image
+    multiset and, on a miss, by the union grid."""
 
     def __init__(self, mode: str, d: int, budgets: Budgets) -> None:
         self.mode = mode
@@ -231,35 +260,63 @@ class _ConditionalAverager:
         self._cache[key] = coeffs
         return coeffs
 
-    def average(self, dists: list[dict[tuple[int, ...], Fraction]]) -> RatPoly:
+    def average(self, dists: list[dict[tuple[int, ...], Fraction]]) -> tuple[list[int], int]:
+        """Integer coefficients, ascending, and one positive denominator of
+        the average: of char(A) in plain mode, and of char(N N^T), in the
+        Gram variable y with char(A)(x) = char(N N^T)(x**2), in bipartite
+        mode."""
         # one term per program image, even where two place the same union
         placed = [
             [(_union_image(self.mode, self.d, img), pr) for img, pr in dist.items()]
             for dist in dists
         ]
         try:
-            poly, terms = weighted_charpoly_average(
+            acc, den, terms = weighted_charpoly_sum(
                 placed, self._charpoly, self.budgets.max_det_evals - self.det_evals
             )
         except BudgetError as exc:
             raise BudgetError(f"conditional {exc}; use strategy='sampled'") from None
         self.det_evals += terms
-        return poly if self.mode == "nonbipartite" else poly.substitute_square()
+        return acc, den
 
 
-def _fired_wins(fired: RatPoly, unfired: RatPoly) -> bool:
+def _conditional_poly(coeffs: tuple[int, ...], den: int, bipartite: bool) -> RatPoly:
+    """The polynomial sum_k coeffs[k] x**k / den, with x**2 substituted in
+    bipartite mode."""
+    poly = RatPoly.from_coeffs(Fraction(c, den) for c in coeffs)
+    return poly.substitute_square() if bipartite else poly
+
+
+def _spread_square(coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    """Coefficients of c(x**2) from those of c(y)."""
+    out = [0] * (2 * len(coeffs) - 1)
+    out[::2] = coeffs
+    return tuple(out)
+
+
+def _fired_wins(fired: tuple[int, ...], unfired: tuple[int, ...]) -> bool:
     """True when the fired branch's conditional has the smaller largest real
-    root; ties go to the unfired branch.
+    root; ties go to the unfired branch.  Both are given by primitive integer
+    coefficients with a positive leading one.
 
     Exact conditionals are real-rooted.  Sampled ones average over empirical
     suffix distributions, which form no interlacing family, and may have no
     real root at all: such a candidate loses, and when neither has one the
-    unfired branch wins.
+    unfired branch wins.  Proved top cells (``sturm._proved_top_cell``) come
+    first.  A proved cell holds a real root, so a candidate's chain is built
+    to count its real roots only when its cell is missing, and
+    ``sturm._compare_int`` then decides from the cells, one chain, or, last,
+    the chain of the product.
     """
-    fired_real = sturm_chain(fired).count_all() > 0
-    if fired_real and sturm_chain(unfired).count_all() > 0:
-        return compare_max_roots(fired, unfired) < 0
-    return fired_real
+    if fired == unfired:
+        return False
+    fired_cell = _proved_top_cell(fired)
+    if fired_cell is None and not _int_chain(fired).count_all():
+        return False
+    unfired_cell = _proved_top_cell(unfired)
+    if unfired_cell is None and not _int_chain(unfired).count_all():
+        return True
+    return _compare_int(fired, unfired, fired_cell, unfired_cell) < 0
 
 
 def interlacing_descent(
@@ -316,25 +373,34 @@ def interlacing_descent(
     averager = _ConditionalAverager(mode, d, budgets)
     identity = tuple(range(program.dimension))
     fixed: list[tuple[int, ...]] = [identity] * m
+    bipartite = mode == "bipartite"
+    # the trivial root: m of char(A), or m**2 of char(N N^T) in bipartite mode
+    trivial = m * m if bipartite else m
 
     def exact_suffix(start_index: int) -> tuple:
         return _suffix_distribution(program, start_index, budgets.max_swaps)
 
     def empirical_suffix(start_index: int, rng: SplitMix64) -> tuple:
-        tail = SwapProgram(program.dimension, program.swaps[start_index:])
-        counts = Counter(sample(tail, rng).image for _ in range(samples_per_program))
+        counts = Counter(
+            _sample_image(program, rng, start_index) for _ in range(samples_per_program)
+        )
         return tuple(
             (img, Fraction(c, samples_per_program)) for img, c in sorted(counts.items())
         )
 
-    def conditional(deciding: int, images: list) -> RatPoly:
+    def conditional(deciding: int, images: list) -> tuple[tuple[int, ...], int]:
         """Average over programs >= ``deciding`` still random (their current
-        suffix composed onto the prefix image), earlier ones fully fixed."""
-        return averager.average([
+        suffix composed onto the prefix image), earlier ones fully fixed,
+        with its trivial root divided out on integers: coefficients and one
+        denominator for ``_conditional_poly``.  Every term's characteristic
+        polynomial has the trivial root, and x - m and y - m**2 are monic,
+        so the quotient is exact."""
+        acc, den = averager.average([
             {images[k]: Fraction(1)} if k < deciding
             else {_compose_images(img, images[k]): pr for img, pr in step_dists[k]}
             for k in range(m)
         ])
+        return _deflate_int(acc, trivial), den
 
     # conditional expectation before any decision, for the descent trace
     if strategy == "exact":
@@ -342,8 +408,7 @@ def interlacing_descent(
     else:
         rng0 = SplitMix64(derive_seed(seed, 0))
         step_dists = [empirical_suffix(0, rng0) for _ in range(m)]
-    bipartite = mode == "bipartite"
-    initial = deflate_trivial(conditional(-1, fixed), m, bipartite)
+    initial = _conditional_poly(*conditional(-1, fixed), bipartite)
 
     steps: list[DescentStep] = []
     for step_index, (i, j) in enumerate(
@@ -368,11 +433,15 @@ def interlacing_descent(
             )
             trial_images = list(fixed)
             trial_images[i] = img
-            poly = conditional(i, trial_images)
-            candidates[fired] = (img, deflate_trivial(poly, m, bipartite))
-        fired = _fired_wins(candidates[True][1], candidates[False][1])
-        fixed[i], deflated = candidates[fired]
-        steps.append(DescentStep(i, j, fired, deflated))
+            coeffs, den = conditional(i, trial_images)
+            # the comparison needs only the roots: the primitive part, in x
+            primitive = _int_primitive(coeffs)
+            candidates[fired] = (
+                img, coeffs, den, _spread_square(primitive) if bipartite else primitive
+            )
+        fired = _fired_wins(candidates[True][3], candidates[False][3])
+        fixed[i], coeffs, den, _ = candidates[fired]
+        steps.append(DescentStep(i, j, fired, _conditional_poly(coeffs, den, bipartite)))
 
     perms = tuple(Permutation(_union_image(mode, d, img)) for img in fixed)
     graph = MatchingUnion(mode, d, m, perms)

@@ -55,9 +55,13 @@ at the right end run.
 Comparisons of largest roots use the same guess and proof.  Each input's
 largest root is proved to lie in a cell of width 2**-63 on the 2**-64 grid;
 disjoint cells give the sign, and equal inputs tie, with no chain built.
-Only when a cell cannot be proved (a top root of even multiplicity, no real
-root, a poor guess) or the two cells overlap does ``compare_max_roots``
-bisect the chain of p*q, as the bracket's fallback does.
+When only one cell is proved (the other input has a top root of even
+multiplicity, no real root, or a simple top root that the shift does not
+certify), one chain of the other input decides unless its largest root
+lies in that cell.  Only then, when neither cell is proved, or when the two
+cells overlap does ``compare_max_roots`` bisect the chain of p*q, as the
+bracket's fallback does.  The work runs on primitive integer coefficients
+(``_compare_int``), which the descent passes directly.
 """
 
 from __future__ import annotations
@@ -236,7 +240,13 @@ class SturmChain:
 
 @lru_cache(maxsize=512)
 def _chain_from_coeffs(coeffs: tuple[Fraction, ...]) -> SturmChain:
-    f0 = to_primitive_int(RatPoly(coeffs))
+    return _int_chain(to_primitive_int(RatPoly(coeffs)))
+
+
+@lru_cache(maxsize=512)
+def _int_chain(f0: tuple[int, ...]) -> SturmChain:
+    """Chain of the nonzero polynomial with primitive integer coefficients
+    ``f0``, for callers that hold integers already."""
     elements = [f0]
     if len(f0) > 1:
         f1 = _int_primitive(_trim(_int_derivative(f0)))
@@ -382,7 +392,8 @@ def _int_max_root_bracket(
     levels = (-(-span * width.denominator // (den * width.numerator)) - 1).bit_length()
     scale = den << levels
     start = -(num + den) << levels
-    guess = _top_root_guess(coeffs)
+    homog64 = _homogenised(coeffs, 1 << _GUESS_BITS)
+    guess = _top_root_guess(coeffs, homog64)
     if guess is not None:
         gnum, gden = guess
         # the j with start + j*span < guess*scale <= start + (j+1)*span
@@ -394,7 +405,7 @@ def _int_max_root_bracket(
             x0 = -((-gnum << _GUESS_BITS) // gden) + 1
             if lo << _GUESS_BITS < x0 * scale <= hi << _GUESS_BITS:
                 short = x0
-        if _holds_top_root(coeffs, lo, hi, scale, short):
+        if _holds_top_root(coeffs, lo, hi, scale, short, homog64=homog64):
             return Fraction(lo, scale), Fraction(hi, scale)
     return _bisect_max_root(RatPoly.from_coeffs(coeffs), bound, width)
 
@@ -421,10 +432,13 @@ def _homogenised(coeffs: tuple[int, ...], scale: int) -> list[int]:
     return out
 
 
-def _top_root_guess(coeffs: tuple[int, ...]) -> tuple[int, int] | None:
+def _top_root_guess(
+    coeffs: tuple[int, ...], homog64: list[int] | None = None
+) -> tuple[int, int] | None:
     """Numerator and denominator of a guess at the largest root of a
     polynomial with positive leading coefficient, or None when floats
-    overflow.
+    overflow.  ``homog64`` is ``_homogenised(coeffs, 2**64)`` when the
+    caller has built it already.
 
     Laguerre's method starts at the Laguerre-Samuelson bound
     mean + sqrt((n-1) * variance) of the roots, at or above the largest root
@@ -448,7 +462,7 @@ def _top_root_guess(coeffs: tuple[int, ...]) -> tuple[int, int] | None:
     except (OverflowError, ValueError):
         return None
     den = 1 << _GUESS_BITS
-    homog = _homogenised(coeffs, den)
+    homog = _homogenised(coeffs, den) if homog64 is None else homog64
     for _ in range(_GUESS_STEPS):
         # P(num), P'(num) and P''(num)/2 for P(y) = den**n * p(y / den)
         v0 = v1 = v2 = 0
@@ -477,7 +491,13 @@ def _top_root_guess(coeffs: tuple[int, ...]) -> tuple[int, int] | None:
 
 
 def _holds_top_root(
-    coeffs: tuple[int, ...], lo: int, hi: int, scale: int, short: int | None = None
+    coeffs: tuple[int, ...],
+    lo: int,
+    hi: int,
+    scale: int,
+    short: int | None = None,
+    *,
+    homog64: list[int] | None = None,
 ) -> bool:
     """True when the largest real root of the polynomial (positive leading
     coefficient) lies in (lo/scale, hi/scale]; False when this is not proved.
@@ -492,16 +512,20 @@ def _holds_top_root(
     x0/2**64 is none above hi/scale either, and p(x0/2**64) >= 0 puts the
     root in (lo/scale, x0/2**64].  Only when that shift has a negative
     coefficient does the shift at hi run.
+
+    ``homog64`` is ``_homogenised(coeffs, 2**64)``, which the library's
+    callers pass on from the guess, so that neither the x0 route nor a
+    scale of 2**64 builds it again.
     """
-    homog = _homogenised(coeffs, scale)
+    if homog64 is None:
+        homog64 = _homogenised(coeffs, 1 << _GUESS_BITS)
+    homog = homog64 if scale == 1 << _GUESS_BITS else _homogenised(coeffs, scale)
     at_lo = 0
     for c in reversed(homog):
         at_lo = at_lo * lo + c
     if at_lo >= 0:
         return False
-    if short is not None and _no_root_above(
-        _homogenised(coeffs, 1 << _GUESS_BITS), short
-    ):
+    if short is not None and _no_root_above(homog64, short):
         return True
     return _no_root_above(homog, hi)
 
@@ -519,14 +543,16 @@ def _proved_top_cell(coeffs: tuple[int, ...]) -> tuple[int, int] | None:
     leading coefficient, or None when no proof is found.
 
     The guess, rounded up to x on the 2**-64 grid, only picks the cell
-    (x - 1, x + 1]; ``_holds_top_root`` proves it on integers.
+    (x - 1, x + 1]; ``_holds_top_root`` proves it on integers, over the
+    vector the guess homogenised.
     """
-    guess = _top_root_guess(coeffs)
+    homog64 = _homogenised(coeffs, 1 << _GUESS_BITS)
+    guess = _top_root_guess(coeffs, homog64)
     if guess is None:
         return None
     num, den = guess
     x = -((-num << _GUESS_BITS) // den)
-    if _holds_top_root(coeffs, x - 1, x + 1, 1 << _GUESS_BITS):
+    if _holds_top_root(coeffs, x - 1, x + 1, 1 << _GUESS_BITS, homog64=homog64):
         return x - 1, x + 1
     return None
 
@@ -633,8 +659,12 @@ def compare_max_roots(p: RatPoly, q: RatPoly) -> int:
 
     Proved cells decide first (``_proved_top_cell``): when p's and q's are
     disjoint, or p has one and q is a multiple of p, no chain is built.
-    Otherwise (no proof, as for a top root of even multiplicity or no real
-    root, or overlapping cells) the chain of p*q is bisected down to its one
+    When only one input has a proved cell (lo, hi], one chain of the other
+    decides: a distinct root above hi makes the other's largest root the
+    larger, and no root in (lo, inf) (no real root at all included) makes
+    it the smaller.  Otherwise (no proof for either, as for top roots of
+    even multiplicity or no real roots, overlapping cells, or a root of the
+    other inside the one cell) the chain of p*q is bisected down to its one
     largest distinct root, and the sign is read off which of p and q have a
     root in that cell.  Either way the verdict rests on integer arithmetic.
     """
@@ -643,25 +673,63 @@ def compare_max_roots(p: RatPoly, q: RatPoly) -> int:
             raise ParameterError("max-root comparison needs nonconstant inputs")
     p_int = _positive_int(p)
     p_cell = _proved_top_cell(p_int)
-    if p_cell is not None:
-        q_int = _positive_int(q)
-        if q_int == p_int:
+    q_int = _positive_int(q)
+    q_cell = p_cell if q_int == p_int else _proved_top_cell(q_int)
+    return _compare_int(p_int, q_int, p_cell, q_cell)
+
+
+def _compare_int(
+    p: tuple[int, ...],
+    q: tuple[int, ...],
+    p_cell: tuple[int, int] | None,
+    q_cell: tuple[int, int] | None,
+) -> int:
+    """``compare_max_roots`` of two nonconstant polynomials with primitive
+    integer coefficients and positive leading ones, given what
+    ``_proved_top_cell`` returned for each."""
+    if p_cell is not None and q_cell is not None:
+        if p == q:
             return 0
-        q_cell = _proved_top_cell(q_int)
-        if q_cell is not None:
-            if p_cell[1] <= q_cell[0]:
-                return -1
-            if q_cell[1] <= p_cell[0]:
-                return 1
-    pq = p * q
-    bound = cauchy_root_bound(pq)
+        if p_cell[1] <= q_cell[0]:
+            return -1
+        if q_cell[1] <= p_cell[0]:
+            return 1
+    elif p_cell is not None:
+        side = _one_sided(p_cell, q)
+        if side:
+            return side
+    elif q_cell is not None:
+        side = _one_sided(q_cell, p)
+        if side:
+            return -side
+    pq = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            pq[i + j] += a * b
+    pq = _int_primitive(tuple(pq))
+    bound = _int_cauchy_bound(pq)
     # bisect (lo, hi] down to the one distinct root of p*q that is largest
-    cell = _top_cell(sturm_chain(pq), -bound - 1, bound, lambda lo, hi, n: n == 1)
+    cell = _top_cell(_int_chain(pq), -bound - 1, bound, lambda lo, hi, n: n == 1)
     if cell is None:
         raise ParameterError("max-root comparison needs real roots")
     lo, hi = cell
-    p_has = sturm_chain(p).count_half_open(lo, hi) >= 1
-    q_has = sturm_chain(q).count_half_open(lo, hi) >= 1
+    p_has = _int_chain(p).count_half_open(lo, hi) >= 1
+    q_has = _int_chain(q).count_half_open(lo, hi) >= 1
     if p_has and q_has:
         return 0
     return 1 if p_has else -1
+
+
+def _one_sided(cell: tuple[int, int], other: tuple[int, ...]) -> int:
+    """Sign of (largest root in the proved cell (lo, hi] / 2**64) minus
+    (largest real root of ``other``), from one chain of ``other``: -1 when
+    it has a distinct root above hi, +1 when it has none above lo (or no
+    real root), 0 when its largest root lies in the cell and the chain
+    cannot tell."""
+    chain = _int_chain(other)
+    at_inf = chain.variations_right(POS_INF)
+    if chain.variations_right(Fraction(cell[1], 1 << _GUESS_BITS)) > at_inf:
+        return -1
+    if chain.variations_right(Fraction(cell[0], 1 << _GUESS_BITS)) == at_inf:
+        return 1
+    return 0

@@ -38,9 +38,10 @@ from ffc import (
     sturm_chain,
     uniform_permutation,
 )
-from ffc.graphs import NOT_RAMANUJAN, STRICT, WITH_BOUNDARY
+from ffc.graphs import NOT_RAMANUJAN, STRICT, WITH_BOUNDARY, _gram, union_grid
 from ffc.matrix import _charpoly_mod, _grid_sum, charpoly_int_coeffs
 from ffc.quadrature import weighted_charpoly_average
+from ffc.search import _union_image
 from ffc.sturm import NEG_INF, POS_INF, _homogenised
 
 
@@ -376,6 +377,21 @@ def dilation_conditional_oracle(d: int, dists) -> tuple[RatPoly, int]:
     )
 
 
+def conditional_average_oracle(mode: str, d: int, dists) -> tuple[RatPoly, int]:
+    """``search._ConditionalAverager.average`` before it returned integers:
+    the RatPoly of ``weighted_charpoly_average`` over the unions' integer
+    characteristic polynomials (of N N^T in bipartite mode, with x**2
+    substituted), and the number of terms."""
+
+    def charpoly(images):
+        grid = union_grid(mode, d, images)
+        return charpoly_int_coeffs(grid if mode == "nonbipartite" else _gram(grid))
+
+    placed = [[(_union_image(mode, d, im), pr) for im, pr in dist.items()] for dist in dists]
+    poly, terms = weighted_charpoly_average(placed, charpoly, max_evals=10**9)
+    return (poly if mode == "nonbipartite" else poly.substitute_square()), terms
+
+
 def mc_oracle(matrices, trials: int, rng) -> tuple[RatPoly, tuple]:
     """Monte Carlo mean and standard errors over Fraction sums."""
     grids = [_fraction_grid(m) for m in matrices]
@@ -676,6 +692,9 @@ def compare_max_roots_oracle(p: RatPoly, q: RatPoly) -> int:
 
 
 def fired_wins_oracle(fired: RatPoly, unfired: RatPoly) -> bool:
+    """``search._fired_wins`` before it took integers and proved cells
+    first: on RatPolys, a chain count of each candidate's real roots, then
+    ``compare_max_roots_oracle``."""
     fired_real = squarefree_sturm_chain(fired).count_all() > 0
     if fired_real and squarefree_sturm_chain(unfired).count_all() > 0:
         return compare_max_roots_oracle(fired, unfired) < 0

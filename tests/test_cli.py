@@ -239,6 +239,15 @@ class TestSampleAndCertify:
         assert code == 2
         assert "version" in err
 
+    def test_oversized_sample_is_refused_up_front(self):
+        # the permutation lists alone would exhaust memory
+        proc = run_cli_with_timeout("sample", "--mode", "plain", "--d", "100000000", "--m", "3")
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            "budget exceeded: a union of 3 permutations of 100000000 points has "
+            "300000000 entries, budget allows 1048576\n"
+        )
+
 
 class TestSearch:
     def test_report_file_recertifies(self, tmp_path, capsys):
@@ -269,6 +278,20 @@ class TestSearch:
             "--max-trials", "4", "--seed", "1",
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "mode, d, m", [("plain", "3000", "3"), ("bipartite", "257", "3"), ("plain", "24", "33")]
+    )
+    def test_oversized_search_is_refused_up_front(self, mode, d, m):
+        # one exact trial at plain d = 3000 would run for hours
+        proc = run_cli_with_timeout(
+            "search", "--mode", mode, "--d", d, "--m", m, "--max-trials", "1"
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            f"budget exceeded: a search trial at d = {d}, m = {m} exceeds the "
+            "budget of d <= 256, m <= 32\n"
+        )
 
 
 class TestDescend:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from ffc import graphs, search
 from ffc import (
+    BudgetError,
     ContractError,
     MatchingUnion,
     ParameterError,
@@ -31,7 +32,14 @@ from ffc import (
     sample_bipartite,
     sample_nonbipartite,
 )
-from ffc.graphs import NOT_RAMANUJAN, STRICT, WITH_BOUNDARY, _gram, inertia_verdict
+from ffc.graphs import (
+    MAX_SAMPLE_ENTRIES,
+    NOT_RAMANUJAN,
+    STRICT,
+    WITH_BOUNDARY,
+    _gram,
+    inertia_verdict,
+)
 from ffc.poly import to_primitive_int
 from support import deflate_trivial_oracle, fractions_st, grid_matrix, sturm_certify
 
@@ -85,6 +93,14 @@ class TestConstruction:
         with pytest.raises(ParameterError):
             sampler(d, m, rng)
         assert rng._state == state
+
+    @pytest.mark.parametrize("sampler", [sample_nonbipartite, sample_bipartite])
+    @pytest.mark.parametrize("d, m", [(MAX_SAMPLE_ENTRIES // 2 + 2, 2), (2, MAX_SAMPLE_ENTRIES // 2 + 1)])
+    def test_samplers_refuse_oversized_unions_before_drawing(self, sampler, d, m):
+        rng = SplitMix64(7)
+        with pytest.raises(BudgetError, match="entries"):
+            sampler(d, m, rng)
+        assert rng._state == 7
 
 
 class TestAdjacency:

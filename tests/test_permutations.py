@@ -167,6 +167,29 @@ class TestSampling:
             assert sample(program, rng) == sample_oracle(program, oracle)
         assert rng.next_u64() == oracle.next_u64()
 
+    @given(
+        st.integers(min_value=2, max_value=6).flatmap(
+            lambda d: swap_program_st(d, max_swaps=12)
+        ),
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.data(),
+    )
+    def test_a_start_index_samples_the_program_tail(self, program, seed, data):
+        """sample(program, rng, start) draws what the rebuilding sampler draws
+        from the program of the swaps from ``start`` on, and leaves the
+        generator in the same state."""
+        start = data.draw(st.integers(min_value=0, max_value=len(program)))
+        tail = SwapProgram(program.dimension, program.swaps[start:])
+        rng, oracle = SplitMix64(seed), SplitMix64(seed)
+        for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+            assert sample(program, rng, start) == sample_oracle(tail, oracle)
+        assert rng._state == oracle._state
+
+    @pytest.mark.parametrize("start", [-1, 8])
+    def test_a_start_outside_the_program_is_refused(self, start):
+        with pytest.raises(ParameterError, match="start"):
+            sample(uniform_program(4), SplitMix64(0), start)
+
 
 UNIT_PROBABILITIES = st.one_of(
     st.fractions(min_value=0, max_value=1, max_denominator=10**6),
@@ -182,6 +205,28 @@ class TestBernoulli:
     def test_draws_match_the_fraction_comparisons(self, seed, ps):
         rng, oracle = SplitMix64(seed), SplitMix64(seed)
         assert [rng.bernoulli(p) for p in ps] == [bernoulli_oracle(oracle, p) for p in ps]
+        assert rng._state == oracle._state
+
+    @given(
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.lists(UNIT_PROBABILITIES, max_size=30),
+    )
+    def test_hits_in_one_loop_match_the_single_draws(self, seed, ps):
+        rng, oracle = SplitMix64(seed), SplitMix64(seed)
+        pairs = [(Fraction(p).numerator, Fraction(p).denominator) for p in ps]
+        assert rng.bernoulli_hits(pairs) == [
+            k for k, p in enumerate(ps) if bernoulli_oracle(oracle, p)
+        ]
+        assert rng._state == oracle._state
+
+    @pytest.mark.parametrize("bad", [(-1, 2), (3, 2), (0, 0), (1, -2)])
+    def test_hits_refuse_a_pair_outside_the_unit_interval(self, bad):
+        # the draws before the bad pair are made, as one bernoulli call each
+        rng, oracle = SplitMix64(7), SplitMix64(7)
+        with pytest.raises(ValueError):
+            rng.bernoulli_hits([(1, 3), (2, 5), bad])
+        oracle.bernoulli(Fraction(1, 3))
+        oracle.bernoulli(Fraction(2, 5))
         assert rng._state == oracle._state
 
     @given(st.fractions().filter(lambda p: p < 0 or p > 1))

@@ -35,12 +35,15 @@ from ffc import (
 )
 from ffc import search
 from ffc.matrix import charpoly_int_coeffs
-from ffc.search import _ConditionalAverager, _compose_images, _fired_wins
+from ffc.graphs import _deflate_int, deflate_trivial
+from ffc.search import _ConditionalAverager, _compose_images, _conditional_poly, _fired_wins
 from ffc.serial import dumps, poly_to_obj, search_report_to_obj
+from ffc.sturm import _positive_int
 from support import (
     bipartite_program_st,
-    compare_max_roots_oracle,
+    conditional_average_oracle,
     dilation_conditional_oracle,
+    fired_wins_oracle,
     grid_matrix,
     swap_average_oracle,
     swap_program_st,
@@ -129,6 +132,31 @@ class TestRejectionSearch:
         fresh = certify(report.graph)
         assert fresh.verdict == report.certificate.verdict == "strictly-ramanujan"
 
+    @pytest.mark.parametrize(
+        "mode, d, m",
+        [
+            ("nonbipartite", search.MAX_SEARCH_SIDE + 2, 3),
+            ("bipartite", search.MAX_SEARCH_SIDE + 1, 3),
+            ("bipartite", 4, search.MAX_SEARCH_DEGREE + 1),
+        ],
+    )
+    def test_oversized_trials_are_refused_before_sampling(self, monkeypatch, mode, d, m):
+        def unreachable(*args):
+            raise AssertionError("sampled past the budget")
+
+        monkeypatch.setattr(search, "sample_bipartite", unreachable)
+        monkeypatch.setattr(search, "sample_nonbipartite", unreachable)
+        with pytest.raises(BudgetError, match="search trial"):
+            rejection_search(mode, d, m, 1, seed=0)
+
+    @pytest.mark.parametrize(
+        "mode, d, m",
+        [("nonbipartite", search.MAX_SEARCH_SIDE, 3), ("bipartite", 6, search.MAX_SEARCH_DEGREE)],
+    )
+    def test_a_trial_at_the_limits_runs(self, mode, d, m):
+        report = rejection_search(mode, d, m, 1, seed=1)
+        assert report.trials_run == 1
+
     def test_exhausted_budget_reports_no_graph(self):
         # every union of three matchings on a single edge pair is aligned
         report = rejection_search("nonbipartite", 2, 3, 5, seed=1)
@@ -174,7 +202,9 @@ class TestInterlacingDescent:
         assert report.certificate == certify(report.graph)
 
     def test_a_conditional_without_real_roots_loses(self):
-        no_real, small, large = poly(1, 0, 1), poly(1, 0, -1), poly(1, 0, -4)
+        no_real, small, large = (
+            _positive_int(poly(1, 0, c)) for c in (1, -1, -4)
+        )
         assert _fired_wins(small, large)
         assert not _fired_wins(large, small)
         assert not _fired_wins(large, large)
@@ -182,8 +212,9 @@ class TestInterlacingDescent:
         assert not _fired_wins(no_real, small)
         assert not _fired_wins(no_real, no_real)
 
-    @given(data=st.data())
-    def test_conditional_average_matches_the_retired_loop(self, data):
+    @staticmethod
+    def draw_conditional(data):
+        """A mode, sizes, swap programs and their leaf distributions."""
         mode = data.draw(st.sampled_from(["bipartite", "nonbipartite"]))
         m = data.draw(st.integers(min_value=1, max_value=3))
         if mode == "nonbipartite":
@@ -199,10 +230,30 @@ class TestInterlacingDescent:
         dists = [
             {p.image: pr for p, pr in leaf_distribution(prog).items()} for prog in progs
         ]
+        return mode, d, m, base, progs, dists
+
+    @given(data=st.data())
+    def test_conditional_average_matches_the_retired_loop(self, data):
+        mode, d, m, base, progs, dists = self.draw_conditional(data)
         averager = _ConditionalAverager(mode, d, Budgets())
         expected, terms = swap_average_oracle([base] * m, progs)
-        assert averager.average(dists) == expected
+        assert _conditional_poly(*averager.average(dists), mode == "bipartite") == expected
         assert averager.det_evals == terms
+
+    @given(data=st.data())
+    def test_integer_deflation_matches_the_fraction_route(self, data):
+        """The trivial root divided out of the integer sum, by m or by m**2
+        in the Gram variable, equals ``deflate_trivial`` of the RatPoly
+        average."""
+        mode, d, m, _, _, dists = self.draw_conditional(data)
+        bipartite = mode == "bipartite"
+        acc, den = _ConditionalAverager(mode, d, Budgets()).average(dists)
+        average, _ = conditional_average_oracle(mode, d, dists)
+        deflated = _deflate_int(acc, m * m if bipartite else m)
+        assert all(type(c) is int for c in deflated)
+        assert _conditional_poly(deflated, den, bipartite) == deflate_trivial(
+            average, m, bipartite
+        )
 
     @given(data=st.data())
     def test_bipartite_conditionals_match_the_dilation_averager(self, data):
@@ -236,7 +287,7 @@ class TestInterlacingDescent:
             dists.append({_compose_images(img, onto): pr for img, pr in outcomes})
         averager = _ConditionalAverager("bipartite", d, Budgets())
         expected, terms = dilation_conditional_oracle(d, dists)
-        assert averager.average(dists) == expected
+        assert _conditional_poly(*averager.average(dists), True) == expected
         assert averager.det_evals == terms
 
     # sha256 of each descent's search-report document and step trace, as the
@@ -266,8 +317,9 @@ class TestInterlacingDescent:
 
     @pytest.mark.parametrize("mode, d", [("nonbipartite", 6), ("bipartite", 3)])
     def test_sampled_descents_match_the_chain_comparison(self, monkeypatch, mode, d):
-        """Comparisons decided by proved cells take the steps that bisecting
-        the square-free chain takes, conditionals without real roots included."""
+        """Comparisons decided by proved cells or one chain take the steps
+        that counting real roots and bisecting the square-free chain take,
+        conditionals without real roots included."""
 
         def traces():
             reports = [
@@ -279,7 +331,11 @@ class TestInterlacingDescent:
             return [(r.initial_deflated, r.steps) for r in reports]
 
         fast = traces()
-        monkeypatch.setattr(search, "compare_max_roots", compare_max_roots_oracle)
+        monkeypatch.setattr(
+            search,
+            "_fired_wins",
+            lambda f, u: fired_wins_oracle(RatPoly.from_coeffs(f), RatPoly.from_coeffs(u)),
+        )
         assert traces() == fast
 
     def test_swap_budget_is_enforced(self):

@@ -6,7 +6,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import ffc.sturm
@@ -37,6 +37,7 @@ from ffc.sturm import (
     _holds_top_root,
     _homogenised,
     _no_root_above,
+    _one_sided,
     _Point,
     _positive_int,
     _proved_top_cell,
@@ -315,17 +316,38 @@ class TestComparisonRoutes:
         assert len(bisections) == 1
 
     def test_top_root_of_even_multiplicity_is_not_proved(self, bisections):
+        # q's cell is proved, and p's chain has a root above it
         p, q = RatPoly.from_roots([-1, 2, 2]), RatPoly.from_roots([0, 1])
         assert proved_cell(p) is None
         assert compare_max_roots(p, q) == compare_max_roots_oracle(p, q) == 1
         assert compare_max_roots(q, p) == -1
-        assert len(bisections) == 2
+        assert bisections == []
 
     def test_input_without_real_roots_is_not_proved(self, bisections):
+        # q's cell is proved, and p's chain has no root above its left end
         p, q = poly(1, 0, 1), RatPoly.from_roots([0, 1])
         assert proved_cell(p) is None
         assert compare_max_roots(p, q) == compare_max_roots_oracle(p, q) == -1
-        assert len(bisections) == 1
+        assert compare_max_roots(q, p) == 1
+        assert bisections == []
+
+    def test_unproved_top_root_below_the_proved_cell(self, bisections):
+        p, q = RatPoly.from_roots([-1, 2]), RatPoly.from_roots([1, 1, -3])
+        assert proved_cell(q) is None
+        assert compare_max_roots(p, q) == compare_max_roots_oracle(p, q) == 1
+        assert compare_max_roots(q, p) == -1
+        assert bisections == []
+
+    @pytest.mark.parametrize("offset, sign", [(0, 0), (Fraction(1, 2**70), -1)])
+    def test_unproved_top_root_inside_the_proved_cell(self, bisections, offset, sign):
+        # a double root within 2**-63 of p's simple top root: the one chain
+        # cannot tell, so the chain of p*q decides
+        p = RatPoly.from_roots([-1, 2])
+        q = RatPoly.from_roots([-3, 2 + offset, 2 + offset])
+        assert proved_cell(q) is None
+        assert compare_max_roots(p, q) == compare_max_roots_oracle(p, q) == sign
+        assert compare_max_roots(q, p) == -sign
+        assert len(bisections) == 2
 
     def test_top_roots_closer_than_the_cells(self, bisections):
         p = RatPoly.from_roots([-3, 1])
@@ -394,6 +416,27 @@ def max_root_pair_st(draw):
     return p, q.scale(draw(st.sampled_from([1, -1])))
 
 
+@st.composite
+def one_proved_pair_st(draw):
+    """p real-rooted, usually with a proved top cell; q with a top root of
+    even multiplicity, complex roots, or no real root at all, each often
+    at or near p's top root, and either input times a constant of either
+    sign."""
+    p = RatPoly.from_roots(draw(st.lists(ROOTS, min_size=1, max_size=4)))
+    kind = draw(st.sampled_from(["even", "complex", "none"]))
+    q = RatPoly.one()
+    if kind == "even":
+        top = draw(ROOTS)
+        q = RatPoly.from_roots([top] * draw(st.sampled_from([2, 4])))
+        q = q * RatPoly.from_roots(draw(st.lists(ROOTS.filter(lambda r: r < top), max_size=2)))
+    elif kind == "complex":
+        q = RatPoly.from_roots(draw(st.lists(ROOTS, min_size=1, max_size=3)))
+    for _ in range(draw(st.integers(min_value=1 if kind != "even" else 0, max_value=2))):
+        q = q * quadratic(draw(st.one_of(ROOTS, fractions_st())), draw(positive_st()))
+    scale = st.sampled_from([1, -3, Fraction(2, 7)])
+    return p.scale(draw(scale)), q.scale(draw(scale))
+
+
 class TestChainOnPItself:
     """The chain of p and p' agrees with the retired square-free chain."""
 
@@ -423,8 +466,21 @@ class TestChainOnPItself:
     @given(max_root_pair_st())
     def test_fired_wins(self, pair):
         p, q = pair
-        assert _fired_wins(p, q) == fired_wins_oracle(p, q)
-        assert _fired_wins(q, p) == fired_wins_oracle(q, p)
+        p_int, q_int = _positive_int(p), _positive_int(q)
+        assert _fired_wins(p_int, q_int) == fired_wins_oracle(p, q)
+        assert _fired_wins(q_int, p_int) == fired_wins_oracle(q, p)
+
+    @given(one_proved_pair_st())
+    def test_one_sided_comparison(self, pair):
+        """One proved cell and one chain of the other input: every decision
+        the chain makes agrees with the square-free chain oracle."""
+        p, q = pair
+        p_cell = proved_cell(p)
+        assume(p_cell is not None)
+        expected = compare_max_roots_oracle(p, q)
+        assert compare_max_roots(p, q) == expected
+        assert compare_max_roots(q, p) == -expected
+        assert _one_sided(p_cell, _positive_int(q)) in (0, expected)
 
     def test_shared_top_root_of_higher_multiplicity_ties(self):
         p = RatPoly.from_roots([3, 3, -1])
