@@ -5,9 +5,11 @@ and matrices live over the rationals, root locations are decided by Sturm
 counts on the integer remainder sequence of p and p' (no square-free part;
 multiplicities come from the tower of such chains of p, gcd(p, p'), ...)
 with endpoints in a real quadratic extension or, for the real spectra of the
-certifier, by Descartes counts on integer Taylor shifts, and floating point
-appears only in clearly-marked estimators (inverse Cauchy transforms,
-Fourier sweeps) that never decide a verdict.
+certifier, by Descartes counts on integer Taylor shifts.  Floats remain in
+the Laguerre step that picks which cell to prove holds a largest root, the
+``inverse_cauchy`` midpoints and ``BoundReport.passed``, which compares them
+with a tolerance (the one verdict still decided on floats), the uncalled
+float screen, Monte Carlo standard errors, and decimal renderings.
 """
 
 from .config import DEFAULT_BUDGETS, PACKAGE_VERSION, Budgets

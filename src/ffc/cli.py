@@ -30,6 +30,7 @@ from .matrix import RatMatrix
 from .perms import RandomSwap, SwapProgram
 from .poly import RatPoly
 from .quadrature import (
+    check_quadrature_budget,
     expected_charpoly_swaps,
     fourier_degree_test,
     random_doubly_regular,
@@ -204,6 +205,8 @@ def _cmd_verify(args) -> int:
         raise ParameterError("swap programs need dimension at least 2")
     if args.swaps < 0:
         raise ParameterError("swap count must be nonnegative")
+    if args.what == "quadrature":
+        check_quadrature_budget(args.d, args.bipartite)
     failures = 0
     for t in range(args.trials):
         rng = SplitMix64(derive_seed(seed, t))
@@ -223,7 +226,7 @@ def _cmd_verify(args) -> int:
             b = _random_int_matrix(args.d, rng)
             report = fourier_degree_test(a, b)
             ok = report.passed
-            detail = f"tail={report.max_tail_relative:.3g}"
+            detail = "q(-4..4)=" + ",".join(map(str, report.samples))
         else:  # swapreal
             mats = [
                 random_regular_symmetric(args.d, rng),

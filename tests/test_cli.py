@@ -148,6 +148,22 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "fourier", "--d", "4", "--trials", "3", "--seed", "5")
         assert code == 0
 
+    @pytest.mark.parametrize("d", ["1", "0", "-1"])
+    def test_quadrature_below_side_two_is_a_usage_error(self, capsys, d):
+        code, out, err = run(capsys, "verify", "quadrature", "--d", d)
+        assert (code, out, err) == (2, "", "error: need dimension at least 2\n")
+
+    @pytest.mark.parametrize("mode", [[], ["--bipartite"]])
+    def test_oversized_quadrature_is_refused_up_front(self, mode):
+        # two 2000 x 2000 Fraction matrices would be drawn and checked first
+        proc = run_cli_with_timeout("verify", "quadrature", *mode, "--d", "2000", "--trials", "1")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"budget exceeded: enumeration needs more than {sys.maxsize} "
+            "determinant evaluations, budget allows 10000000\n"
+        )
+
     def test_swap_real_rootedness_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "swapreal", "--d", "3", "--trials", "3", "--seed", "7")
         assert code == 0

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from ffc import (
     BudgetError,
     Budgets,
+    ParameterError,
     Permutation,
     RandomSwap,
     RatPoly,
@@ -29,13 +31,18 @@ from ffc import (
     verify_bip_quadrature,
     verify_sym_quadrature,
 )
-from ffc import RatMatrix
+from ffc import RatMatrix, derive_seed, quadrature
+from ffc.quadrature import check_quadrature_budget
+from ffc.cli import _random_int_matrix
 from support import (
     bip_pair_average_oracle,
+    criterion_09_pairs,
+    fourier_float_oracle,
     fractions_st,
     grid_matrix,
     mc_oracle,
     perm_average_oracle,
+    rotated_det_oracle,
     square_grids_st,
     swap_average_oracle,
     swap_program_st,
@@ -206,12 +213,27 @@ class TestKernelAgainstRetiredLoops:
         assert (out.poly, out.stderr) == mc_oracle(mats, trials, SplitMix64(seed))
 
     def test_over_budget_enumeration_is_refused_up_front(self):
-        # 21! does not fit a machine word; the refusal still comes first
+        # 21! does not fit a machine word; the refusal still comes first and
+        # says the count is past the clamp of len(), as does its square in
+        # bipartite mode; 20! fits and is named
         big = RatMatrix.identity(21)
-        with pytest.raises(BudgetError):
+        clamp = rf"needs more than {sys.maxsize} determinant"
+        with pytest.raises(BudgetError, match=clamp):
             expected_charpoly_perm([big, big])
-        with pytest.raises(BudgetError):
+        with pytest.raises(BudgetError, match=clamp):
             verify_bip_quadrature(big, big)
+        with pytest.raises(BudgetError, match=r"needs 2432902008176640000 determinant"):
+            expected_charpoly_perm([RatMatrix.identity(20)] * 2)
+
+    @pytest.mark.parametrize("bipartite, fits, over", [(False, 10, 11), (True, 6, 7)])
+    def test_quadrature_budget_needs_no_matrix(self, bipartite, fits, over):
+        check_quadrature_budget(fits, bipartite)
+        count = math.factorial(over) ** (1 + bipartite)
+        with pytest.raises(BudgetError, match=rf"needs {count} determinant"):
+            check_quadrature_budget(over, bipartite)
+        # 10**9! is never formed
+        with pytest.raises(BudgetError, match=rf"needs more than {sys.maxsize} "):
+            check_quadrature_budget(10**9, bipartite)
 
 
 class TestMonteCarlo:
@@ -231,26 +253,111 @@ class TestMonteCarlo:
         assert out.stderr[-1] == 0.0
 
 
+def verify_fourier_inputs():
+    """The pairs ``ffc verify fourier --d D --trials 5 --seed S`` draws, for
+    every S in 0..20 and D in 2..6: 525 pairs."""
+    for seed in range(21):
+        for d in range(2, 7):
+            for trial in range(5):
+                rng = SplitMix64(derive_seed(seed, trial))
+                yield _random_int_matrix(d, rng), _random_int_matrix(d, rng)
+
+
+def rotations_rotated_sum(*planes):
+    """A stand-in for ``quadrature._rotated_sum`` whose G is the product of
+    rotations by theta of the given coordinate planes, the last applied
+    first; its multiplier is (1 + t**2)**(2 * len(planes))."""
+
+    def rotated_sum(a, b, t):
+        w = 1 + t * t
+        d = len(a)
+        h = RatMatrix.identity(d)
+        for i, j in planes:
+            step = [[w * (r == c) for c in range(d)] for r in range(d)]
+            step[i][i] = step[j][j] = 1 - t * t
+            step[i][j], step[j][i] = -2 * t, 2 * t
+            h = h @ RatMatrix.from_rows(step)
+        k = w ** (2 * len(planes))
+        n = RatMatrix.from_rows(a).scale(k) + h @ RatMatrix.from_rows(b) @ h.transpose()
+        return [[int(v) for v in row] for row in n.rows], k
+
+    return rotated_sum
+
+
+def sweep_values(a, b):
+    """q(t) = det(A + G B G^T) * (1 + t**2)**2 at t = -4..4, on Fractions."""
+    return tuple(rotated_det_oracle(a, b, t) * (1 + t * t) ** 2 for t in range(-4, 5))
+
+
 class TestFourier:
     def test_identity_pair_is_constant_in_the_angle(self):
+        # det(I + G I G^T) = 2**3 at every angle
         report = fourier_degree_test(RatMatrix.identity(3), RatMatrix.identity(3))
         assert report.passed
-        assert all(mag < 1e-12 for mag in report.magnitudes[1:])
+        assert report.samples == tuple(8 * (1 + t * t) ** 2 for t in range(-4, 5))
 
     def test_identically_singular_pair_passes(self):
-        # det(0 + G diag(0, 1, 1) G^T) is zero for every angle, so every
-        # sampled coefficient is rounding noise; noise must not fail the test.
+        # det(0 + G diag(0, 1, 1) G^T) is zero for every angle
         b = grid_matrix([[0, 0, 0], [0, 1, 0], [0, 0, 1]])
         report = fourier_degree_test(grid_matrix([[0] * 3] * 3), b)
-        assert max(report.magnitudes) < 1e-12
+        assert report.samples == (0,) * 9
         assert report.passed
-        assert report.max_tail_relative <= 1e-8
 
     @given(symmetric_grid_st(3), symmetric_grid_st(3))
     def test_high_harmonics_vanish(self, a, b):
         report = fourier_degree_test(a, b)
         assert report.passed
-        assert report.max_tail_relative <= 1e-8
+        assert report.samples == sweep_values(a, b)
+
+    @given(data=st.data())
+    def test_rational_pairs_match_the_fraction_sweep(self, data):
+        d = data.draw(st.integers(min_value=2, max_value=4))
+        a, b = data.draw(square_grids_st(fractions_st(), d, 2))
+        report = fourier_degree_test(a, b)
+        assert report.passed
+        assert report.samples == sweep_values(a, b)
+
+    def test_exact_and_float_probes_agree(self):
+        pairs = list(verify_fourier_inputs()) + criterion_09_pairs()
+        assert len(pairs) == 545
+        for a, b in pairs:
+            assert fourier_degree_test(a, b).passed
+            assert fourier_float_oracle(a, b)
+
+    def test_the_stand_in_rotation_reproduces_the_sweep(self, monkeypatch):
+        a, b = criterion_09_pairs()[1]
+        expected = fourier_degree_test(a, b)
+        monkeypatch.setattr(quadrature, "_rotated_sum", rotations_rotated_sum((0, 1)))
+        assert fourier_degree_test(a, b) == expected
+
+    def test_two_overlapping_planes_fail(self, monkeypatch):
+        # G rotates the plane (0, 1), then (1, 2)
+        monkeypatch.setattr(quadrature, "_rotated_sum", rotations_rotated_sum((1, 2), (0, 1)))
+        # criterion 9's pairs of side 3 and more; side 2 has no plane (1, 2)
+        pairs = [(a, b) for a, b in criterion_09_pairs() if a.nrows >= 3]
+        assert len(pairs) == 16
+        for a, b in pairs:
+            assert not fourier_degree_test(a, b).passed
+
+    def test_a_fourth_harmonic_fails(self, monkeypatch):
+        # rotating by 2 theta keeps q = P_8 / (1 + t**2)**2 within the
+        # a-priori bound, but moves the second harmonic to the fourth
+        monkeypatch.setattr(quadrature, "_rotated_sum", rotations_rotated_sum((0, 1), (0, 1)))
+        for a, b in criterion_09_pairs():
+            assert not fourier_degree_test(a, b).passed
+
+    @pytest.mark.parametrize("k", range(9))
+    def test_nine_values_fit_degree_four_only_from_degree_four(self, k):
+        # t**k at -4..4, and the same values off by one at t = 4
+        values = [t**k for t in range(-4, 5)]
+        assert quadrature._fits_degree_four(values) == (k <= 4)
+        assert not quadrature._fits_degree_four(values[:-1] + [values[-1] + 1])
+
+    def test_small_or_mismatched_sides_are_refused(self):
+        with pytest.raises(ParameterError):
+            fourier_degree_test(RatMatrix.identity(1), RatMatrix.identity(1))
+        with pytest.raises(ParameterError):
+            fourier_degree_test(RatMatrix.identity(2), RatMatrix.identity(3))
 
 
 class TestRankTwo:
