@@ -12,7 +12,7 @@ with a tolerance (the one verdict still decided on floats), the uncalled
 float screen, Monte Carlo standard errors, and decimal renderings.
 """
 
-from .config import DEFAULT_BUDGETS, PACKAGE_VERSION, Budgets
+from .config import PACKAGE_VERSION
 from .convolution import asym_convolve, m_fold_asym, m_fold_sym, sym_convolve
 from .errors import BudgetError, ContractError, ParameterError, PoleError
 from .graphs import (

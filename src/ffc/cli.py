@@ -4,13 +4,18 @@ Subcommands: convolve, expected, verify, bound, table, sample, certify,
 search, descend.  Exit status is 0 on success, 1 when a requested check or
 search fails on the merits (a not-ramanujan verdict, a failed identity, an
 exhausted trial budget), 2 on usage or parameter errors, and 3 when a
-resource budget refuses the work.
+resource budget refuses the work.  The budgets are module constants, not
+options: the enumeration budgets ``config.MAX_DET_EVALS`` and
+``config.MAX_SWAPS``, and size limits such as ``search.MAX_SEARCH_SIDE``,
+``quadrature.MAX_PROBE_SIDE`` and ``MAX_TABLE_CELLS`` below.  A command
+whose size alone exceeds one is refused before any matrix is drawn.
 
 Polynomials on the command line are comma-separated rational coefficients in
 descending order ("1,0,-1" is x^2 - 1).  Ranges are "lo..hi" with an optional
 ":step".  Seeds are unsigned 64-bit integers; every randomized command is
 deterministic given its seed.  Files written via --out get a sibling
-.manifest.json recording argv, seed, budgets, version, and output digests.
+.manifest.json recording argv, seed, the two enumeration budgets, version,
+and output digests.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .config import DEFAULT_BUDGETS, PACKAGE_VERSION
+from .config import PACKAGE_VERSION
 from .convolution import asym_convolve, sym_convolve
 from .errors import BudgetError, ContractError, ParameterError
 from .graphs import certify as certify_graph
@@ -30,6 +35,7 @@ from .matrix import RatMatrix
 from .perms import RandomSwap, SwapProgram
 from .poly import RatPoly
 from .quadrature import (
+    check_probe_side,
     check_quadrature_budget,
     expected_charpoly_swaps,
     fourier_degree_test,
@@ -123,7 +129,6 @@ def _emit(args, text: str, primary_name: str) -> None:
     manifest = manifest_obj(
         argv=args.argv,
         seed=getattr(args, "seed", None),
-        budgets=DEFAULT_BUDGETS,
         outputs={Path(args.out).name: digest},
         wall_time=time.perf_counter() - args.t0,
     )
@@ -207,6 +212,8 @@ def _cmd_verify(args) -> int:
         raise ParameterError("swap count must be nonnegative")
     if args.what == "quadrature":
         check_quadrature_budget(args.d, args.bipartite)
+    else:
+        check_probe_side(args.d)
     failures = 0
     for t in range(args.trials):
         rng = SplitMix64(derive_seed(seed, t))

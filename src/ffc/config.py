@@ -1,31 +1,18 @@
-"""Resource budgets and the package version.
+"""The package version and the two enumeration budgets.
 
-Budgets bound how much exact enumeration a single call may perform.  They are
-deliberately coarse: an operation either fits and runs to completion, or it
-raises BudgetError before doing any heavy work.
+The budgets bound how much exact enumeration a single call may perform:
+``MAX_DET_EVALS`` the characteristic-polynomial (determinant) evaluations of
+one enumeration, and ``MAX_SWAPS`` the length of a swap program whose leaf
+distribution is expanded exactly.  They are deliberately coarse: an
+operation either fits and runs to completion, or it raises BudgetError
+before doing any heavy work.  Modules read them as ``config.MAX_*`` when
+they check, so a patch of this module reaches every check; they are not
+re-exported from ``ffc``, where a copy would not see the patch.  Limits
+that guard one module only (``convolution.MAX_LEVEL``, for one) live in
+that module.
 """
-
-from __future__ import annotations
-
-from dataclasses import dataclass
 
 PACKAGE_VERSION = "0.1.0"
 
-DEFAULT_DET_BUDGET = 10_000_000
-DEFAULT_SWAP_BUDGET = 22
-
-
-@dataclass(frozen=True)
-class Budgets:
-    """Caps for exact enumeration work.
-
-    max_det_evals bounds the number of characteristic-polynomial (determinant)
-    evaluations a single enumeration may perform.  max_swaps bounds the length
-    of a swap program whose leaf distribution is expanded exactly.
-    """
-
-    max_det_evals: int = DEFAULT_DET_BUDGET
-    max_swaps: int = DEFAULT_SWAP_BUDGET
-
-
-DEFAULT_BUDGETS = Budgets()
+MAX_DET_EVALS = 10_000_000
+MAX_SWAPS = 22

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .config import DEFAULT_SWAP_BUDGET
+from . import config
 from .errors import BudgetError, ParameterError
 from .rng import SplitMix64
 
@@ -184,18 +184,17 @@ def _sample_image(program: SwapProgram, rng: SplitMix64, start: int) -> tuple[in
     return tuple(image)
 
 
-def leaf_distribution(
-    program: SwapProgram, budget: int = DEFAULT_SWAP_BUDGET
-) -> dict[Permutation, Fraction]:
+def leaf_distribution(program: SwapProgram) -> dict[Permutation, Fraction]:
     """Exact outcome distribution of the program's product permutation.
 
     Expands swap by swap over the reachable permutations, so cost is
     (number of swaps) * (reachable support), never 2**swaps.  Refuses
-    programs longer than ``budget`` swaps.
+    programs longer than ``config.MAX_SWAPS`` swaps.
     """
-    if len(program.swaps) > budget:
+    if len(program.swaps) > config.MAX_SWAPS:
         raise BudgetError(
-            f"program has {len(program.swaps)} swaps, budget allows {budget}"
+            f"program has {len(program.swaps)} swaps, "
+            f"budget allows {config.MAX_SWAPS}"
         )
     dist: dict[tuple[int, ...], Fraction] = {
         tuple(range(program.dimension)): Fraction(1)

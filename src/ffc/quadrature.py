@@ -27,6 +27,12 @@ two structural facts that drive real-rootedness of swap averages: rotation
 sweeps have no harmonics beyond the second, and conjugation differences
 A - S A S^T have rank at most two and trace zero; both decide exactly.  The
 one float here is the Monte Carlo estimator's standard errors.
+
+Exact work is refused up front: permutation enumerations by their count
+against ``config.MAX_DET_EVALS`` (``check_quadrature_budget`` checks a side
+before any matrix exists), swap programs by their length against
+``config.MAX_SWAPS``, and rotation probes and swap averages by their side
+against ``MAX_PROBE_SIDE`` (``check_probe_side``).
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from itertools import permutations as all_permutations
 from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
 
-from .config import DEFAULT_BUDGETS, Budgets
+from . import config
 from .convolution import asym_convolve, sym_convolve
 from .errors import BudgetError, ContractError, ParameterError
 from .graphs import _gram, deflate_trivial
@@ -53,6 +59,11 @@ from .perms import (
 )
 from .poly import RatPoly
 from .rng import SplitMix64
+
+# The largest side a rotation probe or a swap average may have.  Both run
+# exact integer determinants of the side; a probe at the limit takes about
+# 7 s on one core, and at d = 2000 the two random matrices alone cost seconds.
+MAX_PROBE_SIDE = 64
 
 
 @dataclass(frozen=True)
@@ -208,28 +219,34 @@ def _conjugated_sum_charpoly(grids: list) -> Callable[[tuple], tuple[int, ...]]:
     )
 
 
+def check_probe_side(d: int) -> None:
+    """Refuse a rotation probe or a swap average of side past
+    ``MAX_PROBE_SIDE``.  Cheap, so a caller can run it before drawing a
+    matrix."""
+    if d > MAX_PROBE_SIDE:
+        raise BudgetError(f"side {d} exceeds the budget of {MAX_PROBE_SIDE}")
+
+
 def check_quadrature_budget(d: int, bipartite: bool) -> None:
     """Refuse a quadrature check of side d whose enumeration exceeds the
-    default budget: d! terms, or (d!)**2 in bipartite mode.  Cheap for any
-    d, so a caller can run it before drawing a matrix."""
+    determinant budget: d! terms, or (d!)**2 in bipartite mode.  Cheap for
+    any d, so a caller can run it before drawing a matrix."""
     if d < 2:
         raise ParameterError("need dimension at least 2")
-    _enumeration_size([_Uniform(d)] * (1 + bipartite), DEFAULT_BUDGETS.max_det_evals)
+    _enumeration_size([_Uniform(d)] * (1 + bipartite), config.MAX_DET_EVALS)
 
 
 # -- exact enumeration ------------------------------------------------------------
 
 
-def expected_charpoly_perm(
-    matrices: Sequence[RatMatrix], budgets: Budgets = DEFAULT_BUDGETS
-) -> ExpectedPoly:
+def expected_charpoly_perm(matrices: Sequence[RatMatrix]) -> ExpectedPoly:
     """Exact average of char(sum_i P_i A_i P_i^T) over uniform independent
     permutations, with P_1 pinned to the identity by conjugation invariance."""
     grids, s = _grids(matrices)
     n = len(grids[0])
     dists = [[(tuple(range(n)), 1)]] + [_Uniform(n)] * (len(grids) - 1)
     poly, terms = weighted_charpoly_average(
-        dists, _conjugated_sum_charpoly(grids), budgets.max_det_evals, s
+        dists, _conjugated_sum_charpoly(grids), config.MAX_DET_EVALS, s
     )
     return ExpectedPoly(poly=poly, terms=terms, method="enumeration")
 
@@ -237,23 +254,24 @@ def expected_charpoly_perm(
 def expected_charpoly_swaps(
     matrices: Sequence[RatMatrix],
     programs: Sequence[SwapProgram],
-    budgets: Budgets = DEFAULT_BUDGETS,
 ) -> ExpectedPoly:
     """Exact average of char(sum_i Q_i A_i Q_i^T) with each Q_i drawn from its
-    own swap program, weighted by the exact outcome probabilities."""
+    own swap program, weighted by the exact outcome probabilities.  A side
+    past ``MAX_PROBE_SIDE`` is refused before any work."""
     if len(matrices) != len(programs):
         raise ParameterError("one program per matrix required")
+    check_probe_side(max((m.nrows for m in matrices), default=0))
     grids, s = _grids(matrices)
     n = len(grids[0])
     for prog in programs:
         if prog.dimension != n:
             raise ParameterError("program dimension must match matrix size")
     dists = [
-        [(p.image, pr) for p, pr in leaf_distribution(prog, budgets.max_swaps).items()]
+        [(p.image, pr) for p, pr in leaf_distribution(prog).items()]
         for prog in programs
     ]
     poly, terms = weighted_charpoly_average(
-        dists, _conjugated_sum_charpoly(grids), budgets.max_det_evals, s
+        dists, _conjugated_sum_charpoly(grids), config.MAX_DET_EVALS, s
     )
     return ExpectedPoly(poly=poly, terms=terms, method="swaps")
 
@@ -305,9 +323,7 @@ def expected_charpoly_mc(
 # -- quadrature identity checks -----------------------------------------------------
 
 
-def verify_sym_quadrature(
-    a: RatMatrix, b: RatMatrix, budgets: Budgets = DEFAULT_BUDGETS
-) -> QuadratureReport:
+def verify_sym_quadrature(a: RatMatrix, b: RatMatrix) -> QuadratureReport:
     """Exact check of the symmetric quadrature identity for two symmetric
     constant-row-sum matrices: the permutation average of char(A + P B P^T)
     must equal (x - (ra + rb)) times the symmetric convolution, at level d-1,
@@ -323,7 +339,7 @@ def verify_sym_quadrature(
     ra, rb = a.constant_row_sum(), b.constant_row_sum()
     if ra is None or rb is None:
         raise ContractError("constant row sums required and missing")
-    lhs = expected_charpoly_perm([a, b], budgets)
+    lhs = expected_charpoly_perm([a, b])
     p = deflate_trivial(char_poly(a), ra, bipartite=False)
     q = deflate_trivial(char_poly(b), rb, bipartite=False)
     rhs = RatPoly.from_coeffs([-(ra + rb), 1]) * sym_convolve(p, q, d - 1)
@@ -332,9 +348,7 @@ def verify_sym_quadrature(
     )
 
 
-def verify_bip_quadrature(
-    a: RatMatrix, b: RatMatrix, budgets: Budgets = DEFAULT_BUDGETS
-) -> QuadratureReport:
+def verify_bip_quadrature(a: RatMatrix, b: RatMatrix) -> QuadratureReport:
     """Exact check of the bipartite quadrature identity for two doubly
     regular matrices: the average over permutation pairs (P, S) of
     char([[0, N], [N^T, 0]]) with N = A + P B S^T must equal
@@ -362,7 +376,7 @@ def verify_bip_quadrature(
         return charpoly_int_coeffs(_gram(n))
 
     gram_avg, terms = weighted_charpoly_average(
-        [_Uniform(d), _Uniform(d)], gram_charpoly, budgets.max_det_evals, s * s
+        [_Uniform(d), _Uniform(d)], gram_charpoly, config.MAX_DET_EVALS, s * s
     )
     lhs = gram_avg.substitute_square()
     p = deflate_trivial(char_poly(a @ a.transpose()), ra * ra, bipartite=False)
@@ -406,13 +420,14 @@ def fourier_degree_test(a: RatMatrix, b: RatMatrix) -> FourierReport:
     holds exactly when the fifth differences of q(-4), ..., q(4) vanish:
     P_8 - P_4 (1 + t**2)**2 then has degree at most 8 and nine zeros.  Each
     q(t) is one integer determinant, of ``_rotated_sum``; the report keeps
-    the nine values.
+    the nine values.  A side past ``MAX_PROBE_SIDE`` is refused first.
     """
     if not a.is_square or not b.is_square or a.nrows != b.nrows:
         raise ParameterError("need square matrices of equal size")
     d = a.nrows
     if d < 2:
         raise ParameterError("rotation sweep needs dimension at least 2")
+    check_probe_side(d)
     (ga, gb), s = _clear_denominators([a.rows, b.rows])
     samples = []
     for t in range(-4, 5):

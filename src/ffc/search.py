@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .config import DEFAULT_BUDGETS, Budgets
+from . import config
 from .errors import BudgetError, ParameterError
 from .graphs import (
     MODES,
@@ -77,7 +77,7 @@ from .perms import (
 from .poly import RatPoly, _int_primitive
 from .quadrature import weighted_charpoly_sum
 from .rng import SplitMix64, derive_seed
-from .sturm import _compare_int, _int_chain, _proved_top_cell
+from .sturm import _chain_from_coeffs, _compare_int, _proved_top_cell
 from .transforms import matching_fold
 
 # the search no longer calls these; bench/tracing.py still looks them up in
@@ -207,11 +207,13 @@ def rejection_search(
 
 
 @lru_cache(maxsize=256)
-def _suffix_distribution(program: SwapProgram, start: int, max_swaps: int):
+def _suffix_distribution(program: SwapProgram, start: int):
     """Leaf distribution of the program's swaps from ``start`` on, as a
-    sorted tuple of (image, probability); refused past ``max_swaps`` swaps."""
+    sorted tuple of (image, probability).  The descent refuses a program
+    past ``config.MAX_SWAPS`` swaps before any suffix, so the budget needs
+    no place in the cache key."""
     tail = SwapProgram(program.dimension, program.swaps[start:])
-    dist = leaf_distribution(tail, max_swaps)
+    dist = leaf_distribution(tail)
     return tuple(sorted((p.image, pr) for p, pr in dist.items()))
 
 
@@ -236,10 +238,9 @@ class _ConditionalAverager:
     per-program image distributions, on integers, cached by the placed image
     multiset and, on a miss, by the union grid."""
 
-    def __init__(self, mode: str, d: int, budgets: Budgets) -> None:
+    def __init__(self, mode: str, d: int) -> None:
         self.mode = mode
         self.d = d
-        self.budgets = budgets
         self.det_evals = 0
         self._cache: dict[tuple, tuple] = {}
         self._by_grid: dict[tuple, tuple] = {}
@@ -272,7 +273,7 @@ class _ConditionalAverager:
         ]
         try:
             acc, den, terms = weighted_charpoly_sum(
-                placed, self._charpoly, self.budgets.max_det_evals - self.det_evals
+                placed, self._charpoly, config.MAX_DET_EVALS - self.det_evals
             )
         except BudgetError as exc:
             raise BudgetError(f"conditional {exc}; use strategy='sampled'") from None
@@ -311,10 +312,10 @@ def _fired_wins(fired: tuple[int, ...], unfired: tuple[int, ...]) -> bool:
     if fired == unfired:
         return False
     fired_cell = _proved_top_cell(fired)
-    if fired_cell is None and not _int_chain(fired).count_all():
+    if fired_cell is None and not _chain_from_coeffs(fired).count_all():
         return False
     unfired_cell = _proved_top_cell(unfired)
-    if unfired_cell is None and not _int_chain(unfired).count_all():
+    if unfired_cell is None and not _chain_from_coeffs(unfired).count_all():
         return True
     return _compare_int(fired, unfired, fired_cell, unfired_cell) < 0
 
@@ -326,7 +327,6 @@ def interlacing_descent(
     strategy: str = "exact",
     seed: int = 0,
     samples_per_program: int = 8,
-    budgets: Budgets = DEFAULT_BUDGETS,
 ) -> SearchReport:
     """Fix the swaps of m uniform-permutation programs one at a time, always
     taking the branch whose conditional expectation has the smaller largest
@@ -340,7 +340,8 @@ def interlacing_descent(
     draws (deterministic from the seed) and is only a heuristic.  A program
     too long for the swap budget (exact) or the determinant budget (sampled)
     is refused before it is built, and so are more suffix draws than the
-    determinant budget allows (sampled).
+    determinant budget allows (sampled).  The budgets are
+    ``config.MAX_SWAPS`` and ``config.MAX_DET_EVALS``.
     """
     check_shape(mode, d, m)
     if strategy not in ("exact", "sampled"):
@@ -350,27 +351,27 @@ def interlacing_descent(
     # refuse before building a program of 2**(d-1) - 1 (plain) or 2**d - 2
     # (bipartite) swaps; each step averages two conditionals of >= 1 term
     n_swaps = (1 << (d - 1)) - 1 if mode == "nonbipartite" else (1 << d) - 2
-    if strategy == "exact" and n_swaps > budgets.max_swaps:
+    if strategy == "exact" and n_swaps > config.MAX_SWAPS:
         raise BudgetError(
-            f"program has {n_swaps} swaps, budget allows {budgets.max_swaps}; "
+            f"program has {n_swaps} swaps, budget allows {config.MAX_SWAPS}; "
             "use strategy='sampled'"
         )
-    if strategy == "sampled" and 1 + 2 * m * n_swaps > budgets.max_det_evals:
+    if strategy == "sampled" and 1 + 2 * m * n_swaps > config.MAX_DET_EVALS:
         raise BudgetError(
             f"sampled descent needs at least {1 + 2 * m * n_swaps} determinant "
-            f"evaluations, budget allows {budgets.max_det_evals}"
+            f"evaluations, budget allows {config.MAX_DET_EVALS}"
         )
     # m suffixes drawn before the first step and m per step, each drawn
     # samples_per_program times; each draw counts as one evaluation
     draws = samples_per_program * m * (1 + m * n_swaps)
-    if strategy == "sampled" and draws > budgets.max_det_evals:
+    if strategy == "sampled" and draws > config.MAX_DET_EVALS:
         raise BudgetError(
             f"sampled descent draws {draws} suffixes, determinant budget "
-            f"allows {budgets.max_det_evals}"
+            f"allows {config.MAX_DET_EVALS}"
         )
     start = time.perf_counter()
     program = (uniform_program if mode == "nonbipartite" else bipartite_uniform_program)(d)
-    averager = _ConditionalAverager(mode, d, budgets)
+    averager = _ConditionalAverager(mode, d)
     identity = tuple(range(program.dimension))
     fixed: list[tuple[int, ...]] = [identity] * m
     bipartite = mode == "bipartite"
@@ -378,7 +379,7 @@ def interlacing_descent(
     trivial = m * m if bipartite else m
 
     def exact_suffix(start_index: int) -> tuple:
-        return _suffix_distribution(program, start_index, budgets.max_swaps)
+        return _suffix_distribution(program, start_index)
 
     def empirical_suffix(start_index: int, rng: SplitMix64) -> tuple:
         counts = Counter(

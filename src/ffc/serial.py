@@ -7,21 +7,26 @@ the canonical form emitted by QuadScalar ("1/2+3*sqrt(2)").  Decimal
 renderings, where present, are 15-significant-digit conveniences that always
 sit next to the exact string, never replace it.
 
+Rationals are parsed back (``parse_fraction``); quadratic values are not.
+The only quadratic values documents carry are Ramanujan bounds, each a
+function of m, so a reader compares the string with ``str`` of the bound it
+computes (``_parse_bound``) rather than parse an arbitrary radicand.
+
 Documents carry a version field; readers reject versions they do not know.
-The run manifest records what produced an output file (argv, seed, budgets,
-package version, digests).  Re-running the same command reproduces the
-primary outputs byte for byte, so wall time lives only in the manifest.
+The run manifest records what produced an output file: argv, seed, the
+budgets ``config.MAX_DET_EVALS`` and ``config.MAX_SWAPS``, the package
+version, and digests.  Re-running the same command reproduces the primary
+outputs byte for byte, so wall time lives only in the manifest.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import re
 from fractions import Fraction
 from pathlib import Path
 
-from .config import PACKAGE_VERSION, Budgets
+from . import config
 from .errors import ParameterError
 from .graphs import (
     NOT_RAMANUJAN,
@@ -39,11 +44,6 @@ from .transforms import TableRow, ramanujan_bound
 
 FORMAT_VERSION = 1
 
-_QUAD_RE = re.compile(
-    r"(?:(?P<a>-?\d+(?:/\d+)?)(?P<op>[+-]))?"
-    r"(?P<neg>-)?(?:(?P<mag>\d+(?:/\d+)?)\*)?sqrt\((?P<r>\d+)\)"
-)
-
 
 def decimal_str(x) -> str:
     """15-significant-digit decimal rendering of an exact value."""
@@ -57,23 +57,6 @@ def parse_fraction(s: str) -> Fraction:
         return Fraction(s.strip())
     except (ValueError, ZeroDivisionError):
         raise ParameterError(f"cannot parse rational value {s!r}") from None
-
-
-def parse_quad(s: str) -> QuadScalar:
-    """Inverse of str(QuadScalar); also accepts plain rationals."""
-    if not isinstance(s, str):
-        raise ParameterError(f"quadratic value must be a string, found {s!r}")
-    text = s.strip()
-    if "sqrt" not in text:
-        return as_quad(parse_fraction(text))
-    m = _QUAD_RE.fullmatch(text)
-    if m is None or (m["op"] and m["neg"]):
-        raise ParameterError(f"cannot parse quadratic value {s!r}")
-    a = parse_fraction(m["a"]) if m["a"] else Fraction(0)
-    mag = parse_fraction(m["mag"]) if m["mag"] else Fraction(1)
-    if m["op"] == "-" or m["neg"]:
-        mag = -mag
-    return QuadScalar(a, mag, int(m["r"]))
 
 
 # -- document bodies ---------------------------------------------------------------
@@ -373,7 +356,6 @@ def write_text(path, text: str) -> str:
 def manifest_obj(
     argv: list[str],
     seed: int | None,
-    budgets: Budgets,
     outputs: dict[str, str],
     wall_time: float,
 ) -> dict:
@@ -383,10 +365,10 @@ def manifest_obj(
         "argv": list(argv),
         "seed": seed,
         "budgets": {
-            "max_det_evals": budgets.max_det_evals,
-            "max_swaps": budgets.max_swaps,
+            "max_det_evals": config.MAX_DET_EVALS,
+            "max_swaps": config.MAX_SWAPS,
         },
-        "package_version": PACKAGE_VERSION,
+        "package_version": config.PACKAGE_VERSION,
         "outputs": outputs,
         "wall_time_seconds": decimal_str(wall_time),
     }

@@ -43,7 +43,7 @@ in ``ffc.graphs`` counts roots with it too.
 The bracket runs on primitive integer coefficients from start to finish
 (``_int_max_root_bracket``, which ``ffc.transforms`` calls directly with
 the integer polynomial of K(w)): the Cauchy bound is read off the integers,
-and a RatPoly is built only for the bisection.  The shift's cost grows with
+and the bisection fallback bisects their chain.  The shift's cost grows with
 the length of the denominator it runs over, and the grid's denominator
 carries the Cauchy bound's (1245 bits for the largest asymmetric table
 cell, m=30 and d=128).  So when that denominator is longer than 2**64 and
@@ -239,14 +239,10 @@ class SturmChain:
 
 
 @lru_cache(maxsize=512)
-def _chain_from_coeffs(coeffs: tuple[Fraction, ...]) -> SturmChain:
-    return _int_chain(to_primitive_int(RatPoly(coeffs)))
-
-
-@lru_cache(maxsize=512)
-def _int_chain(f0: tuple[int, ...]) -> SturmChain:
+def _chain_from_coeffs(f0: tuple[int, ...]) -> SturmChain:
     """Chain of the nonzero polynomial with primitive integer coefficients
-    ``f0``, for callers that hold integers already."""
+    ``f0``: the one chain cache, which callers that hold integers already
+    use directly."""
     elements = [f0]
     if len(f0) > 1:
         f1 = _int_primitive(_trim(_int_derivative(f0)))
@@ -262,7 +258,7 @@ def _int_chain(f0: tuple[int, ...]) -> SturmChain:
 def sturm_chain(p: RatPoly) -> SturmChain:
     if p.is_zero:
         raise ParameterError("zero polynomial has no Sturm chain")
-    return _chain_from_coeffs(p.coeffs)
+    return _chain_from_coeffs(to_primitive_int(p))
 
 
 # -- public counting API ---------------------------------------------------------
@@ -307,7 +303,7 @@ def _gcd_tower(p: RatPoly) -> list[SturmChain]:
     chain = sturm_chain(p)
     while len(chain.elements[0]) > 1:
         tower.append(chain)
-        chain = sturm_chain(RatPoly.from_coeffs(chain.elements[-1]))
+        chain = _chain_from_coeffs(chain.elements[-1])
     return tower
 
 
@@ -377,8 +373,7 @@ def _int_max_root_bracket(
     coeffs: tuple[int, ...], width: Fraction
 ) -> tuple[Fraction, Fraction]:
     """``max_root_bracket`` of the nonconstant polynomial with primitive
-    integer coefficients ``coeffs`` and a positive leading one; a RatPoly is
-    built only for the bisection fallback.
+    integer coefficients ``coeffs`` and a positive leading one.
 
     The proof tries the shift at x0 = ceil(guess * 2**64) / 2**64 + 2**-64
     (``_holds_top_root``'s ``short``) only when the grid's denominator is
@@ -407,7 +402,7 @@ def _int_max_root_bracket(
                 short = x0
         if _holds_top_root(coeffs, lo, hi, scale, short, homog64=homog64):
             return Fraction(lo, scale), Fraction(hi, scale)
-    return _bisect_max_root(RatPoly.from_coeffs(coeffs), bound, width)
+    return _bisect_max_root(coeffs, bound, width)
 
 
 _GUESS_STEPS = 100
@@ -581,11 +576,12 @@ def _top_cell(
 
 
 def _bisect_max_root(
-    p: RatPoly, bound: Fraction, width: Fraction
+    coeffs: tuple[int, ...], bound: Fraction, width: Fraction
 ) -> tuple[Fraction, Fraction]:
-    """The same bracket by bisection of (-bound-1, bound] with Sturm counts."""
+    """The same bracket by bisection of (-bound-1, bound] with Sturm counts,
+    for primitive integer coefficients ``coeffs``."""
     cell = _top_cell(
-        sturm_chain(p), -bound - 1, bound, lambda lo, hi, n: hi - lo <= width
+        _chain_from_coeffs(coeffs), -bound - 1, bound, lambda lo, hi, n: hi - lo <= width
     )
     if cell is None:
         raise ParameterError("polynomial has no real roots")
@@ -709,12 +705,12 @@ def _compare_int(
     pq = _int_primitive(tuple(pq))
     bound = _int_cauchy_bound(pq)
     # bisect (lo, hi] down to the one distinct root of p*q that is largest
-    cell = _top_cell(_int_chain(pq), -bound - 1, bound, lambda lo, hi, n: n == 1)
+    cell = _top_cell(_chain_from_coeffs(pq), -bound - 1, bound, lambda lo, hi, n: n == 1)
     if cell is None:
         raise ParameterError("max-root comparison needs real roots")
     lo, hi = cell
-    p_has = _int_chain(p).count_half_open(lo, hi) >= 1
-    q_has = _int_chain(q).count_half_open(lo, hi) >= 1
+    p_has = _chain_from_coeffs(p).count_half_open(lo, hi) >= 1
+    q_has = _chain_from_coeffs(q).count_half_open(lo, hi) >= 1
     if p_has and q_has:
         return 0
     return 1 if p_has else -1
@@ -726,7 +722,7 @@ def _one_sided(cell: tuple[int, int], other: tuple[int, ...]) -> int:
     it has a distinct root above hi, +1 when it has none above lo (or no
     real root), 0 when its largest root lies in the cell and the chain
     cannot tell."""
-    chain = _int_chain(other)
+    chain = _chain_from_coeffs(other)
     at_inf = chain.variations_right(POS_INF)
     if chain.variations_right(Fraction(cell[1], 1 << _GUESS_BITS)) > at_inf:
         return -1

@@ -164,6 +164,25 @@ class TestVerify:
             "determinant evaluations, budget allows 10000000\n"
         )
 
+    @pytest.mark.parametrize("what", ["fourier", "swapreal"])
+    def test_oversized_probe_is_refused_up_front(self, what):
+        # the rotation check would run for hours, and drawing two 2000 x 2000
+        # matrices alone takes seconds
+        proc = run_cli_with_timeout("verify", what, "--d", "2000", "--trials", "1")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == "budget exceeded: side 2000 exceeds the budget of 64\n"
+
+    @pytest.mark.parametrize("what", ["fourier", "swapreal"])
+    def test_a_probe_past_the_side_limit_draws_no_matrix(self, capsys, monkeypatch, what):
+        def no_draw(*args):
+            raise AssertionError("a matrix was drawn past the side limit")
+
+        for name in ("_random_int_matrix", "random_regular_symmetric", "_random_program"):
+            monkeypatch.setattr(cli, name, no_draw)
+        code, out, err = run(capsys, "verify", what, "--d", "65", "--trials", "1")
+        assert (code, out, err) == (3, "", "budget exceeded: side 65 exceeds the budget of 64\n")
+
     def test_swap_real_rootedness_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "swapreal", "--d", "3", "--trials", "3", "--seed", "7")
         assert code == 0

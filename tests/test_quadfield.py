@@ -137,6 +137,8 @@ class TestCanonicalText:
             (QuadScalar(0, -1, 5), "-sqrt(5)"),
             (QuadScalar(Fraction(1, 2), 3, 2), "1/2+3*sqrt(2)"),
             (QuadScalar(Fraction(-1, 3), Fraction(-5, 7), 3), "-1/3-5/7*sqrt(3)"),
+            (as_quad(-7), "-7"),
+            (QuadScalar(2, 1, 7), "2+sqrt(7)"),
         ],
     )
     def test_str(self, value, text):

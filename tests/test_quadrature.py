@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from ffc import (
     BudgetError,
-    Budgets,
     ParameterError,
     Permutation,
     RandomSwap,
@@ -32,7 +31,7 @@ from ffc import (
     verify_sym_quadrature,
 )
 from ffc import RatMatrix, derive_seed, quadrature
-from ffc.quadrature import check_quadrature_budget
+from ffc.quadrature import check_probe_side, check_quadrature_budget
 from ffc.cli import _random_int_matrix
 from support import (
     bip_pair_average_oracle,
@@ -234,6 +233,24 @@ class TestKernelAgainstRetiredLoops:
         # 10**9! is never formed
         with pytest.raises(BudgetError, match=rf"needs more than {sys.maxsize} "):
             check_quadrature_budget(10**9, bipartite)
+
+    def test_probe_side_is_refused_before_any_work(self, monkeypatch):
+        side = quadrature.MAX_PROBE_SIDE
+        check_probe_side(side)
+        with pytest.raises(BudgetError, match=r"side 1000000000 exceeds the budget of 64$"):
+            check_probe_side(10**9)
+
+        def no_work(*args):
+            raise AssertionError("work ran past the side limit")
+
+        monkeypatch.setattr(quadrature, "_clear_denominators", no_work)
+        monkeypatch.setattr(quadrature, "charpoly_int_coeffs", no_work)
+        big = RatMatrix.identity(side + 1)
+        message = rf"side {side + 1} exceeds the budget of {side}$"
+        with pytest.raises(BudgetError, match=message):
+            fourier_degree_test(big, big)
+        with pytest.raises(BudgetError, match=message):
+            expected_charpoly_swaps([big, big], [SwapProgram(side + 1, ())] * 2)
 
 
 class TestMonteCarlo:

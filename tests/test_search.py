@@ -11,7 +11,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ffc import (
-    Budgets,
     BudgetError,
     MatchingUnion,
     Permutation,
@@ -33,7 +32,7 @@ from ffc import (
     relabel_grid,
     sample,
 )
-from ffc import search
+from ffc import config, search
 from ffc.matrix import charpoly_int_coeffs
 from ffc.graphs import _deflate_int, deflate_trivial
 from ffc.search import _ConditionalAverager, _compose_images, _conditional_poly, _fired_wins
@@ -235,7 +234,7 @@ class TestInterlacingDescent:
     @given(data=st.data())
     def test_conditional_average_matches_the_retired_loop(self, data):
         mode, d, m, base, progs, dists = self.draw_conditional(data)
-        averager = _ConditionalAverager(mode, d, Budgets())
+        averager = _ConditionalAverager(mode, d)
         expected, terms = swap_average_oracle([base] * m, progs)
         assert _conditional_poly(*averager.average(dists), mode == "bipartite") == expected
         assert averager.det_evals == terms
@@ -247,7 +246,7 @@ class TestInterlacingDescent:
         average."""
         mode, d, m, _, _, dists = self.draw_conditional(data)
         bipartite = mode == "bipartite"
-        acc, den = _ConditionalAverager(mode, d, Budgets()).average(dists)
+        acc, den = _ConditionalAverager(mode, d).average(dists)
         average, _ = conditional_average_oracle(mode, d, dists)
         deflated = _deflate_int(acc, m * m if bipartite else m)
         assert all(type(c) is int for c in deflated)
@@ -285,7 +284,7 @@ class TestInterlacingDescent:
                 counts = Counter(sample(tail, rng).image for _ in range(draws))
                 outcomes = [(img, Fraction(c, draws)) for img, c in counts.items()]
             dists.append({_compose_images(img, onto): pr for img, pr in outcomes})
-        averager = _ConditionalAverager("bipartite", d, Budgets())
+        averager = _ConditionalAverager("bipartite", d)
         expected, terms = dilation_conditional_oracle(d, dists)
         assert _conditional_poly(*averager.average(dists), True) == expected
         assert averager.det_evals == terms
@@ -338,19 +337,22 @@ class TestInterlacingDescent:
         )
         assert traces() == fast
 
-    def test_swap_budget_is_enforced(self):
+    def test_swap_budget_is_enforced(self, monkeypatch):
         # uniform_program(4) has 7 swaps
+        monkeypatch.setattr(config, "MAX_SWAPS", 2)
         with pytest.raises(BudgetError, match="budget allows 2"):
-            interlacing_descent("nonbipartite", 4, 2, budgets=Budgets(max_swaps=2))
+            interlacing_descent("nonbipartite", 4, 2)
 
-    def test_determinant_budget_is_enforced(self):
+    def test_determinant_budget_is_enforced(self, monkeypatch):
+        monkeypatch.setattr(config, "MAX_DET_EVALS", 10)
         with pytest.raises(BudgetError, match="sampled"):
-            interlacing_descent("bipartite", 3, 3, budgets=Budgets(max_det_evals=10, max_swaps=22))
+            interlacing_descent("bipartite", 3, 3)
 
-    def test_determinant_budget_covers_the_whole_descent(self):
+    def test_determinant_budget_covers_the_whole_descent(self, monkeypatch):
         # the first conditional takes exactly 4**3 evaluations, the next 32 more
+        monkeypatch.setattr(config, "MAX_DET_EVALS", 64)
         with pytest.raises(BudgetError, match="sampled"):
-            interlacing_descent("bipartite", 2, 3, budgets=Budgets(max_det_evals=64))
+            interlacing_descent("bipartite", 2, 3)
 
     @pytest.mark.parametrize("samples", [0, -1])
     def test_sample_count_must_be_positive(self, samples):
@@ -382,7 +384,7 @@ class TestConditionalCache:
         return calls
 
     def test_multisets_placing_one_grid_share_a_charpoly(self, charpolys):
-        averager = _ConditionalAverager("nonbipartite", 4, Budgets())
+        averager = _ConditionalAverager("nonbipartite", 4)
         # each multiset pairs 0-1 and 2-3 once and 0-2 and 1-3 once
         first = averager.average([{(0, 1, 2, 3): Fraction(1)}, {(0, 2, 1, 3): Fraction(1)}])
         second = averager.average([{(1, 0, 3, 2): Fraction(1)}, {(2, 0, 3, 1): Fraction(1)}])

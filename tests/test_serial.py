@@ -31,27 +31,6 @@ class TestScalars:
     def test_fraction_round_trip(self, x):
         assert serial.parse_fraction(str(x)) == x
 
-    @pytest.mark.parametrize(
-        "text",
-        ["0", "3/2", "-7", "2*sqrt(2)", "-sqrt(5)", "1/2+3*sqrt(2)", "-1/3-5/7*sqrt(3)", "2+sqrt(7)"],
-    )
-    def test_quad_round_trip(self, text):
-        assert str(serial.parse_quad(text)) == text
-
-    @given(
-        st.fractions(max_denominator=40),
-        st.fractions(max_denominator=40),
-        st.sampled_from([0, 2, 3, 5, 7, 8]),
-    )
-    def test_random_quad_round_trip(self, a, b, r):
-        v = QuadScalar(a, b, r)
-        assert serial.parse_quad(str(v)) == v
-
-    def test_malformed_quads_are_rejected(self):
-        for bad in ("sqrt(-2)", "1+", "2**sqrt(2)", "sqrt(two)", ""):
-            with pytest.raises(ParameterError):
-                serial.parse_quad(bad)
-
     def test_decimal_rendering(self):
         assert serial.decimal_str(Fraction(1, 2)) == "0.5"
         assert serial.decimal_str(QuadScalar.sqrt_int(8)) == "2.82842712474619"
@@ -421,10 +400,9 @@ class TestFiles:
         assert serial.manifest_path(out) == tmp_path / "graph.json.manifest.json"
 
     def test_manifest_contents(self):
-        from ffc import DEFAULT_BUDGETS
-
-        obj = serial.manifest_obj(["ffc", "bound", "--m", "3"], 7, DEFAULT_BUDGETS, {"out.json": "ab" * 32}, 0.25)
+        obj = serial.manifest_obj(["ffc", "bound", "--m", "3"], 7, {"out.json": "ab" * 32}, 0.25)
         assert obj["kind"] == "run-manifest"
         assert obj["argv"] == ["ffc", "bound", "--m", "3"]
         assert obj["seed"] == 7
+        assert obj["budgets"] == {"max_det_evals": 10000000, "max_swaps": 22}
         assert json.dumps(obj)  # JSON-serializable throughout

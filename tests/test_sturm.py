@@ -586,9 +586,9 @@ class TestTopCell:
             expected = bisect_max_root_oracle(p, bound, width)
         except ParameterError:
             with pytest.raises(ParameterError, match="no real roots"):
-                _bisect_max_root(p, bound, width)
+                _bisect_max_root(_positive_int(p), bound, width)
         else:
-            assert _bisect_max_root(p, bound, width) == expected
+            assert _bisect_max_root(_positive_int(p), bound, width) == expected
 
     @given(no_real_root_st())
     def test_comparison_without_real_roots_raises(self, p):
