@@ -40,6 +40,7 @@ from ffc import (
     sturm_chain,
     uniform_permutation,
 )
+from ffc.convolution import _from_series, _series
 from ffc.graphs import NOT_RAMANUJAN, STRICT, WITH_BOUNDARY, _gram, union_grid
 from ffc.matrix import _charpoly_mod, _grid_sum, charpoly_int_coeffs
 from ffc.quadrature import weighted_charpoly_average
@@ -472,6 +473,30 @@ def m_fold_oracle(p: RatPoly, m: int, d: int, squared: bool) -> RatPoly:
     for _ in range(m - 1):
         acc = convolve_oracle(acc, p, d, squared)
     return acc
+
+
+def series_power_oracle(s: list[int], m: int) -> list[int]:
+    """The integer series s**m truncated to len(s) terms, by Miller's
+    recurrence started at b_0**m, as ``convolution._series_power`` did before
+    it started at b_0**min(m, K): every entry then carries b_0**(m-k)."""
+    n = len(s)
+    v = next((i for i, x in enumerate(s) if x), n)
+    out = [0] * n
+    if v * m >= n:
+        return out
+    b = s[v:]
+    c = [b[0] ** m]
+    for k in range(1, n - v * m):
+        acc = sum(((m + 1) * j - k) * b[j] * c[k - j] for j in range(1, k + 1))
+        c.append(acc // (k * b[0]))
+    out[v * m:] = c
+    return out
+
+
+def series_m_fold_oracle(p: RatPoly, m: int, d: int, squared: bool) -> RatPoly:
+    """The m-fold convolution through ``series_power_oracle`` and den**m."""
+    s, den = _series(p, d, squared)
+    return _from_series(series_power_oracle(s, m), den**m, d, squared)
 
 
 # Root location before the float-guided bracket: Sturm bisection of the

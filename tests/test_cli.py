@@ -121,6 +121,15 @@ class TestTable:
         assert proc.returncode == 3
         assert proc.stderr == f"budget exceeded: table has {cells} cells, budget allows 100000\n"
 
+    def test_a_huge_fold_count_finishes(self):
+        # the m-fold series no longer grows with m: both cells take milliseconds
+        proc = run_cli_with_timeout("table", "--m", "1000000", "--d", "24", "--mode", "both")
+        assert proc.returncode == 0
+        assert [line.split("\t")[:4] for line in proc.stdout.splitlines()[1:]] == [
+            ["1000000", "24", "sym", "true"],
+            ["1000000", "24", "asym", "true"],
+        ]
+
     def test_cells_are_counted_with_the_step(self, capsys, monkeypatch):
         # 3..4 x 4..8:2 x both kinds is 2 * 3 * 2 = 12 cells
         monkeypatch.setattr(cli, "MAX_TABLE_CELLS", 11)
@@ -376,6 +385,11 @@ class TestExpected:
     def test_bipartite_single_pair(self, capsys):
         code, out, _ = run(capsys, "expected", "--mode", "bipartite", "--d", "1", "--m", "3")
         assert (code, out) == (0, "x^2 - 9\n")
+
+    def test_a_huge_fold_count_finishes(self):
+        proc = run_cli_with_timeout("expected", "--mode", "plain", "--d", "24", "--m", "1000000")
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("x^24 - 12000264000000/23*x^22 ")
 
     @pytest.mark.parametrize("mode", ["plain", "bipartite"])
     def test_oversized_size_is_refused_up_front(self, mode):

@@ -5,7 +5,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ffc.transforms
@@ -21,14 +21,20 @@ from ffc import (
     m_fold_sym,
     sym_convolve,
 )
-from ffc.convolution import MAX_LEVEL, _from_series, _series
-from ffc.transforms import matching_fold
+from ffc.convolution import MAX_LEVEL, _from_series, _series, _series_power
+from ffc.transforms import (
+    bip_matching_nontrivial_poly,
+    matching_fold,
+    matching_nontrivial_poly,
+)
 from support import (
     convolve_oracle,
     fractions_st,
     m_fold_oracle,
     nonneg_rooted_st,
     real_rooted_st,
+    series_m_fold_oracle,
+    series_power_oracle,
 )
 
 
@@ -204,6 +210,87 @@ class TestPowerSeriesKernel:
             assert fold(p, 1, 6) == p
             assert fold(p, 2, 6) == m_fold_oracle(p, 2, 6, squared) == RatPoly.zero()
             assert fold(RatPoly.zero(), 3, 6) == RatPoly.zero()
+
+
+@st.composite
+def fold_near_the_last_index(draw):
+    """(where, d, p, m): p of degree d - v for v in 0..2, with a rational lead
+    of either sign, and a fold count m below, at, one past or far past the
+    last index the power keeps, K = d - v m."""
+    where = draw(st.sampled_from(["below", "at", "past", "far"]))
+    if where == "far":
+        v, d = 0, draw(st.integers(min_value=0, max_value=7))
+        m = draw(st.integers(min_value=10 * (d + 1), max_value=3000))
+    else:
+        v = draw(st.integers(min_value=0, max_value=2))
+        m = draw(st.integers(min_value=1, max_value=3))
+        # K = d - v m, so m < K, m = K and m = K + 1 fix d
+        extra = draw(st.integers(min_value=1, max_value=3)) if where == "below" else 0
+        d = m * (1 + v) + extra - (where == "past")
+    lead = draw(fractions_st(max_num=9, max_den=6).filter(bool))
+    rest = draw(st.lists(fractions_st(max_num=9, max_den=6), min_size=d - v, max_size=d - v))
+    return where, d, RatPoly.from_coeffs(rest + [lead]), m
+
+
+def _size_bound(s: list[int], m: int) -> int:
+    """A bit length no entry of the kept power exceeds, whatever m is:
+    1 + K (bitlen(beta) + bitlen(m + 1)) for beta = max |s_i|, since the k-th
+    entry is b_0**(K-k) times a sum of products of k entries whose weights
+    add up to less than (m + 1)**k."""
+    v = next(i for i, x in enumerate(s) if x)
+    last = len(s) - 1 - v * m
+    return 1 + last * (max(map(abs, s)).bit_length() + (m + 1).bit_length())
+
+
+class TestHomogeneousStart:
+    """Miller's recurrence started at b_0**min(m, K) against the b_0**m start
+    it replaced: the same power up to the dropped factor, and the same
+    polynomials."""
+
+    @settings(max_examples=200)
+    @given(fold_near_the_last_index(), st.booleans())
+    def test_matches_the_full_power_start(self, case, squared):
+        where, d, p, m = case
+        s, _ = _series(p, d, squared)
+        v = next(i for i, x in enumerate(s) if x)
+        last = d - v * m
+        assert {"below": m < last, "at": m == last, "past": m == last + 1,
+                "far": m >= 10 * (last + 1)}[where]
+        c, b0, r = _series_power(s, m)
+        assert (b0, r) == (s[v], max(m - last, 0))
+        assert [b0**r * x for x in c] == series_power_oracle(s, m)
+        assert max(x.bit_length() for x in c) <= _size_bound(s, m)
+        fold = m_fold_asym if squared else m_fold_sym
+        assert fold(p, m, d) == series_m_fold_oracle(p, m, d, squared)
+
+    @pytest.mark.parametrize("kind", ["sym", "asym"])
+    def test_the_slowest_table_cells_match_the_oracle(self, kind):
+        m, d = 443, 24
+        if kind == "sym":
+            want = series_m_fold_oracle(matching_nontrivial_poly(d), m, d - 1, False)
+        else:
+            want = series_m_fold_oracle(bip_matching_nontrivial_poly(d), m, d - 1, True)
+            want = want.substitute_square()
+        assert matching_fold(kind, m, d) == want
+
+    @pytest.mark.parametrize("m", [23, 443, 10**6])
+    @pytest.mark.parametrize("kind", ["sym", "asym"])
+    def test_series_entries_are_sized_by_the_level(self, kind, m):
+        seen = []
+
+        def spy(s, m):
+            out = _series_power(s, m)
+            seen.append((s, out[0]))
+            return out
+
+        with mock.patch("ffc.convolution._series_power", spy):
+            matching_fold(kind, m, 24)
+        [(s, c)] = seen
+        # level 23 keeps K = 23 entries past the first, and b_0 = 23!**e is
+        # the largest series entry
+        assert max(map(abs, s)) == s[0]
+        assert max(x.bit_length() for x in c) <= _size_bound(s, m)
+        assert _size_bound(s, m) <= 1 + 23 * (s[0].bit_length() + 21)
 
 
 class TestSeriesRoundTrip:
