@@ -14,16 +14,20 @@ nontrivial root.
 Each step runs on integers.  A conditional is one call of
 ``quadrature.weighted_charpoly_sum`` over the per-program suffix
 distributions: integer coefficients and one denominator, with no RatPoly.
-Each term is ``graphs.union_grid`` of the placed permutation images, cached
-by their multiset and, on a miss, by the grid itself: many multisets place
-one grid (a sampled plain d=6, m=3 descent evaluates about 800 multisets
-that make 300-350 grids; the exact plain d=4, m=3 one, 2600 that make 10),
-and the multiset key is checked first because building a grid on every call
-costs more than it saves.  Bipartite conditionals average char(N N^T) of
-the d x d Gram matrix.  The trivial root is divided out of the integers by
-``graphs._deflate_int``, m in plain mode and m**2 in the Gram variable in
-bipartite mode, before x**2 is substituted; the quotient is exact because
-x - m and y - m**2 are monic.  The two candidates are compared on their
+A term's characteristic polynomial depends only on the matchings it
+places, so each program image is reduced once to a canonical key (its
+matching with the pairs sorted in plain mode, its placed permutation in
+bipartite mode) and each term is read from one bounded, process-wide
+table keyed by the sorted keys (``_union_charpoly``).  Many image
+multisets place one union: a sampled plain d=6, m=3 descent averages about
+800 multisets, but d=6 has only 15 matchings and so at most 680 unions,
+and a run of such descents computes each of them once.  A lookup builds no
+grid; a miss builds ``graphs.union_grid`` and computes it once per grid.
+Bipartite conditionals average char(N N^T) of the d x d Gram matrix.  The
+trivial root is divided out of the integers by ``graphs._deflate_int``, m
+in plain mode and m**2 in the Gram variable in bipartite mode, before x**2
+is substituted; the quotient is exact because x - m and y - m**2 are
+monic.  The two candidates are compared on their
 primitive integer coefficients (``_fired_wins``), by proved top-root cells
 first, and only the winner becomes a RatPoly, for the step's record.
 Sampled suffixes are drawn from a start index of the one program
@@ -33,7 +37,9 @@ generator.
 In exact strategy the conditionals are full leaf enumerations and the
 greedy choice provably never increases that root, so the terminal graph
 beats the expected polynomial; this is exponential and meant for tiny
-sizes.  The sampled strategy substitutes per-program empirical suffix
+sizes, and a descent whose conditionals would need more than
+``config.MAX_DET_EVALS`` evaluations in all is refused before the first
+one.  The sampled strategy substitutes per-program empirical suffix
 distributions.  These are not products of independent swaps, so the
 averages form no interlacing family and need not be real-rooted, or have
 any real root; the strategy offers no guarantee.
@@ -233,52 +239,99 @@ def _union_image(mode: str, d: int, image: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(placed)
 
 
+# Bounds on the process-wide caches below.  A plain d=6, m=3 descent places
+# 15 matchings and at most C(17, 3) = 680 unions, and a bipartite d=4, m=3
+# one at most C(26, 3) = 2600, so a run of such descents fills the charpoly
+# table once and then only reads it.  Full, the three caches hold about
+# 25 MiB at d = 20, the largest side a sampled m = 3 descent admits, most of
+# it in the tupled grids (tracemalloc, CPython 3.11).
+_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _placed_key(mode: str, d: int, image: tuple[int, ...]) -> tuple[int, ...]:
+    """What a program image places in the union, in the canonical form the
+    charpoly table keys on.  In bipartite mode that is the placed
+    permutation (``_union_image``).  In plain mode it is the matching, as an
+    image with each pair and the pairs sorted: two images get one key
+    exactly when they place the same matching, and the key is itself an
+    image that places it."""
+    if mode == "bipartite":
+        return _union_image(mode, d, image)
+    pairs = sorted(
+        (a, b) if a < b else (b, a) for a, b in zip(image[::2], image[1::2])
+    )
+    return tuple(v for pair in pairs for v in pair)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _union_charpoly(mode: str, d: int, key: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """Integer characteristic polynomial of the union that the sorted
+    ``_placed_key``s in ``key`` make: of the adjacency in plain mode, of the
+    Gram matrix N N^T in bipartite mode.  It depends on the multiset of
+    matchings placed and on nothing else, so one table serves every descent
+    of the process.  Two multisets can place one grid (two 1-factorizations
+    of one 3-regular graph, say), so a miss builds the grid and looks it up
+    in ``_grid_charpoly`` before any charpoly is computed."""
+    grid = union_grid(mode, d, key)
+    return _grid_charpoly(mode, tuple(map(tuple, grid)))
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _grid_charpoly(mode: str, grid: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """``_union_charpoly``'s value, computed once per grid."""
+    return charpoly_int_coeffs(grid if mode == "nonbipartite" else _gram(grid))
+
+
 class _ConditionalAverager:
     """Exact average of the union's characteristic polynomial over
-    per-program image distributions, on integers, cached by the placed image
-    multiset and, on a miss, by the union grid."""
+    per-program image distributions, on integers.  Each image is replaced by
+    its ``_placed_key`` once per distribution, and each term's charpoly is
+    read from the process-wide table ``_union_charpoly`` under the sorted
+    keys, so no grid is built on a hit."""
 
     def __init__(self, mode: str, d: int) -> None:
         self.mode = mode
         self.d = d
         self.det_evals = 0
-        self._cache: dict[tuple, tuple] = {}
-        self._by_grid: dict[tuple, tuple] = {}
 
-    def _charpoly(self, images: tuple[tuple[int, ...], ...]) -> tuple:
-        key = tuple(sorted(images))
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        grid = union_grid(self.mode, self.d, key)
-        grid_key = tuple(map(tuple, grid))
-        coeffs = self._by_grid.get(grid_key)
-        if coeffs is None:
-            coeffs = charpoly_int_coeffs(
-                grid if self.mode == "nonbipartite" else _gram(grid)
-            )
-            self._by_grid[grid_key] = coeffs
-        self._cache[key] = coeffs
-        return coeffs
+    def _charpoly(self, placed: tuple[tuple[int, ...], ...]) -> tuple:
+        return _union_charpoly(self.mode, self.d, tuple(sorted(placed)))
 
     def average(self, dists: list[dict[tuple[int, ...], Fraction]]) -> tuple[list[int], int]:
         """Integer coefficients, ascending, and one positive denominator of
         the average: of char(A) in plain mode, and of char(N N^T), in the
         Gram variable y with char(A)(x) = char(N N^T)(x**2), in bipartite
-        mode."""
+        mode.  An enumeration past what is left of ``config.MAX_DET_EVALS``
+        raises BudgetError before any term is evaluated."""
         # one term per program image, even where two place the same union
         placed = [
-            [(_union_image(self.mode, self.d, img), pr) for img, pr in dist.items()]
+            [(_placed_key(self.mode, self.d, img), pr) for img, pr in dist.items()]
             for dist in dists
         ]
-        try:
-            acc, den, terms = weighted_charpoly_sum(
-                placed, self._charpoly, config.MAX_DET_EVALS - self.det_evals
-            )
-        except BudgetError as exc:
-            raise BudgetError(f"conditional {exc}; use strategy='sampled'") from None
+        acc, den, terms = weighted_charpoly_sum(
+            placed, self._charpoly, config.MAX_DET_EVALS - self.det_evals
+        )
         self.det_evals += terms
         return acc, den
+
+
+def _check_exact_budget(program: SwapProgram, m: int) -> None:
+    """Refuse an exact descent whose conditionals need more than
+    ``config.MAX_DET_EVALS`` evaluations in all, before the first one.  The
+    initial conditional has s0**m terms, s0 the program's leaf support; step
+    (i, j) compares two conditionals of |S_{j+1}| * s0**(m-1-i) terms each,
+    S_{j+1} the support of the suffix after swap j."""
+    s0 = len(_suffix_distribution(program, 0))
+    suffixes = sum(
+        len(_suffix_distribution(program, j + 1)) for j in range(len(program.swaps))
+    )
+    need = s0**m + 2 * suffixes * sum(s0**k for k in range(m))
+    if need > config.MAX_DET_EVALS:
+        raise BudgetError(
+            f"exact descent needs {need} determinant evaluations, budget "
+            f"allows {config.MAX_DET_EVALS}; use strategy='sampled'"
+        )
 
 
 def _conditional_poly(coeffs: tuple[int, ...], den: int, bipartite: bool) -> RatPoly:
@@ -340,7 +393,8 @@ def interlacing_descent(
     draws (deterministic from the seed) and is only a heuristic.  A program
     too long for the swap budget (exact) or the determinant budget (sampled)
     is refused before it is built, and so are more suffix draws than the
-    determinant budget allows (sampled).  The budgets are
+    determinant budget allows (sampled) and conditionals that need more
+    evaluations in all (exact, before the first).  The budgets are
     ``config.MAX_SWAPS`` and ``config.MAX_DET_EVALS``.
     """
     check_shape(mode, d, m)
@@ -371,6 +425,8 @@ def interlacing_descent(
         )
     start = time.perf_counter()
     program = (uniform_program if mode == "nonbipartite" else bipartite_uniform_program)(d)
+    if strategy == "exact":
+        _check_exact_budget(program, m)
     averager = _ConditionalAverager(mode, d)
     identity = tuple(range(program.dimension))
     fixed: list[tuple[int, ...]] = [identity] * m
@@ -396,11 +452,19 @@ def interlacing_descent(
         denominator for ``_conditional_poly``.  Every term's characteristic
         polynomial has the trivial root, and x - m and y - m**2 are monic,
         so the quotient is exact."""
-        acc, den = averager.average([
-            {images[k]: Fraction(1)} if k < deciding
-            else {_compose_images(img, images[k]): pr for img, pr in step_dists[k]}
-            for k in range(m)
-        ])
+        try:
+            acc, den = averager.average([
+                {images[k]: Fraction(1)} if k < deciding
+                else {_compose_images(img, images[k]): pr for img, pr in step_dists[k]}
+                for k in range(m)
+            ])
+        except BudgetError as exc:
+            # an exact descent was refused up front, so only a sampled one
+            # reaches this: its enumeration grows with the sample count
+            raise BudgetError(
+                f"conditional {exc}; use fewer than {samples_per_program} "
+                "samples per program"
+            ) from None
         return _deflate_int(acc, trivial), den
 
     # conditional expectation before any decision, for the descent trace

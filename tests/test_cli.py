@@ -375,6 +375,29 @@ class TestDescend:
         assert proc.stderr.startswith("budget exceeded: ")
         assert message in proc.stderr
 
+    def test_an_oversized_exact_descent_is_refused_before_its_first_conditional(self):
+        # the running total used to refuse it after about 24 s of conditionals
+        proc = run_cli_with_timeout(
+            "descend", "--mode", "plain", "--d", "4", "--m", "5", "--strategy", "exact"
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "budget exceeded: exact descent needs 54353558 determinant evaluations, "
+            "budget allows 10000000; use strategy='sampled'\n"
+        )
+
+    def test_too_many_samples_are_named_in_the_refusal(self):
+        # each conditional averages up to 1000**3 sampled terms
+        proc = run_cli_with_timeout(
+            "descend", "--mode", "plain", "--d", "6", "--m", "3",
+            "--strategy", "sampled", "--samples", "1000",
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("budget exceeded: conditional enumeration needs ")
+        assert proc.stderr.endswith("; use fewer than 1000 samples per program\n")
+        assert "strategy=" not in proc.stderr
+
 
 class TestExpected:
     def test_prints_a_polynomial(self, capsys):

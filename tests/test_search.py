@@ -3,8 +3,12 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -34,8 +38,16 @@ from ffc import (
 )
 from ffc import config, search
 from ffc.matrix import charpoly_int_coeffs
-from ffc.graphs import _deflate_int, deflate_trivial
-from ffc.search import _ConditionalAverager, _compose_images, _conditional_poly, _fired_wins
+from ffc.graphs import _deflate_int, _gram, deflate_trivial, union_grid
+from ffc.search import (
+    _ConditionalAverager,
+    _compose_images,
+    _conditional_poly,
+    _fired_wins,
+    _placed_key,
+    _union_charpoly,
+    _union_image,
+)
 from ffc.serial import dumps, poly_to_obj, search_report_to_obj
 from ffc.sturm import _positive_int
 from support import (
@@ -44,6 +56,7 @@ from support import (
     dilation_conditional_oracle,
     fired_wins_oracle,
     grid_matrix,
+    subprocess_env,
     swap_average_oracle,
     swap_program_st,
 )
@@ -55,6 +68,19 @@ def poly(*descending):
 
 def perms_of(d):
     return [Permutation(im) for im in itertools.permutations(range(d))]
+
+
+def descent_digest(report, seed):
+    """sha256 of a descent's search-report document and its step trace."""
+    trace = {
+        "report": search_report_to_obj(report, seed),
+        "initial": poly_to_obj(report.initial_deflated),
+        "steps": [
+            [s.program_index, s.swap_index, s.fired, poly_to_obj(s.deflated)]
+            for s in report.steps
+        ],
+    }
+    return hashlib.sha256(dumps(trace).encode()).hexdigest()
 
 
 class TestExpectedPolyModel:
@@ -304,15 +330,7 @@ class TestInterlacingDescent:
     def test_descents_match_their_pinned_digests(self, args, digest):
         mode, d, m, strategy, seed = args
         report = interlacing_descent(mode, d, m, strategy=strategy, seed=seed)
-        trace = {
-            "report": search_report_to_obj(report, seed),
-            "initial": poly_to_obj(report.initial_deflated),
-            "steps": [
-                [s.program_index, s.swap_index, s.fired, poly_to_obj(s.deflated)]
-                for s in report.steps
-            ],
-        }
-        assert hashlib.sha256(dumps(trace).encode()).hexdigest() == digest
+        assert descent_digest(report, seed) == digest
 
     @pytest.mark.parametrize("mode, d", [("nonbipartite", 6), ("bipartite", 3)])
     def test_sampled_descents_match_the_chain_comparison(self, monkeypatch, mode, d):
@@ -354,6 +372,31 @@ class TestInterlacingDescent:
         with pytest.raises(BudgetError, match="sampled"):
             interlacing_descent("bipartite", 2, 3)
 
+    @pytest.mark.parametrize(
+        "mode, d, m",
+        [("nonbipartite", 4, 2), ("nonbipartite", 4, 3), ("bipartite", 2, 3), ("bipartite", 3, 2)],
+    )
+    def test_the_exact_budget_is_the_whole_descent_up_front(self, monkeypatch, mode, d, m):
+        """The up-front count is the evaluations the descent makes: a budget
+        of exactly that admits it, and one less refuses it before any
+        conditional."""
+        averagers = []
+
+        class Recorded(_ConditionalAverager):
+            def __init__(self, *args):
+                super().__init__(*args)
+                averagers.append(self)
+
+        monkeypatch.setattr(search, "_ConditionalAverager", Recorded)
+        interlacing_descent(mode, d, m)
+        need = averagers[0].det_evals
+        monkeypatch.setattr(config, "MAX_DET_EVALS", need)
+        interlacing_descent(mode, d, m)
+        monkeypatch.setattr(config, "MAX_DET_EVALS", need - 1)
+        with pytest.raises(BudgetError, match=f"needs {need} determinant evaluations"):
+            interlacing_descent(mode, d, m)
+        assert len(averagers) == 2
+
     @pytest.mark.parametrize("samples", [0, -1])
     def test_sample_count_must_be_positive(self, samples):
         from ffc import ParameterError
@@ -370,7 +413,20 @@ class TestInterlacingDescent:
             interlacing_descent("bipartite", 2, 3, strategy="greedy")
 
 
+def clear_charpoly_tables():
+    search._union_charpoly.cache_clear()
+    search._grid_charpoly.cache_clear()
+
+
 class TestConditionalCache:
+    @pytest.fixture(autouse=True)
+    def cold_table(self):
+        """Each test starts from an empty charpoly table, whatever ran
+        before it in the process, and leaves none of its entries behind."""
+        clear_charpoly_tables()
+        yield
+        clear_charpoly_tables()
+
     @pytest.fixture
     def charpolys(self, monkeypatch):
         """The grids ``charpoly_int_coeffs`` is called on, in call order."""
@@ -394,19 +450,131 @@ class TestConditionalCache:
 
     def test_a_sampled_descent_computes_each_grid_once(self, charpolys, monkeypatch):
         averagers = []
+        multisets = set()
 
         class Recorded(_ConditionalAverager):
             def __init__(self, *args):
                 super().__init__(*args)
                 averagers.append(self)
 
+            def average(self, dists):
+                multisets.update(tuple(sorted(c)) for c in itertools.product(*dists))
+                return super().average(dists)
+
         monkeypatch.setattr(search, "_ConditionalAverager", Recorded)
         interlacing_descent(
             "nonbipartite", 6, 3, strategy="sampled", seed=11, samples_per_program=2
         )
         assert len(charpolys) == len(set(charpolys))
+        assert search._grid_charpoly.cache_info().misses == len(charpolys)
         (averager,) = averagers
-        # 802 image multisets place these grids, and 830 terms are averaged,
-        # as with the multiset cache alone
-        assert len(charpolys) < len(averager._cache) == 802
+        # 802 image multisets place these grids, and 830 terms are averaged
+        assert len(charpolys) < len(multisets) == 802
         assert averager.det_evals == 830
+
+    def test_a_warm_table_changes_no_document(self):
+        """One seeded sampled descent gives the same document and step trace
+        on a cold table, on the table it warmed itself, after a clear, and
+        in a fresh interpreter."""
+        args = ("nonbipartite", 6, 3)
+        kwargs = dict(strategy="sampled", seed=5, samples_per_program=2)
+
+        def digest():
+            return descent_digest(interlacing_descent(*args, **kwargs), 5)
+
+        cold = digest()
+        assert search._union_charpoly.cache_info().currsize > 0
+        assert digest() == cold
+        clear_charpoly_tables()
+        assert digest() == cold
+        script = (
+            "from ffc import interlacing_descent\n"
+            "from test_search import descent_digest\n"
+            f"print(descent_digest(interlacing_descent(*{args!r}, **{kwargs!r}), 5))\n"
+        )
+        env = subprocess_env()
+        env["PYTHONPATH"] = os.pathsep.join([str(Path(__file__).parent), env["PYTHONPATH"]])
+        child = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+            timeout=60, check=True,
+        )
+        assert child.stdout.strip() == cold
+
+
+def placed_images(draw, mode, d, count):
+    """``count`` program images of a union, drawn for ``mode``: permutations
+    of d in plain mode, a left and a right side in bipartite mode."""
+    side = st.permutations(range(d))
+    images = []
+    for _ in range(count):
+        image = tuple(draw(side))
+        if mode == "bipartite":
+            image += tuple(d + v for v in draw(side))
+        images.append(image)
+    return images
+
+
+def placed_grid(mode, d, images):
+    return union_grid(mode, d, [_union_image(mode, d, img) for img in images])
+
+
+class TestCharpolyTable:
+    """The table's key against the grid it stands for."""
+
+    @given(data=st.data())
+    def test_the_table_matches_the_grid_charpoly(self, data):
+        mode = data.draw(st.sampled_from(["bipartite", "nonbipartite"]))
+        if mode == "bipartite":
+            d = data.draw(st.integers(min_value=1, max_value=8))
+        else:
+            d = 2 * data.draw(st.integers(min_value=1, max_value=4))
+        m = data.draw(st.integers(min_value=1, max_value=4))
+        images = placed_images(data.draw, mode, d, m)
+        key = tuple(sorted(_placed_key(mode, d, img) for img in images))
+        grid = placed_grid(mode, d, images)
+        assert _union_charpoly(mode, d, key) == charpoly_int_coeffs(
+            grid if mode == "nonbipartite" else _gram(grid)
+        )
+
+    @pytest.mark.parametrize(
+        "mode, d",
+        [("nonbipartite", d) for d in (2, 4, 6)] + [("bipartite", d) for d in (1, 2, 3, 4)],
+    )
+    def test_one_key_per_single_grid_over_all_images(self, mode, d):
+        """Every image of the size: images share a key exactly when they
+        place one grid, so keys and grids partition the images alike."""
+        side = list(itertools.permutations(range(d)))
+        if mode == "nonbipartite":
+            images = side
+        else:
+            images = [a + tuple(d + v for v in b) for a in side for b in side]
+        pairs = {
+            (_placed_key(mode, d, img), tuple(map(tuple, placed_grid(mode, d, [img]))))
+            for img in images
+        }
+        assert len(pairs) == len({k for k, _ in pairs}) == len({g for _, g in pairs})
+
+    @given(data=st.data())
+    def test_one_key_per_single_grid_at_d_8(self, data):
+        """Two images, the second often a relabelling that places the same
+        matching: the pairs reordered and flipped (plain), or both sides
+        permuted alike (bipartite)."""
+        mode = data.draw(st.sampled_from(["bipartite", "nonbipartite"]))
+        d = 8
+        (first,) = placed_images(data.draw, mode, d, 1)
+        if data.draw(st.booleans()):
+            (second,) = placed_images(data.draw, mode, d, 1)
+        elif mode == "nonbipartite":
+            order = data.draw(st.permutations(range(d // 2)))
+            flips = data.draw(st.lists(st.booleans(), min_size=d // 2, max_size=d // 2))
+            second = tuple(
+                v
+                for k, flip in zip(order, flips)
+                for v in (first[2 * k + flip], first[2 * k + 1 - flip])
+            )
+        else:
+            sigma = data.draw(st.permutations(range(d)))
+            second = tuple(first[i] for i in sigma) + tuple(first[d + i] for i in sigma)
+        same_key = _placed_key(mode, d, first) == _placed_key(mode, d, second)
+        same_grid = placed_grid(mode, d, [first]) == placed_grid(mode, d, [second])
+        assert same_key == same_grid
