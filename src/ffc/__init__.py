@@ -9,12 +9,12 @@ certifier, by Descartes counts on integer Taylor shifts.  Floats remain in
 the Laguerre step that picks which cell to prove holds a largest root, the
 ``inverse_cauchy`` midpoints and ``BoundReport.passed``, which compares them
 with a tolerance (the one verdict still decided on floats), the uncalled
-float screen, Monte Carlo standard errors, and decimal renderings.
+float screen, and decimal renderings.
 """
 
 from .config import PACKAGE_VERSION
 from .convolution import asym_convolve, m_fold_asym, m_fold_sym, sym_convolve
-from .errors import BudgetError, ContractError, ParameterError, PoleError
+from .errors import BudgetError, ContractError, ParameterError
 from .graphs import (
     MatchingUnion,
     RamanujanCertificate,
@@ -23,7 +23,6 @@ from .graphs import (
     float_filter,
     inertia_verdict,
     jacobi_eigenvalues,
-    matching_grid,
     sample_bipartite,
     sample_nonbipartite,
 )
@@ -35,7 +34,6 @@ from .perms import (
     bipartite_uniform_program,
     leaf_distribution,
     relabel_grid,
-    sample,
     uniform_permutation,
     uniform_program,
 )
@@ -45,14 +43,11 @@ from .quadrature import (
     ExpectedPoly,
     FourierReport,
     QuadratureReport,
-    Rank2Report,
-    expected_charpoly_mc,
     expected_charpoly_perm,
     expected_charpoly_swaps,
     fourier_degree_test,
     random_doubly_regular,
     random_regular_symmetric,
-    rank2_check,
     verify_bip_quadrature,
     verify_sym_quadrature,
 )
@@ -81,7 +76,6 @@ from .transforms import (
     BoundReport,
     TableRow,
     bip_matching_nontrivial_poly,
-    cauchy_transform,
     check_asym_bound,
     check_sym_bound,
     inverse_cauchy,

@@ -6,7 +6,7 @@ search fails on the merits (a not-ramanujan verdict, a failed identity, an
 exhausted trial budget), 2 on usage or parameter errors, and 3 when a
 resource budget refuses the work.  The budgets are module constants, not
 options: the enumeration budgets ``config.MAX_DET_EVALS`` and
-``config.MAX_SWAPS``, and size limits such as ``search.MAX_SEARCH_SIDE``,
+``config.MAX_SWAPS``, and size limits such as ``graphs.MAX_CERTIFY_SIDE``,
 ``quadrature.MAX_PROBE_SIDE`` and ``MAX_TABLE_CELLS`` below.  A command
 whose size alone exceeds one is refused before any matrix is drawn.
 

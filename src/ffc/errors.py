@@ -19,6 +19,3 @@ class ContractError(RuntimeError):
     """An exact internal invariant failed (for example a division that the
     underlying algebra guarantees to be exact left a remainder)."""
 
-
-class PoleError(ZeroDivisionError):
-    """Evaluation requested exactly at a pole."""

@@ -49,6 +49,12 @@ MODES = ("bipartite", "nonbipartite")
 # d = 10**8 would exhaust memory before the first permutation is complete.
 MAX_SAMPLE_ENTRIES = 1 << 20
 
+# The largest side d a union may have for ``certify``, and so for a search
+# trial.  A certificate is an exact integer characteristic polynomial of a
+# d x d matrix: a plain one takes about 0.2 s at the limit and 23 s at
+# d = 1024 on one core, and one search trial at d = 256, m = 32 takes 7-9 s.
+MAX_CERTIFY_SIDE = 256
+
 STRICT = "strictly-ramanujan"
 WITH_BOUNDARY = "ramanujan-with-boundary"
 NOT_RAMANUJAN = "not-ramanujan"
@@ -70,13 +76,6 @@ def union_grid(mode: str, d: int, images: Iterable[tuple[int, ...]]) -> list[lis
             for j, i in enumerate(image):
                 grid[i][j] += 1
     return grid
-
-
-def matching_grid(d: int) -> list[list[int]]:
-    """Adjacency grid of the fixed perfect matching pairing (2k, 2k+1)."""
-    if d < 2 or d % 2:
-        raise ParameterError("perfect matching needs an even vertex count")
-    return union_grid("nonbipartite", d, [tuple(range(d))])
 
 
 def check_shape(mode, d, m) -> None:
@@ -118,10 +117,6 @@ class MatchingUnion:
         for p in self.perms:
             if p.degree != self.d:
                 raise ParameterError("permutation degree does not match d")
-
-    @property
-    def n_vertices(self) -> int:
-        return self.d if self.mode == "nonbipartite" else 2 * self.d
 
     def grid(self) -> list[list[int]]:
         """Integer adjacency (nonbipartite) or d x d biadjacency N (bipartite),
@@ -269,8 +264,11 @@ def certify(g: MatchingUnion) -> RamanujanCertificate:
     All counts are exact root counts of integer polynomials in the squared
     eigenvalue y against 4(m-1).  Verdicts: strictly-ramanujan when every
     deflated root is interior, ramanujan-with-boundary when the rest sit
-    exactly at the bound, else not-ramanujan.
+    exactly at the bound, else not-ramanujan.  A side past
+    ``MAX_CERTIFY_SIDE`` is refused before any grid is built.
     """
+    if g.d > MAX_CERTIFY_SIDE:
+        raise BudgetError(f"side {g.d} exceeds the budget of {MAX_CERTIFY_SIDE}")
     # m = 1 degenerates to bound 0; the general formula needs m >= 2
     bound = ramanujan_bound(g.m) if g.m >= 2 else as_quad(0)
     if g.mode == "bipartite":

@@ -59,12 +59,7 @@ class RatMatrix:
             [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         )
 
-    @classmethod
-    def zero(cls, n: int, m: int | None = None) -> "RatMatrix":
-        m = n if m is None else m
-        return cls.from_rows([[0] * m for _ in range(n)])
-
-    # -- shape and scalars ----------------------------------------------------
+    # -- shape -----------------------------------------------------------------
 
     @property
     def nrows(self) -> int:
@@ -89,25 +84,10 @@ class RatMatrix:
             for j in range(i + 1, n)
         )
 
-    def trace(self) -> Fraction:
-        if not self.is_square:
-            raise ParameterError("trace needs a square matrix")
-        return sum((self.rows[i][i] for i in range(self.nrows)), Fraction(0))
-
     def transpose(self) -> "RatMatrix":
         return RatMatrix(tuple(zip(*self.rows)))
 
     # -- arithmetic -------------------------------------------------------------
-
-    def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise ParameterError("shape mismatch in matrix addition")
-        return RatMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.ncols != other.nrows:
@@ -119,10 +99,6 @@ class RatMatrix:
                 for row in self.rows
             )
         )
-
-    def scale(self, c) -> "RatMatrix":
-        c = _as_fraction(c)
-        return RatMatrix(tuple(tuple(c * v for v in row) for row in self.rows))
 
     # -- structure probes --------------------------------------------------------
 
@@ -149,30 +125,6 @@ class RatMatrix:
             return None
         t = self.transpose().constant_row_sum()
         return s if s == t else None
-
-    def rank(self) -> int:
-        """Exact rank via Gaussian elimination over the rationals."""
-        work = [list(row) for row in self.rows]
-        nr, nc = len(work), len(work[0])
-        rank, pivot_row = 0, 0
-        for col in range(nc):
-            pivot = next(
-                (r for r in range(pivot_row, nr) if work[r][col] != 0), None
-            )
-            if pivot is None:
-                continue
-            work[pivot_row], work[pivot] = work[pivot], work[pivot_row]
-            inv = 1 / work[pivot_row][col]
-            for r in range(pivot_row + 1, nr):
-                f = work[r][col] * inv
-                if f:
-                    for c in range(col, nc):
-                        work[r][c] -= f * work[pivot_row][c]
-            pivot_row += 1
-            rank += 1
-            if pivot_row == nr:
-                break
-        return rank
 
 
 def dilation(m: RatMatrix) -> RatMatrix:
@@ -364,7 +316,7 @@ def charpoly_int_coeffs(rows: list[list[int]]) -> tuple[int, ...]:
     listed Mersenne prime raises BudgetError.  Nothing limits its time,
     which grows with the side cubed and with the bound's length, so callers
     that take sizes from users refuse them before building the matrix
-    (``search.MAX_SEARCH_SIDE``, for one).
+    (``graphs.MAX_CERTIFY_SIDE``, for one).
     """
     bound = 1
     for row in rows:

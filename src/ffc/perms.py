@@ -46,31 +46,9 @@ class Permutation:
     def __call__(self, i: int) -> int:
         return self.image[i]
 
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self.compose(other))(i) = self(other(i))."""
-        return Permutation(tuple(self.image[j] for j in other.image))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.image)
-        for i, j in enumerate(self.image):
-            inv[j] = i
-        return Permutation(tuple(inv))
-
     def swap_values(self, s: int, t: int) -> "Permutation":
         """Left-compose with the transposition (s t)."""
         return Permutation(_swap_image(self.image, s, t))
-
-    def direct_sum(self, other: "Permutation") -> "Permutation":
-        d = len(self.image)
-        return Permutation(self.image + tuple(d + v for v in other.image))
-
-    def matrix_rows(self) -> list[list[int]]:
-        """0/1 rows of the matrix sending basis vector i to basis vector image[i]."""
-        d = len(self.image)
-        rows = [[0] * d for _ in range(d)]
-        for i, j in enumerate(self.image):
-            rows[j][i] = 1
-        return rows
 
 
 def _swap_image(image: tuple[int, ...], s: int, t: int) -> tuple[int, ...]:
@@ -156,20 +134,15 @@ def bipartite_uniform_program(d: int) -> SwapProgram:
     return SwapProgram(2 * d, base.swaps + shifted)
 
 
-def sample(program: SwapProgram, rng: SplitMix64, start: int = 0) -> Permutation:
+def _sample_image(program: SwapProgram, rng: SplitMix64, start: int) -> tuple[int, ...]:
     """Draw one realization of the product of the program's swaps from
-    index ``start`` on (the whole program by default).
+    index ``start`` on, as an image tuple.
 
     The swaps' Bernoulli draws run in one loop on the generator
     (``SplitMix64.bernoulli_hits``), the same draws in the same order as
     one ``rng.bernoulli(sw.prob)`` per swap, so images and the generator's
     final state match; only the fired swaps are then applied.
     """
-    return Permutation(_sample_image(program, rng, start))
-
-
-def _sample_image(program: SwapProgram, rng: SplitMix64, start: int) -> tuple[int, ...]:
-    """``sample``'s image tuple, for callers that need no ``Permutation``."""
     if not 0 <= start <= len(program.swaps):
         raise ParameterError(f"start {start} outside the program's {len(program.swaps)} swaps")
     image = list(range(program.dimension))

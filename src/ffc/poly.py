@@ -52,10 +52,6 @@ class RatPoly:
         return cls((Fraction(1),))
 
     @classmethod
-    def x(cls) -> "RatPoly":
-        return cls((Fraction(0), Fraction(1)))
-
-    @classmethod
     def x_power(cls, n: int) -> "RatPoly":
         if n < 0:
             raise ParameterError("x_power needs n >= 0")
@@ -90,10 +86,6 @@ class RatPoly:
         if self.is_zero:
             raise ParameterError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def coeff(self, k: int) -> Fraction:
         """Coefficient of x**k (zero beyond the stored length)."""

@@ -94,22 +94,6 @@ class QuadScalar:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "r", r)
 
-    @classmethod
-    def sqrt_int(cls, n: int) -> "QuadScalar":
-        """Exact square root of a nonnegative integer."""
-        return cls(0, 1, n)
-
-    # -- structure -----------------------------------------------------------
-
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ParameterError(f"{self} is irrational")
-        return self.a
-
     def _join(self, other) -> tuple["QuadScalar", "QuadScalar", int]:
         if not isinstance(other, QuadScalar):
             other = QuadScalar(_coerce(other))

@@ -21,12 +21,9 @@ they are the ground truth the convolution weight formulas are accepted
 against.  The bipartite check averages char(N N^T) of the d x d biadjacency
 and substitutes x**2, since char([[0, N], [N^T, 0]]) = char(N N^T)(x**2).
 ``expected_charpoly_swaps`` averages over swap-program outcomes instead of
-full permutation tuples, and ``expected_charpoly_mc`` estimates the same
-average by sampling.  ``fourier_degree_test`` and ``rank2_check`` probe the
-two structural facts that drive real-rootedness of swap averages: rotation
-sweeps have no harmonics beyond the second, and conjugation differences
-A - S A S^T have rank at most two and trace zero; both decide exactly.  The
-one float here is the Monte Carlo estimator's standard errors.
+full permutation tuples.  ``fourier_degree_test`` probes the structural fact
+that drives real-rootedness of swap averages, that rotation sweeps have no
+harmonics beyond the second, and decides it exactly.
 
 Exact work is refused up front: permutation enumerations by their count
 against ``config.MAX_DET_EVALS`` (``check_quadrature_budget`` checks a side
@@ -43,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations as all_permutations
 from itertools import product
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import config
 from .convolution import asym_convolve, sym_convolve
@@ -51,7 +48,6 @@ from .errors import BudgetError, ContractError, ParameterError
 from .graphs import _gram, deflate_trivial
 from .matrix import RatMatrix, _clear_denominators, _grid_sum, char_poly, charpoly_int_coeffs
 from .perms import (
-    Permutation,
     SwapProgram,
     leaf_distribution,
     relabel_grid,
@@ -73,7 +69,6 @@ class ExpectedPoly:
     poly: RatPoly
     terms: int
     method: str
-    stderr: Optional[tuple[float, ...]] = None
 
 
 @dataclass(frozen=True)
@@ -93,16 +88,6 @@ class QuadratureReport:
 class FourierReport:
     samples: tuple[Fraction, ...]
     passed: bool
-
-
-@dataclass(frozen=True)
-class Rank2Report:
-    rank: int
-    trace: Fraction
-
-    @property
-    def passed(self) -> bool:
-        return self.rank in (0, 2) and self.trace == 0
 
 
 # -- the weighted-average kernel ---------------------------------------------------
@@ -276,50 +261,6 @@ def expected_charpoly_swaps(
     return ExpectedPoly(poly=poly, terms=terms, method="swaps")
 
 
-def expected_charpoly_mc(
-    matrices: Sequence[RatMatrix],
-    trials: int,
-    rng: SplitMix64,
-    m: Optional[int] = None,
-) -> ExpectedPoly:
-    """Monte Carlo estimate of the permutation average, with per-coefficient
-    standard errors of the mean.  The first permutation is pinned to the
-    identity, matching the exact enumeration."""
-    mats = list(matrices)
-    if m is not None:
-        if len(mats) == 1:
-            mats = mats * m
-        elif len(mats) != m:
-            raise ParameterError("m disagrees with the number of matrices")
-    if trials < 1:
-        raise ParameterError("need at least one trial")
-    grids, s = _grids(mats)
-    n = len(grids[0])
-    charpoly = _conjugated_sum_charpoly(grids)
-    identity = tuple(range(n))
-    sums = [0] * (n + 1)
-    sq_sums = [0] * (n + 1)
-    for _ in range(trials):
-        images = [identity]
-        images += [uniform_permutation(n, rng).image for _ in grids[1:]]
-        for k, c in enumerate(charpoly(images)):
-            sums[k] += c
-            sq_sums[k] += c * c
-    mean, stderr = [], []
-    for k, (t, q) in enumerate(zip(sums, sq_sums)):
-        unit = s ** (n - k)  # sampled coefficient k is c / unit
-        mean.append(Fraction(t, trials * unit))
-        # sample variance; with one trial the numerator is 0
-        var = Fraction(trials * q - t * t, trials * max(trials - 1, 1) * unit * unit)
-        stderr.append(math.sqrt(max(0.0, float(var))) / math.sqrt(trials))
-    return ExpectedPoly(
-        poly=RatPoly.from_coeffs(mean),
-        terms=trials,
-        method="monte-carlo",
-        stderr=tuple(stderr),
-    )
-
-
 # -- quadrature identity checks -----------------------------------------------------
 
 
@@ -444,19 +385,6 @@ def _fits_degree_four(values: Sequence) -> bool:
     for _ in range(5):
         values = [y - x for x, y in zip(values, values[1:])]
     return not any(values)
-
-
-def rank2_check(a: RatMatrix, sigma: Permutation) -> Rank2Report:
-    """Exact rank and trace of A - S A S^T for a permutation S."""
-    if not a.is_square:
-        raise ParameterError("need a square matrix")
-    if sigma.degree != a.nrows:
-        raise ParameterError("permutation degree must match matrix size")
-    conj = RatMatrix.from_rows(
-        relabel_grid([list(row) for row in a.rows], sigma.image)
-    )
-    diff = a + conj.scale(-1)
-    return Rank2Report(rank=diff.rank(), trace=diff.trace())
 
 
 # -- random instances for spot checks ----------------------------------------------

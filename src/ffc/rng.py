@@ -5,9 +5,10 @@ fixed odd constant, with each output produced by a bijective finalizer.  All
 arithmetic is masked to 64 bits, so identical seeds give identical output
 sequences on every platform and Python build.
 
-Streams for distinct purposes are derived, not shared: ``derive(seed, index)``
-mixes the index into the seed through the same finalizer, so per-trial or
-per-purpose substreams never overlap by construction of the counter sequence.
+Streams for distinct purposes are derived, not shared:
+``derive_seed(seed, index)`` mixes the index into the seed through the same
+finalizer, so per-trial or per-purpose substreams never overlap by
+construction of the counter sequence.
 Bernoulli draws with rational probability are exact (no floating point).
 """
 
@@ -46,10 +47,6 @@ class SplitMix64:
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK
         return mix64(self._state)
-
-    def derive(self, index: int) -> "SplitMix64":
-        """Independent substream; does not advance this stream."""
-        return SplitMix64(derive_seed(self._state, index))
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n) by masked rejection; exact."""

@@ -4,8 +4,9 @@ Two routes.  ``rejection_search`` samples unions of uniform matchings and
 decides each by the exact integer inertia test ``inertia_verdict``, leaving
 to ``certify`` only the union it returns and the trials the test cannot
 decide; existence holds with nonzero probability, so exhausting the trial
-budget is reported rather than raised.  A trial past ``MAX_SEARCH_SIDE`` or
-``MAX_SEARCH_DEGREE`` is refused before anything is sampled.
+budget is reported rather than raised.  A trial past
+``graphs.MAX_CERTIFY_SIDE`` or ``MAX_SEARCH_DEGREE`` is refused before
+anything is sampled.
 ``interlacing_descent`` walks the random-swap programs realizing the
 uniform distribution and greedily fixes each swap to the branch whose
 conditional expected characteristic polynomial has the smaller largest
@@ -31,8 +32,8 @@ monic.  The two candidates are compared on their
 primitive integer coefficients (``_fired_wins``), by proved top-root cells
 first, and only the winner becomes a RatPoly, for the step's record.
 Sampled suffixes are drawn from a start index of the one program
-(``perms.sample``), with each suffix's Bernoulli trials in one loop on the
-generator.
+(``perms._sample_image``), with each suffix's Bernoulli trials in one loop
+on the generator.
 
 In exact strategy the conditionals are full leaf enumerations and the
 greedy choice provably never increases that root, so the terminal graph
@@ -56,6 +57,7 @@ from functools import lru_cache
 from . import config
 from .errors import BudgetError, ParameterError
 from .graphs import (
+    MAX_CERTIFY_SIDE,
     MODES,
     NOT_RAMANUJAN,
     STRICT,
@@ -94,11 +96,8 @@ from .sturm import compare_max_roots  # noqa: F401
 from .transforms import ramanujan_bound  # noqa: F401
 
 
-# The largest side d and degree m a search trial may have.  Each trial runs
-# exact integer work on a d x d matrix (the inertia test and the
-# certificate); at the limit one trial takes about 8 s (plain) and 12 s
-# (bipartite) on one core, and d = 3000 would run for hours.
-MAX_SEARCH_SIDE = 256
+# The largest degree m a search trial may have; its side is bounded by
+# ``graphs.MAX_CERTIFY_SIDE``, as every certificate is.
 MAX_SEARCH_DEGREE = 32
 
 
@@ -165,10 +164,10 @@ def rejection_search(
     if max_trials < 1:
         raise ParameterError("need at least one trial")
     check_shape(mode, d, m)
-    if d > MAX_SEARCH_SIDE or m > MAX_SEARCH_DEGREE:
+    if d > MAX_CERTIFY_SIDE or m > MAX_SEARCH_DEGREE:
         raise BudgetError(
             f"a search trial at d = {d}, m = {m} exceeds the budget of "
-            f"d <= {MAX_SEARCH_SIDE}, m <= {MAX_SEARCH_DEGREE}"
+            f"d <= {MAX_CERTIFY_SIDE}, m <= {MAX_SEARCH_DEGREE}"
         )
     start = time.perf_counter()
     sampler = sample_bipartite if mode == "bipartite" else sample_nonbipartite

@@ -137,16 +137,16 @@ def _int_in(v, lo: int, hi: int | None = None) -> bool:
     return type(v) is int and lo <= v and (hi is None or v < hi)
 
 
-def _parse_bound(bound, m: int, what: str) -> QuadScalar:
+def _parse_bound(bound, m: int) -> QuadScalar:
     """The bound a document for this m must carry: 2*sqrt(m-1), or 0 when
     m = 1.  The bound is a function of m, so a different one is malformed,
     and parsing an arbitrary radicand could take unbounded time."""
     if not isinstance(bound, dict):
-        raise ParameterError(f"{what} bound must be an object")
+        raise ParameterError("certificate bound must be an object")
     expected = ramanujan_bound(m) if m >= 2 else as_quad(0)
     if bound.get("exact") != str(expected):
         raise ParameterError(
-            f"{what} bound {bound.get('exact')!r} is not {str(expected)!r}, "
+            f"certificate bound {bound.get('exact')!r} is not {str(expected)!r}, "
             f"the bound for m = {m}"
         )
     return expected
@@ -162,7 +162,7 @@ def parse_certificate(obj) -> RamanujanCertificate:
             m=obj["m"],
             char_poly=parse_poly(obj["char_poly"]),
             deflated=parse_poly(obj["deflated"]),
-            bound=_parse_bound(obj["bound"], obj["m"], "certificate"),
+            bound=_parse_bound(obj["bound"], obj["m"]),
             interior_count=obj["interior_count"],
             boundary_count=obj["boundary_count"],
             verdict=obj["verdict"],
@@ -271,46 +271,6 @@ def table_to_obj(rows) -> dict:
         "kind": "bound-table",
         "rows": [table_row_to_obj(r) for r in rows],
     }
-
-
-def parse_table(obj) -> list[TableRow]:
-    """Inverse of ``table_to_obj``, one checked ``TableRow`` per row."""
-    _expect_kind(obj, "bound-table")
-    rows = obj.get("rows")
-    if not isinstance(rows, list):
-        raise ParameterError("bound table needs a 'rows' list")
-    return [_parse_table_row(row) for row in rows]
-
-
-def _parse_table_row(obj) -> TableRow:
-    if not isinstance(obj, dict):
-        raise ParameterError("bound-table row must be a JSON object")
-    try:
-        m, d, mode = obj["m"], obj["d"], obj["mode"]
-        if not (_int_in(m, 2) and _int_in(d, 2)):
-            raise ParameterError("bound-table row needs integers m >= 2 and d >= 2")
-        if mode not in ("sym", "asym") or (mode == "sym" and d % 2):
-            raise ParameterError(f"bound-table mode {mode!r} does not fit d = {d}")
-        row = TableRow(
-            m=m,
-            d=d,
-            mode=mode,
-            poly=parse_poly(obj["poly"]),
-            bracket_lo=parse_fraction(obj["bracket_lo"]),
-            bracket_hi=parse_fraction(obj["bracket_hi"]),
-            bound=_parse_bound(obj["bound"], m, "bound-table"),
-            below_bound=obj["below_bound"],
-        )
-    except KeyError as exc:
-        raise ParameterError(f"bound-table row is missing field {exc}") from None
-    # the nontrivial part at level d - 1, squared back up in asym mode
-    if row.poly.degree != (d - 1) * (1 if mode == "sym" else 2):
-        raise ParameterError(f"bound-table polynomial does not fit {mode} mode at d = {d}")
-    if row.bracket_lo > row.bracket_hi:
-        raise ParameterError("bound-table bracket_lo exceeds bracket_hi")
-    if type(row.below_bound) is not bool:
-        raise ParameterError("bound-table below_bound must be true or false")
-    return row
 
 
 TABLE_TSV_HEADER = "m\td\tmode\tbelow_bound\tbracket_lo\tbracket_hi\tbound\tbound_decimal"

@@ -1,7 +1,7 @@
-"""Cauchy transforms, inverse-transform bounds, and exact root-bound tables.
+"""Inverse Cauchy transforms, their bounds, and exact root-bound tables.
 
-The Cauchy transform of a degree-d polynomial is G(x) = p'(x) / (d p(x)),
-evaluated exactly on rationals.  Its inverse K(w), the unique solution of
+The Cauchy transform of a degree-d polynomial is G(x) = p'(x) / (d p(x)).
+Its inverse K(w), the unique solution of
 G(x) = w to the right of the largest root, is the largest root of
 d w p - p', so it comes from that polynomial's certified max-root bracket
 and only the returned midpoint is floating point.  That polynomial is built
@@ -30,7 +30,7 @@ from .convolution import (
     m_fold_sym,
     sym_convolve,
 )
-from .errors import ParameterError, PoleError
+from .errors import ParameterError
 from .poly import RatPoly, _int_primitive, cauchy_root_bound
 from .quadfield import QuadScalar
 from .sturm import (
@@ -40,17 +40,6 @@ from .sturm import (
     is_real_rooted,
     max_root_bracket,
 )
-
-
-def cauchy_transform(p: RatPoly, x) -> Fraction:
-    """Exact G(x) = p'(x) / (deg(p) * p(x)) at a rational point."""
-    if p.degree < 1:
-        raise ParameterError("transform needs a nonconstant polynomial")
-    x = Fraction(x)
-    px = p(x)
-    if px == 0:
-        raise PoleError(f"evaluation at a root of the polynomial: {x}")
-    return p.derivative()(x) / (p.degree * px)
 
 
 def inverse_cauchy(p: RatPoly, w, tol: float = 1e-12) -> float:

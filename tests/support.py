@@ -38,7 +38,6 @@ from ffc import (
     isolate_real_roots,
     root_multiplicity_at,
     sturm_chain,
-    uniform_permutation,
 )
 from ffc.convolution import _from_series, _series
 from ffc.graphs import NOT_RAMANUJAN, STRICT, WITH_BOUNDARY, _gram, union_grid
@@ -413,30 +412,6 @@ def conditional_average_oracle(mode: str, d: int, dists) -> tuple[RatPoly, int]:
     placed = [[(_union_image(mode, d, im), pr) for im, pr in dist.items()] for dist in dists]
     poly, terms = weighted_charpoly_average(placed, charpoly, max_evals=10**9)
     return (poly if mode == "nonbipartite" else poly.substitute_square()), terms
-
-
-def mc_oracle(matrices, trials: int, rng) -> tuple[RatPoly, tuple]:
-    """Monte Carlo mean and standard errors over Fraction sums."""
-    grids = [_fraction_grid(m) for m in matrices]
-    n = len(grids[0])
-    sums = [Fraction(0)] * (n + 1)
-    sq_sums = [Fraction(0)] * (n + 1)
-    for _ in range(trials):
-        conj = [grids[0]]
-        for g in grids[1:]:
-            conj.append(relabel_grid(g, uniform_permutation(n, rng).image))
-        for k, c in enumerate(faddeev_leverrier(_summed(conj))):
-            sums[k] += c
-            sq_sums[k] += c * c
-    mean = [t / trials for t in sums]
-    if trials == 1:
-        return RatPoly.from_coeffs(mean), tuple(0.0 for _ in mean)
-    stderr = tuple(
-        math.sqrt(max(0.0, float((sq - trials * mu * mu) / (trials - 1))))
-        / math.sqrt(trials)
-        for sq, mu in zip(sq_sums, mean)
-    )
-    return RatPoly.from_coeffs(mean), stderr
 
 
 # The convolution kernel before the power-series rescaling: the closed-form
@@ -882,5 +857,6 @@ def rotated_det_oracle(a: RatMatrix, b: RatMatrix, t: int) -> Fraction:
     g[0][0] = g[1][1] = Fraction(1 - t * t, w)
     g[0][1], g[1][0] = Fraction(-2 * t, w), Fraction(2 * t, w)
     gm = RatMatrix.from_rows(g)
-    m = a + gm @ b @ gm.transpose()
-    return (-1) ** d * faddeev_leverrier([list(row) for row in m.rows])[0]
+    gbg = gm @ b @ gm.transpose()
+    m = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, gbg.rows)]
+    return (-1) ** d * faddeev_leverrier(m)[0]

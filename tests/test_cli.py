@@ -292,6 +292,17 @@ class TestSampleAndCertify:
             "300000000 entries, budget allows 1048576\n"
         )
 
+    def test_certifying_an_oversized_sample_is_refused_up_front(self, tmp_path):
+        # admitted by the sample budget, but past the certificate's side limit
+        path = tmp_path / "big.json"
+        proc = run_cli_with_timeout(
+            "sample", "--mode", "plain", "--d", "3000", "--m", "3", "--out", str(path)
+        )
+        assert proc.returncode == 0, proc.stderr
+        proc = run_cli_with_timeout("certify", str(path))
+        assert proc.returncode == 3
+        assert proc.stderr == "budget exceeded: side 3000 exceeds the budget of 256\n"
+
 
 class TestSearch:
     def test_report_file_recertifies(self, tmp_path, capsys):

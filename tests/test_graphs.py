@@ -26,13 +26,13 @@ from ffc import (
     deflate_trivial,
     float_filter,
     jacobi_eigenvalues,
-    matching_grid,
     ramanujan_bound,
     rejection_search,
     sample_bipartite,
     sample_nonbipartite,
 )
 from ffc.graphs import (
+    MAX_CERTIFY_SIDE,
     MAX_SAMPLE_ENTRIES,
     NOT_RAMANUJAN,
     STRICT,
@@ -56,9 +56,9 @@ ALIGNED = MatchingUnion("bipartite", 2, 3, (IDENT2, IDENT2, IDENT2))
 
 class TestConstruction:
     def test_vertex_count(self):
-        assert MIXED.n_vertices == 4
+        assert MIXED.adjacency().nrows == 4
         g = MatchingUnion("nonbipartite", 4, 2, (Permutation.identity(4),) * 2)
-        assert g.n_vertices == 4
+        assert g.adjacency().nrows == 4
 
     def test_odd_side_is_rejected_for_plain_unions(self):
         with pytest.raises(ParameterError):
@@ -171,10 +171,27 @@ class TestCertify:
         cert = certify(MIXED)
         assert cert.verdict == "strictly-ramanujan"
         assert cert.is_ramanujan
-        assert cert.bound == QuadScalar.sqrt_int(8)
+        assert cert.bound == QuadScalar(0, 1, 8)
         assert cert.deflated == poly(1, 0, -1)
         assert cert.interior_count == 2
         assert cert.boundary_count == 0
+
+    @pytest.mark.parametrize(
+        "mode, d", [("nonbipartite", MAX_CERTIFY_SIDE + 2), ("bipartite", MAX_CERTIFY_SIDE + 1)]
+    )
+    def test_oversized_unions_are_refused_before_any_grid(self, monkeypatch, mode, d):
+        def unreachable(*args):
+            raise AssertionError("built a grid past the side limit")
+
+        monkeypatch.setattr(graphs, "union_grid", unreachable)
+        g = MatchingUnion(mode, d, 3, (Permutation.identity(d),) * 3)
+        with pytest.raises(BudgetError, match=rf"^side {d} exceeds the budget of 256$"):
+            certify(g)
+
+    @pytest.mark.parametrize("sampler", [sample_bipartite, sample_nonbipartite])
+    def test_a_union_at_the_side_limit_is_certified(self, sampler):
+        g = sampler(MAX_CERTIFY_SIDE, 3, SplitMix64(1))
+        assert certify(g).verdict in ("strictly-ramanujan", "not-ramanujan")
 
     def test_aligned_triple_fails(self):
         cert = certify(ALIGNED)
@@ -275,7 +292,7 @@ class TestSampling:
         rng = SplitMix64(11)
         g = sample_bipartite(3, 2, rng)
         assert g.mode == "bipartite"
-        assert g.n_vertices == 6
+        assert g.adjacency().nrows == 6
         assert g.adjacency().constant_row_sum() == 2
 
     def test_single_matching_spectrum(self):

@@ -18,10 +18,11 @@ from ffc import (
     char_poly,
     leaf_distribution,
     relabel_grid,
-    sample,
     uniform_permutation,
     uniform_program,
 )
+from ffc.perms import _sample_image
+from ffc.search import _compose_images, _union_image
 from support import bernoulli_oracle, grid_matrix, sample_oracle, swap_program_st
 
 
@@ -36,24 +37,29 @@ class TestPermutation:
 
     @given(permutations_st(4))
     def test_inverse(self, p):
-        ident = Permutation.identity(4)
-        assert p.compose(p.inverse()) == ident
-        assert p.inverse().compose(p) == ident
+        # a bipartite image with the identity on the left places right**-1
+        inverse = _union_image("bipartite", 4, tuple(range(4)) + tuple(4 + v for v in p.image))
+        ident = tuple(range(4))
+        assert _compose_images(p.image, inverse) == ident
+        assert _compose_images(inverse, p.image) == ident
 
     @given(permutations_st(3), permutations_st(3))
     def test_compose_acts_left_to_right_on_points(self, p, q):
-        composed = p.compose(q)
+        composed = _compose_images(p.image, q.image)
         for i in range(3):
-            assert composed.image[i] == p.image[q.image[i]]
+            assert composed[i] == p.image[q.image[i]]
 
     @given(permutations_st(4))
     def test_matrix_rows_form_a_permutation_matrix(self, p):
-        rows = p.matrix_rows()
+        # relabel_grid conjugates by P, the matrix sending e_i to e_image[i]
+        rows = [[int(p.image[j] == i) for j in range(4)] for i in range(4)]
         for row in rows:
             assert sum(row) == 1
         for j in range(4):
             assert sum(rows[i][j] for i in range(4)) == 1
-        assert rows[p.image[2]][2] == 1
+        grid = [[4 * i + j for j in range(4)] for i in range(4)]
+        conj = grid_matrix(rows) @ grid_matrix(grid) @ grid_matrix(rows).transpose()
+        assert grid_matrix(relabel_grid(grid, p.image)) == conj
 
     @given(permutations_st(3))
     def test_relabelling_preserves_the_spectrum(self, p):
@@ -62,9 +68,10 @@ class TestPermutation:
         assert char_poly(grid_matrix(conj)) == char_poly(grid_matrix(grid))
 
     def test_direct_sum_blocks(self):
-        left = Permutation((1, 0))
-        right = Permutation((0, 1))
-        assert left.direct_sum(right).image == (1, 0, 2, 3)
+        # the bipartite program is the uniform program on each side in turn
+        left = uniform_program(3).swaps
+        right = tuple(RandomSwap(sw.s + 3, sw.t + 3, sw.prob) for sw in left)
+        assert bipartite_uniform_program(3).swaps == left + right
 
 
 class TestSwapSemantics:
@@ -79,13 +86,13 @@ class TestSwapSemantics:
 
     def test_never_firing_program_returns_identity(self):
         prog = SwapProgram(3, (RandomSwap(0, 1, Fraction(0)), RandomSwap(0, 2, Fraction(0))))
-        assert sample(prog, SplitMix64(5)) == Permutation.identity(3)
+        assert _sample_image(prog, SplitMix64(5), 0) == (0, 1, 2)
 
     def test_always_firing_program_is_deterministic(self):
         prog = SwapProgram(3, (RandomSwap(0, 1, Fraction(1)), RandomSwap(0, 2, Fraction(1))))
         expect = Permutation.identity(3).swap_values(0, 1).swap_values(0, 2)
         for seed in range(4):
-            assert sample(prog, SplitMix64(seed)) == expect
+            assert _sample_image(prog, SplitMix64(seed), 0) == expect.image
 
     def test_single_swap_distribution(self):
         prog = SwapProgram(2, (RandomSwap(0, 1, Fraction(1, 3)),))
@@ -130,8 +137,8 @@ class TestUniformPrograms:
 class TestSampling:
     def test_sampling_is_reproducible(self):
         prog = uniform_program(4)
-        first = [sample(prog, SplitMix64(99)) for _ in range(5)]
-        second = [sample(prog, SplitMix64(99)) for _ in range(5)]
+        first = [_sample_image(prog, SplitMix64(99), 0) for _ in range(5)]
+        second = [_sample_image(prog, SplitMix64(99), 0) for _ in range(5)]
         assert first == second
 
     def test_uniform_permutation_has_the_right_degree(self):
@@ -145,10 +152,10 @@ class TestSampling:
         # crude sanity bound, not a significance test
         prog = uniform_program(3)
         rng = SplitMix64(123)
-        counts: dict[Permutation, int] = {}
+        counts: dict[tuple[int, ...], int] = {}
         n = 1200
         for _ in range(n):
-            p = sample(prog, rng)
+            p = _sample_image(prog, rng, 0)
             counts[p] = counts.get(p, 0) + 1
         assert len(counts) == 6
         assert all(abs(c - n / 6) < n / 6 for c in counts.values())
@@ -164,7 +171,7 @@ class TestSampling:
         """Same images, and the generator left in the same state."""
         rng, oracle = SplitMix64(seed), SplitMix64(seed)
         for _ in range(draws):
-            assert sample(program, rng) == sample_oracle(program, oracle)
+            assert _sample_image(program, rng, 0) == sample_oracle(program, oracle).image
         assert rng.next_u64() == oracle.next_u64()
 
     @given(
@@ -175,20 +182,20 @@ class TestSampling:
         st.data(),
     )
     def test_a_start_index_samples_the_program_tail(self, program, seed, data):
-        """sample(program, rng, start) draws what the rebuilding sampler draws
-        from the program of the swaps from ``start`` on, and leaves the
-        generator in the same state."""
+        """_sample_image(program, rng, start) draws what the rebuilding
+        sampler draws from the program of the swaps from ``start`` on, and
+        leaves the generator in the same state."""
         start = data.draw(st.integers(min_value=0, max_value=len(program)))
         tail = SwapProgram(program.dimension, program.swaps[start:])
         rng, oracle = SplitMix64(seed), SplitMix64(seed)
         for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
-            assert sample(program, rng, start) == sample_oracle(tail, oracle)
+            assert _sample_image(program, rng, start) == sample_oracle(tail, oracle).image
         assert rng._state == oracle._state
 
     @pytest.mark.parametrize("start", [-1, 8])
     def test_a_start_outside_the_program_is_refused(self, start):
         with pytest.raises(ParameterError, match="start"):
-            sample(uniform_program(4), SplitMix64(0), start)
+            _sample_image(uniform_program(4), SplitMix64(0), start)
 
 
 UNIT_PROBABILITIES = st.one_of(

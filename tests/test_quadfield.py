@@ -8,54 +8,52 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ffc import BudgetError, ParameterError, QuadScalar, as_quad, ramanujan_bound
+from ffc import BudgetError, QuadScalar, as_quad, ramanujan_bound
 from ffc.quadfield import MAX_RADICAND, quad_sign
 
 
 class TestNormalization:
     def test_radicand_zero_collapses(self):
         v = QuadScalar(Fraction(3, 2), Fraction(7), 0)
-        assert v.is_rational
-        assert v.as_fraction() == Fraction(3, 2)
+        assert (v.a, v.b, v.r) == (Fraction(3, 2), 0, 0)
 
     def test_radicand_one_collapses(self):
         v = QuadScalar(1, 3, 1)
-        assert v.is_rational
-        assert v.as_fraction() == 4
+        assert (v.a, v.b, v.r) == (4, 0, 0)
 
     def test_perfect_square_collapses(self):
-        assert QuadScalar.sqrt_int(4).as_fraction() == 2
-        assert QuadScalar.sqrt_int(144).as_fraction() == 12
+        assert QuadScalar(0, 1, 4) == as_quad(2)
+        assert QuadScalar(0, 1, 144) == as_quad(12)
 
     def test_square_factor_is_extracted(self):
         # sqrt(8) and 2*sqrt(2) must be the same element
-        assert QuadScalar.sqrt_int(8) == QuadScalar(0, 2, 2)
+        assert QuadScalar(0, 1, 8) == QuadScalar(0, 2, 2)
 
     def test_radicands_too_large_to_normalize_are_refused(self):
         for r in (MAX_RADICAND, 10**21):
             with pytest.raises(BudgetError):
-                QuadScalar.sqrt_int(r)
+                QuadScalar(0, 1, r)
         with pytest.raises(BudgetError):
             ramanujan_bound(MAX_RADICAND + 1)
-        assert QuadScalar.sqrt_int(2**20 * 3) == QuadScalar(0, 2**10, 3)
+        assert QuadScalar(0, 1, 2**20 * 3) == QuadScalar(0, 2**10, 3)
         # a zero coefficient drops the radicand without normalizing it
-        assert QuadScalar(1, 0, 10**21).is_rational
+        assert QuadScalar(1, 0, 10**21) == as_quad(1)
 
     def test_irrational_value_is_not_rational(self):
-        assert not QuadScalar.sqrt_int(2).is_rational
-        with pytest.raises(ParameterError):
-            QuadScalar.sqrt_int(2).as_fraction()
+        v = QuadScalar(0, 1, 2)
+        assert (v.a, v.b, v.r) == (0, 1, 2)
+        assert v != Fraction(99, 70)
 
 
 class TestArithmetic:
     def test_conjugate_product_is_rational(self):
-        one_plus = as_quad(1) + QuadScalar.sqrt_int(2)
-        one_minus = as_quad(1) - QuadScalar.sqrt_int(2)
-        assert (one_plus * one_minus).as_fraction() == -1
+        one_plus = as_quad(1) + QuadScalar(0, 1, 2)
+        one_minus = as_quad(1) - QuadScalar(0, 1, 2)
+        assert one_plus * one_minus == as_quad(-1)
 
     def test_square_of_scaled_root(self):
         v = QuadScalar(0, 2, 2)
-        assert (v * v).as_fraction() == 8
+        assert v * v == as_quad(8)
 
     @given(
         st.fractions(max_denominator=12),
@@ -76,16 +74,16 @@ class TestArithmetic:
 class TestExactSign:
     def test_sign_against_tight_rational_bounds(self):
         # 239/169 and 99/70 sandwich sqrt(2)
-        root2 = QuadScalar.sqrt_int(2)
+        root2 = QuadScalar(0, 1, 2)
         assert (root2 - Fraction(239, 169)).sign() == 1
         assert (root2 - Fraction(99, 70)).sign() == -1
 
     def test_sign_of_zero(self):
-        assert (QuadScalar.sqrt_int(2) - QuadScalar.sqrt_int(2)).sign() == 0
+        assert (QuadScalar(0, 1, 2) - QuadScalar(0, 1, 2)).sign() == 0
 
     def test_comparisons_mix_with_fractions(self):
-        assert Fraction(1) < QuadScalar.sqrt_int(2)
-        assert QuadScalar.sqrt_int(2) < Fraction(3, 2)
+        assert Fraction(1) < QuadScalar(0, 1, 2)
+        assert QuadScalar(0, 1, 2) < Fraction(3, 2)
         assert QuadScalar(0, 1, 2) < QuadScalar(0, 2, 2)
 
 
@@ -132,7 +130,7 @@ class TestCanonicalText:
         [
             (as_quad(0), "0"),
             (as_quad(Fraction(3, 2)), "3/2"),
-            (QuadScalar.sqrt_int(2), "sqrt(2)"),
+            (QuadScalar(0, 1, 2), "sqrt(2)"),
             (QuadScalar(0, 2, 2), "2*sqrt(2)"),
             (QuadScalar(0, -1, 5), "-sqrt(5)"),
             (QuadScalar(Fraction(1, 2), 3, 2), "1/2+3*sqrt(2)"),

@@ -30,15 +30,14 @@ from ffc import (
     expected_poly_for_graph_model,
     interlacing_descent,
     leaf_distribution,
-    matching_grid,
     m_fold_asym,
     rejection_search,
     relabel_grid,
-    sample,
 )
 from ffc import config, search
 from ffc.matrix import charpoly_int_coeffs
-from ffc.graphs import _deflate_int, _gram, deflate_trivial, union_grid
+from ffc.perms import _sample_image
+from ffc.graphs import MAX_CERTIFY_SIDE, _deflate_int, _gram, deflate_trivial, union_grid
 from ffc.search import (
     _ConditionalAverager,
     _compose_images,
@@ -85,7 +84,7 @@ def descent_digest(report, seed):
 
 class TestExpectedPolyModel:
     def test_plain_union_of_two_matchings(self):
-        base = matching_grid(4)
+        base = union_grid("nonbipartite", 4, [tuple(range(4))])
         total = RatPoly.zero()
         for p in perms_of(4):
             shifted = relabel_grid(base, p.image)
@@ -103,10 +102,10 @@ class TestExpectedPolyModel:
         pairs = 0
         for p in perms_of(3):
             for s in perms_of(3):
-                shift = p.compose(s.inverse())
+                # the permutation matrix of p o s**-1 has entry (p(i), s(i))
                 grid = [[Fraction(ident.rows[i][j]) for j in range(3)] for i in range(3)]
                 for i in range(3):
-                    grid[shift.image[i]][i] += 1
+                    grid[p.image[i]][s.image[i]] += 1
                 total = total + char_poly(dilation(RatMatrix.from_rows(tuple(map(tuple, grid)))))
                 pairs += 1
         avg = total.scale(Fraction(1, pairs))
@@ -160,8 +159,8 @@ class TestRejectionSearch:
     @pytest.mark.parametrize(
         "mode, d, m",
         [
-            ("nonbipartite", search.MAX_SEARCH_SIDE + 2, 3),
-            ("bipartite", search.MAX_SEARCH_SIDE + 1, 3),
+            ("nonbipartite", MAX_CERTIFY_SIDE + 2, 3),
+            ("bipartite", MAX_CERTIFY_SIDE + 1, 3),
             ("bipartite", 4, search.MAX_SEARCH_DEGREE + 1),
         ],
     )
@@ -176,7 +175,7 @@ class TestRejectionSearch:
 
     @pytest.mark.parametrize(
         "mode, d, m",
-        [("nonbipartite", search.MAX_SEARCH_SIDE, 3), ("bipartite", 6, search.MAX_SEARCH_DEGREE)],
+        [("nonbipartite", MAX_CERTIFY_SIDE, 3), ("bipartite", 6, search.MAX_SEARCH_DEGREE)],
     )
     def test_a_trial_at_the_limits_runs(self, mode, d, m):
         report = rejection_search(mode, d, m, 1, seed=1)
@@ -244,7 +243,7 @@ class TestInterlacingDescent:
         m = data.draw(st.integers(min_value=1, max_value=3))
         if mode == "nonbipartite":
             d = data.draw(st.sampled_from([2, 4]))
-            base = grid_matrix(matching_grid(d))
+            base = grid_matrix(union_grid("nonbipartite", d, [tuple(range(d))]))
             programs = swap_program_st(d, max_swaps=3)
         else:
             # the union base is the dilation of the identity matching
@@ -307,7 +306,7 @@ class TestInterlacingDescent:
             else:
                 rng = SplitMix64(data.draw(st.integers(min_value=0, max_value=2**64 - 1)))
                 draws = data.draw(st.integers(min_value=1, max_value=4))
-                counts = Counter(sample(tail, rng).image for _ in range(draws))
+                counts = Counter(_sample_image(tail, rng, 0) for _ in range(draws))
                 outcomes = [(img, Fraction(c, draws)) for img, c in counts.items()]
             dists.append({_compose_images(img, onto): pr for img, pr in outcomes})
         averager = _ConditionalAverager("bipartite", d)

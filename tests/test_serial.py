@@ -33,7 +33,7 @@ class TestScalars:
 
     def test_decimal_rendering(self):
         assert serial.decimal_str(Fraction(1, 2)) == "0.5"
-        assert serial.decimal_str(QuadScalar.sqrt_int(8)) == "2.82842712474619"
+        assert serial.decimal_str(QuadScalar(0, 1, 8)) == "2.82842712474619"
 
 
 class TestPolyDocuments:
@@ -177,7 +177,7 @@ TABLE_ROW_FIELDS = (
 
 
 @st.composite
-def tables_st(draw, min_rows: int = 0):
+def tables_st(draw):
     """Rows of small sym and asym bound tables, as ``mfold_root_bound_table``
     computes them."""
     ms = st.lists(st.integers(min_value=2, max_value=5), max_size=2, unique=True)
@@ -185,46 +185,7 @@ def tables_st(draw, min_rows: int = 0):
     for mode, ds in (("sym", [2, 4, 6, 8]), ("asym", [2, 3, 4, 5])):
         cells = st.lists(st.sampled_from(ds), max_size=2, unique=True)
         rows += mfold_root_bound_table(draw(ms), draw(cells), mode)
-    if len(rows) < min_rows:
-        rows += mfold_root_bound_table([3], [4], "asym")
     return rows
-
-
-@st.composite
-def malformed_tables_st(draw):
-    """A valid bound table with one field missing, mislabelled or out of range."""
-    obj = through_json(serial.table_to_obj(draw(tables_st(min_rows=1))))
-    row = draw(st.sampled_from(obj["rows"]))
-    how = draw(st.sampled_from(
-        ["kind", "version", "rows", "drop", "m", "d", "mode", "bracket", "bound", "poly"]
-    ))
-    if how == "kind":
-        obj["kind"] = draw(st.sampled_from(sorted(PARSERS) + [None, 1]))
-    elif how == "version":
-        obj["version"] = draw(st.sampled_from([0, 2, "1", 1.0, True, None]))
-    elif how == "rows":
-        obj["rows"] = draw(st.sampled_from([None, {}, "rows", [1], [None]]))
-    elif how == "drop":
-        del row[draw(st.sampled_from(TABLE_ROW_FIELDS))]
-    elif how == "m":
-        row["m"] = draw(st.sampled_from([1, 0, -1, True, "3", 1.5, None]))
-    elif how == "d":
-        odd = [row["d"] + 1] if row["mode"] == "sym" else []
-        row["d"] = draw(st.sampled_from([1, 0, True, "4", 2.0, None, [2]] + odd))
-    elif how == "mode":
-        row["mode"] = draw(st.sampled_from(["plain", "bipartite", "SYM", "", None, 1]))
-    elif how == "bracket":
-        row["bracket_lo"], row["bracket_hi"] = row["bracket_hi"], row["bracket_lo"]
-    elif how == "poly":
-        # a zero in place of the leading coefficient, or one more after it
-        coeffs = row["poly"]["coeffs"]
-        if draw(st.booleans()):
-            coeffs[-1] = "0"
-        else:
-            coeffs.append("0")
-    else:
-        row["bound"] = dict(row["bound"], exact=draw(st.sampled_from(["2*sqrt(7)", "3", None])))
-    return obj
 
 
 @st.composite
@@ -339,13 +300,6 @@ class TestDocumentProperties:
     def test_table_round_trip(self, rows):
         obj = through_json(serial.table_to_obj(rows))
         assert all(set(row) == set(TABLE_ROW_FIELDS) for row in obj["rows"])
-        assert serial.parse_table(obj) == rows
-
-    @settings(max_examples=100)
-    @given(malformed_tables_st())
-    def test_malformed_tables_are_rejected(self, obj):
-        with pytest.raises(ParameterError):
-            serial.parse_table(obj)
 
     def test_certificate_fields_must_fit_d(self):
         good = serial.certificate_to_obj(certify(sample_bipartite(3, 3, SplitMix64(1))))

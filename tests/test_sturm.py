@@ -73,11 +73,11 @@ class TestCountRoots:
         assert count_roots_in(poly(1, 0, -2), Fraction(-2), Fraction(2), open_interval=True) == 2
 
     def test_open_interval_with_roots_at_endpoints(self):
-        root2 = QuadScalar.sqrt_int(2)
+        root2 = QuadScalar(0, 1, 2)
         assert count_roots_in(poly(1, 0, -2), -root2, root2, open_interval=True) == 0
 
     def test_closed_interval_with_roots_at_endpoints(self):
-        root2 = QuadScalar.sqrt_int(2)
+        root2 = QuadScalar(0, 1, 2)
         assert count_roots_in(poly(1, 0, -2), -root2, root2) == 2
 
     def test_multiplicity_weighted_count(self):
