@@ -49,11 +49,14 @@ MODES = ("bipartite", "nonbipartite")
 # d = 10**8 would exhaust memory before the first permutation is complete.
 MAX_SAMPLE_ENTRIES = 1 << 20
 
-# The largest side d a union may have for ``certify``, and so for a search
-# trial.  A certificate is an exact integer characteristic polynomial of a
-# d x d matrix: a plain one takes about 0.2 s at the limit and 23 s at
-# d = 1024 on one core, and one search trial at d = 256, m = 32 takes 7-9 s.
+# The largest side d and degree m a union may have for ``certify``, and so
+# for a search trial or a descent.  A certificate is an exact integer
+# characteristic polynomial of a d x d matrix whose entries grow with m: a
+# plain one takes about 0.2 s at d = 256, m = 3 and 23 s at d = 1024 on one
+# core, one search trial at d = 256, m = 32 takes 7-9 s, and a bipartite
+# certificate at d = 256, m = 4096 took 26.6 s.
 MAX_CERTIFY_SIDE = 256
+MAX_SEARCH_DEGREE = 32
 
 STRICT = "strictly-ramanujan"
 WITH_BOUNDARY = "ramanujan-with-boundary"
@@ -265,10 +268,13 @@ def certify(g: MatchingUnion) -> RamanujanCertificate:
     eigenvalue y against 4(m-1).  Verdicts: strictly-ramanujan when every
     deflated root is interior, ramanujan-with-boundary when the rest sit
     exactly at the bound, else not-ramanujan.  A side past
-    ``MAX_CERTIFY_SIDE`` is refused before any grid is built.
+    ``MAX_CERTIFY_SIDE`` or a degree past ``MAX_SEARCH_DEGREE`` is refused
+    before any grid is built.
     """
     if g.d > MAX_CERTIFY_SIDE:
         raise BudgetError(f"side {g.d} exceeds the budget of {MAX_CERTIFY_SIDE}")
+    if g.m > MAX_SEARCH_DEGREE:
+        raise BudgetError(f"degree {g.m} exceeds the budget of {MAX_SEARCH_DEGREE}")
     # m = 1 degenerates to bound 0; the general formula needs m >= 2
     bound = ramanujan_bound(g.m) if g.m >= 2 else as_quad(0)
     if g.mode == "bipartite":

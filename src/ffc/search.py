@@ -5,8 +5,9 @@ decides each by the exact integer inertia test ``inertia_verdict``, leaving
 to ``certify`` only the union it returns and the trials the test cannot
 decide; existence holds with nonzero probability, so exhausting the trial
 budget is reported rather than raised.  A trial past
-``graphs.MAX_CERTIFY_SIDE`` or ``MAX_SEARCH_DEGREE`` is refused before
-anything is sampled.
+``graphs.MAX_CERTIFY_SIDE`` or ``graphs.MAX_SEARCH_DEGREE`` is refused
+before anything is sampled, and a descent past the degree limit before its
+program is built.
 ``interlacing_descent`` walks the random-swap programs realizing the
 uniform distribution and greedily fixes each swap to the branch whose
 conditional expected characteristic polynomial has the smaller largest
@@ -16,24 +17,35 @@ Each step runs on integers.  A conditional is one call of
 ``quadrature.weighted_charpoly_sum`` over the per-program suffix
 distributions: integer coefficients and one denominator, with no RatPoly.
 A term's characteristic polynomial depends only on the matchings it
-places, so each program image is reduced once to a canonical key (its
-matching with the pairs sorted in plain mode, its placed permutation in
-bipartite mode) and each term is read from one bounded, process-wide
-table keyed by the sorted keys (``_union_charpoly``).  Many image
-multisets place one union: a sampled plain d=6, m=3 descent averages about
-800 multisets, but d=6 has only 15 matchings and so at most 680 unions,
-and a run of such descents computes each of them once.  A lookup builds no
-grid; a miss builds ``graphs.union_grid`` and computes it once per grid.
-Bipartite conditionals average char(N N^T) of the d x d Gram matrix.  The
-trivial root is divided out of the integers by ``graphs._deflate_int``, m
-in plain mode and m**2 in the Gram variable in bipartite mode, before x**2
-is substituted; the quotient is exact because x - m and y - m**2 are
-monic.  The two candidates are compared on their
-primitive integer coefficients (``_fired_wins``), by proved top-root cells
-first, and only the winner becomes a RatPoly, for the step's record.
-Sampled suffixes are drawn from a start index of the one program
-(``perms._sample_image``), with each suffix's Bernoulli trials in one loop
-on the generator.
+places, so each distribution's images are merged by a canonical key (the
+matching with its pairs sorted in plain mode, the placed permutation in
+bipartite mode), their weights added, and each term is read from one
+bounded, process-wide table keyed by the sorted keys (``_union_charpoly``).
+An exact plain d=4 suffix of 24 images places 3 matchings, so the initial
+conditional of an exact plain d=4, m=3 descent has 27 terms, not 13 824.  Many image multisets place one
+union: a sampled plain d=6, m=3 descent averages about 800 multisets, but
+d=6 has only 15 matchings and so at most 680 unions, and a run of such
+descents computes each of them once.  A lookup builds no grid; a miss
+builds ``graphs.union_grid`` and computes it once per grid.  Bipartite
+conditionals average char(N N^T) of the d x d Gram matrix.  The trivial
+root is divided out of the integers by ``graphs._deflate_int``, m in plain
+mode and m**2 in the Gram variable in bipartite mode, before x**2 is
+substituted; the quotient is exact because x - m and y - m**2 are monic.
+The two candidates are compared on their primitive integer coefficients
+(``_fired_wins``), by proved top-root cells first, and only the winner
+becomes a RatPoly, for the step's record.  The cells come from a second
+process-wide table (``_conditional_top_cell``), so each distinct
+conditional's cell is proved once, however often it is compared.
+
+A sampled step (i, j) draws only the suffixes its conditionals read
+(``_sampled_suffixes``): the deciding program's from swap j + 1 on and a
+full one for each later program.  Programs before i are pinned to their
+images, so their suffixes are never drawn; where a later program's draws
+follow, the generator is advanced past them by their Bernoulli trials
+alone, and every draw that is read is the one the step would make if it
+drew all m suffixes.  Suffixes are drawn from a start index of the one
+program (``perms._sample_image``), with each suffix's Bernoulli trials in
+one loop on the generator.
 
 In exact strategy the conditionals are full leaf enumerations and the
 greedy choice provably never increases that root, so the terminal graph
@@ -58,6 +70,7 @@ from . import config
 from .errors import BudgetError, ParameterError
 from .graphs import (
     MAX_CERTIFY_SIDE,
+    MAX_SEARCH_DEGREE,
     MODES,
     NOT_RAMANUJAN,
     STRICT,
@@ -83,7 +96,7 @@ from .perms import (
     uniform_program,
 )
 from .poly import RatPoly, _int_primitive
-from .quadrature import weighted_charpoly_sum
+from .quadrature import _enumeration_size, weighted_charpoly_sum
 from .rng import SplitMix64, derive_seed
 from .sturm import _chain_from_coeffs, _compare_int, _proved_top_cell
 from .transforms import matching_fold
@@ -94,11 +107,6 @@ from .graphs import deflate_trivial, float_filter  # noqa: F401
 from .perms import relabel_grid  # noqa: F401
 from .sturm import compare_max_roots  # noqa: F401
 from .transforms import ramanujan_bound  # noqa: F401
-
-
-# The largest degree m a search trial may have; its side is bounded by
-# ``graphs.MAX_CERTIFY_SIDE``, as every certificate is.
-MAX_SEARCH_DEGREE = 32
 
 
 def expected_poly_for_graph_model(mode: str, d: int, m: int) -> RatPoly:
@@ -241,9 +249,11 @@ def _union_image(mode: str, d: int, image: tuple[int, ...]) -> tuple[int, ...]:
 # Bounds on the process-wide caches below.  A plain d=6, m=3 descent places
 # 15 matchings and at most C(17, 3) = 680 unions, and a bipartite d=4, m=3
 # one at most C(26, 3) = 2600, so a run of such descents fills the charpoly
-# table once and then only reads it.  Full, the three caches hold about
-# 25 MiB at d = 20, the largest side a sampled m = 3 descent admits, most of
-# it in the tupled grids (tracemalloc, CPython 3.11).
+# table once and then only reads it.  Full, the three caches of keys and
+# charpolys hold about 25 MiB at d = 20, the largest side a sampled m = 3
+# descent admits, most of it in the tupled grids (tracemalloc, CPython
+# 3.11), and the cell table at most about 7 MiB more (the 39 coefficients
+# of a bipartite d = 20 conditional, sys.getsizeof).
 _CACHE_SIZE = 4096
 
 
@@ -282,10 +292,19 @@ def _grid_charpoly(mode: str, grid: tuple[tuple[int, ...], ...]) -> tuple[int, .
     return charpoly_int_coeffs(grid if mode == "nonbipartite" else _gram(grid))
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def _conditional_top_cell(coeffs: tuple[int, ...]) -> tuple[int, int] | None:
+    """``sturm._proved_top_cell`` of a conditional's primitive integer
+    coefficients, None included, proved once per process.  A run of sampled
+    plain d=6, m=3 descents compares few distinct conditionals many times
+    over: 1200 seeded descents make 154 224 lookups of 204 polynomials."""
+    return _proved_top_cell(coeffs)
+
+
 class _ConditionalAverager:
     """Exact average of the union's characteristic polynomial over
-    per-program image distributions, on integers.  Each image is replaced by
-    its ``_placed_key`` once per distribution, and each term's charpoly is
+    per-program image distributions, on integers.  Each distribution's
+    images are merged by their ``_placed_key``, and each term's charpoly is
     read from the process-wide table ``_union_charpoly`` under the sorted
     keys, so no grid is built on a hit."""
 
@@ -297,19 +316,35 @@ class _ConditionalAverager:
     def _charpoly(self, placed: tuple[tuple[int, ...], ...]) -> tuple:
         return _union_charpoly(self.mode, self.d, tuple(sorted(placed)))
 
+    def _merged(self, dist: dict) -> dict[tuple[int, ...], Fraction]:
+        """The distribution of ``_placed_key``s: the weights of images that
+        place one matching added up.  Most keys are met once, and a plain
+        store costs no Fraction addition."""
+        merged: dict[tuple[int, ...], Fraction] = {}
+        for img, pr in dist.items():
+            key = _placed_key(self.mode, self.d, img)
+            if key in merged:
+                merged[key] += pr
+            else:
+                merged[key] = pr
+        return merged
+
     def average(self, dists: list[dict[tuple[int, ...], Fraction]]) -> tuple[list[int], int]:
         """Integer coefficients, ascending, and one positive denominator of
         the average: of char(A) in plain mode, and of char(N N^T), in the
         Gram variable y with char(A)(x) = char(N N^T)(x**2), in bipartite
-        mode.  An enumeration past what is left of ``config.MAX_DET_EVALS``
-        raises BudgetError before any term is evaluated."""
-        # one term per program image, even where two place the same union
-        placed = [
-            [(_placed_key(self.mode, self.d, img), pr) for img, pr in dist.items()]
-            for dist in dists
-        ]
-        acc, den, terms = weighted_charpoly_sum(
-            placed, self._charpoly, config.MAX_DET_EVALS - self.det_evals
+        mode.
+
+        The product runs over each distribution's ``_placed_key``s, not its
+        images: at plain d=4 the 24 images of a full suffix place only 3
+        matchings.  The budget and ``det_evals`` still count the images, so
+        an enumeration of more images than what is left of
+        ``config.MAX_DET_EVALS`` raises BudgetError before any term is
+        evaluated."""
+        left = config.MAX_DET_EVALS - self.det_evals
+        terms = _enumeration_size(dists, left)
+        acc, den, _ = weighted_charpoly_sum(
+            [self._merged(dist).items() for dist in dists], self._charpoly, left
         )
         self.det_evals += terms
         return acc, den
@@ -320,7 +355,9 @@ def _check_exact_budget(program: SwapProgram, m: int) -> None:
     ``config.MAX_DET_EVALS`` evaluations in all, before the first one.  The
     initial conditional has s0**m terms, s0 the program's leaf support; step
     (i, j) compares two conditionals of |S_{j+1}| * s0**(m-1-i) terms each,
-    S_{j+1} the support of the suffix after swap j."""
+    S_{j+1} the support of the suffix after swap j.  Terms are counted on
+    images, as ``_ConditionalAverager.det_evals`` counts them, though the
+    averager evaluates one per combination of placed keys."""
     s0 = len(_suffix_distribution(program, 0))
     suffixes = sum(
         len(_suffix_distribution(program, j + 1)) for j in range(len(program.swaps))
@@ -331,6 +368,34 @@ def _check_exact_budget(program: SwapProgram, m: int) -> None:
             f"exact descent needs {need} determinant evaluations, budget "
             f"allows {config.MAX_DET_EVALS}; use strategy='sampled'"
         )
+
+
+def _empirical_suffix(
+    program: SwapProgram, start: int, rng: SplitMix64, samples: int
+) -> tuple:
+    """``samples`` draws of the program's swaps from ``start`` on, as a
+    sorted tuple of (image, frequency)."""
+    counts = Counter(_sample_image(program, rng, start) for _ in range(samples))
+    return tuple((img, Fraction(c, samples)) for img, c in sorted(counts.items()))
+
+
+def _sampled_suffixes(
+    program: SwapProgram, m: int, i: int, j: int, rng: SplitMix64, samples: int
+) -> list:
+    """The suffix distributions sampled step (i, j) reads: the deciding
+    program's from swap j + 1 on, then a full one for each later program,
+    and None for the i programs before it, which its conditionals pin to
+    their images.  The generator runs as if every program's suffix were
+    drawn in order: the deciding one first, then the others.  So the draws
+    of programs before i only advance it, by their Bernoulli trials and
+    with no image built, and only when a later program's draws follow."""
+    tail = _empirical_suffix(program, j + 1, rng, samples)
+    if i < m - 1:
+        for _ in range(i * samples):
+            rng.bernoulli_hits(program._probs)
+    return [None] * i + [tail] + [
+        _empirical_suffix(program, 0, rng, samples) for _ in range(m - 1 - i)
+    ]
 
 
 def _conditional_poly(coeffs: tuple[int, ...], den: int, bipartite: bool) -> RatPoly:
@@ -355,18 +420,18 @@ def _fired_wins(fired: tuple[int, ...], unfired: tuple[int, ...]) -> bool:
     Exact conditionals are real-rooted.  Sampled ones average over empirical
     suffix distributions, which form no interlacing family, and may have no
     real root at all: such a candidate loses, and when neither has one the
-    unfired branch wins.  Proved top cells (``sturm._proved_top_cell``) come
-    first.  A proved cell holds a real root, so a candidate's chain is built
-    to count its real roots only when its cell is missing, and
-    ``sturm._compare_int`` then decides from the cells, one chain, or, last,
-    the chain of the product.
+    unfired branch wins.  Proved top cells come first, read from the
+    process-wide table ``_conditional_top_cell``.  A proved cell holds a
+    real root, so a candidate's chain is built to count its real roots only
+    when its cell is missing, and ``sturm._compare_int`` then decides from
+    the cells, one chain, or, last, the chain of the product.
     """
     if fired == unfired:
         return False
-    fired_cell = _proved_top_cell(fired)
+    fired_cell = _conditional_top_cell(fired)
     if fired_cell is None and not _chain_from_coeffs(fired).count_all():
         return False
-    unfired_cell = _proved_top_cell(unfired)
+    unfired_cell = _conditional_top_cell(unfired)
     if unfired_cell is None and not _chain_from_coeffs(unfired).count_all():
         return True
     return _compare_int(fired, unfired, fired_cell, unfired_cell) < 0
@@ -389,18 +454,27 @@ def interlacing_descent(
     satisfies the expected-polynomial bound; cost is exponential in d and m
     and guarded by the determinant budget.  Sampled strategy replaces each
     program's suffix by an empirical distribution of ``samples_per_program``
-    draws (deterministic from the seed) and is only a heuristic.  A program
-    too long for the swap budget (exact) or the determinant budget (sampled)
-    is refused before it is built, and so are more suffix draws than the
-    determinant budget allows (sampled) and conditionals that need more
-    evaluations in all (exact, before the first).  The budgets are
-    ``config.MAX_SWAPS`` and ``config.MAX_DET_EVALS``.
+    draws (deterministic from the seed) and is only a heuristic.  A step
+    draws only the suffixes of the deciding program and the later ones
+    (``_sampled_suffixes``), and they are the draws of a step that drew
+    every program's suffix in turn.
+
+    A degree past ``graphs.MAX_SEARCH_DEGREE``, which the certificate would
+    refuse, is refused first.  A program too long for the swap budget
+    (exact) or the determinant budget (sampled) is refused before it is
+    built, and so are more suffix draws than the determinant budget allows
+    (sampled) and conditionals that need more evaluations in all (exact,
+    before the first).  The budgets are ``config.MAX_SWAPS`` and
+    ``config.MAX_DET_EVALS``; the draw count is that of drawing every
+    program's suffix at every step.
     """
     check_shape(mode, d, m)
     if strategy not in ("exact", "sampled"):
         raise ParameterError(f"unknown strategy {strategy!r}")
     if samples_per_program < 1:
         raise ParameterError("need at least one sample per program")
+    if m > MAX_SEARCH_DEGREE:
+        raise BudgetError(f"degree {m} exceeds the budget of {MAX_SEARCH_DEGREE}")
     # refuse before building a program of 2**(d-1) - 1 (plain) or 2**d - 2
     # (bipartite) swaps; each step averages two conditionals of >= 1 term
     n_swaps = (1 << (d - 1)) - 1 if mode == "nonbipartite" else (1 << d) - 2
@@ -414,8 +488,9 @@ def interlacing_descent(
             f"sampled descent needs at least {1 + 2 * m * n_swaps} determinant "
             f"evaluations, budget allows {config.MAX_DET_EVALS}"
         )
-    # m suffixes drawn before the first step and m per step, each drawn
-    # samples_per_program times; each draw counts as one evaluation
+    # m suffixes before the first step and m per step, each drawn
+    # samples_per_program times, bound the draws (a step skips the suffixes
+    # of the programs before its own); each draw counts as one evaluation
     draws = samples_per_program * m * (1 + m * n_swaps)
     if strategy == "sampled" and draws > config.MAX_DET_EVALS:
         raise BudgetError(
@@ -433,28 +508,19 @@ def interlacing_descent(
     # the trivial root: m of char(A), or m**2 of char(N N^T) in bipartite mode
     trivial = m * m if bipartite else m
 
-    def exact_suffix(start_index: int) -> tuple:
-        return _suffix_distribution(program, start_index)
-
-    def empirical_suffix(start_index: int, rng: SplitMix64) -> tuple:
-        counts = Counter(
-            _sample_image(program, rng, start_index) for _ in range(samples_per_program)
-        )
-        return tuple(
-            (img, Fraction(c, samples_per_program)) for img, c in sorted(counts.items())
-        )
-
-    def conditional(deciding: int, images: list) -> tuple[tuple[int, ...], int]:
-        """Average over programs >= ``deciding`` still random (their current
-        suffix composed onto the prefix image), earlier ones fully fixed,
-        with its trivial root divided out on integers: coefficients and one
-        denominator for ``_conditional_poly``.  Every term's characteristic
-        polynomial has the trivial root, and x - m and y - m**2 are monic,
-        so the quotient is exact."""
+    def conditional(
+        deciding: int, images: list, dists: list
+    ) -> tuple[tuple[int, ...], int]:
+        """Average over programs >= ``deciding`` still random (their suffix
+        distribution in ``dists`` composed onto the prefix image), earlier
+        ones fully fixed, with its trivial root divided out on integers:
+        coefficients and one denominator for ``_conditional_poly``.  Every
+        term's characteristic polynomial has the trivial root, and x - m and
+        y - m**2 are monic, so the quotient is exact."""
         try:
             acc, den = averager.average([
                 {images[k]: Fraction(1)} if k < deciding
-                else {_compose_images(img, images[k]): pr for img, pr in step_dists[k]}
+                else {_compose_images(img, images[k]): pr for img, pr in dists[k]}
                 for k in range(m)
             ])
         except BudgetError as exc:
@@ -468,11 +534,13 @@ def interlacing_descent(
 
     # conditional expectation before any decision, for the descent trace
     if strategy == "exact":
-        step_dists = [exact_suffix(0) for _ in range(m)]
+        dists = [_suffix_distribution(program, 0)] * m
     else:
         rng0 = SplitMix64(derive_seed(seed, 0))
-        step_dists = [empirical_suffix(0, rng0) for _ in range(m)]
-    initial = _conditional_poly(*conditional(-1, fixed), bipartite)
+        dists = [
+            _empirical_suffix(program, 0, rng0, samples_per_program) for _ in range(m)
+        ]
+    initial = _conditional_poly(*conditional(-1, fixed, dists), bipartite)
 
     steps: list[DescentStep] = []
     for step_index, (i, j) in enumerate(
@@ -480,14 +548,11 @@ def interlacing_descent(
     ):
         sw = program.swaps[j]
         if strategy == "exact":
-            tail = exact_suffix(j + 1)
-            step_dists = [tail if k == i else exact_suffix(0) for k in range(m)]
+            tail = _suffix_distribution(program, j + 1)
+            dists = [tail if k == i else _suffix_distribution(program, 0) for k in range(m)]
         else:
             rng_step = SplitMix64(derive_seed(seed, step_index + 1))
-            tail = empirical_suffix(j + 1, rng_step)
-            step_dists = [
-                tail if k == i else empirical_suffix(0, rng_step) for k in range(m)
-            ]
+            dists = _sampled_suffixes(program, m, i, j, rng_step, samples_per_program)
         candidates = {}
         for fired in (False, True):
             img = (
@@ -497,7 +562,7 @@ def interlacing_descent(
             )
             trial_images = list(fixed)
             trial_images[i] = img
-            coeffs, den = conditional(i, trial_images)
+            coeffs, den = conditional(i, trial_images, dists)
             # the comparison needs only the roots: the primitive part, in x
             primitive = _int_primitive(coeffs)
             candidates[fired] = (

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial
@@ -42,6 +43,7 @@ from ffc import (
 from ffc.convolution import _from_series, _series
 from ffc.graphs import NOT_RAMANUJAN, STRICT, WITH_BOUNDARY, _gram, union_grid
 from ffc.matrix import _charpoly_mod, _grid_sum, charpoly_int_coeffs
+from ffc.perms import _sample_image
 from ffc.quadrature import weighted_charpoly_average
 from ffc.search import _union_image
 from ffc.sturm import NEG_INF, POS_INF, _homogenised
@@ -773,6 +775,19 @@ def sample_oracle(program: SwapProgram, rng) -> Permutation:
         if rng.bernoulli(sw.prob):
             image = tuple(sw.t if v == sw.s else sw.s if v == sw.t else v for v in image)
     return Permutation(image)
+
+
+def sampled_suffixes_oracle(program: SwapProgram, m, i, j, rng, samples) -> list:
+    """The sampled descent step that drew every program's suffix: the
+    deciding program's from swap j + 1 on, then a full one for each other
+    program in order, those the step's conditionals pin included."""
+
+    def empirical(start):
+        counts = Counter(_sample_image(program, rng, start) for _ in range(samples))
+        return tuple((img, Fraction(c, samples)) for img, c in sorted(counts.items()))
+
+    tail = empirical(j + 1)
+    return [tail if k == i else empirical(0) for k in range(m)]
 
 
 # The float rotation-degree probe the exact nine-point check replaced.

@@ -303,6 +303,17 @@ class TestSampleAndCertify:
         assert proc.returncode == 3
         assert proc.stderr == "budget exceeded: side 3000 exceeds the budget of 256\n"
 
+    def test_certifying_a_sample_past_the_degree_limit_is_refused_up_front(self, tmp_path):
+        # admitted by the sample budget, but past the certificate's degree limit
+        path = tmp_path / "deep.json"
+        proc = run_cli_with_timeout(
+            "sample", "--mode", "bipartite", "--d", "4", "--m", "33", "--out", str(path)
+        )
+        assert proc.returncode == 0, proc.stderr
+        proc = run_cli_with_timeout("certify", str(path))
+        assert proc.returncode == 3
+        assert proc.stderr == "budget exceeded: degree 33 exceeds the budget of 32\n"
+
 
 class TestSearch:
     def test_report_file_recertifies(self, tmp_path, capsys):

@@ -34,6 +34,7 @@ from ffc import (
 from ffc.graphs import (
     MAX_CERTIFY_SIDE,
     MAX_SAMPLE_ENTRIES,
+    MAX_SEARCH_DEGREE,
     NOT_RAMANUJAN,
     STRICT,
     WITH_BOUNDARY,
@@ -187,6 +188,22 @@ class TestCertify:
         g = MatchingUnion(mode, d, 3, (Permutation.identity(d),) * 3)
         with pytest.raises(BudgetError, match=rf"^side {d} exceeds the budget of 256$"):
             certify(g)
+
+    @pytest.mark.parametrize("mode", ["nonbipartite", "bipartite"])
+    def test_unions_past_the_degree_limit_are_refused_before_any_grid(self, monkeypatch, mode):
+        def unreachable(*args):
+            raise AssertionError("built a grid past the degree limit")
+
+        monkeypatch.setattr(graphs, "union_grid", unreachable)
+        m = MAX_SEARCH_DEGREE + 1
+        g = MatchingUnion(mode, 4, m, (Permutation.identity(4),) * m)
+        with pytest.raises(BudgetError, match=rf"^degree {m} exceeds the budget of 32$"):
+            certify(g)
+
+    @pytest.mark.parametrize("sampler", [sample_bipartite, sample_nonbipartite])
+    def test_a_union_at_the_degree_limit_is_certified(self, sampler):
+        g = sampler(8, MAX_SEARCH_DEGREE, SplitMix64(1))
+        assert certify(g).verdict in ("strictly-ramanujan", "not-ramanujan")
 
     @pytest.mark.parametrize("sampler", [sample_bipartite, sample_nonbipartite])
     def test_a_union_at_the_side_limit_is_certified(self, sampler):

@@ -33,10 +33,12 @@ from ffc import (
     m_fold_asym,
     rejection_search,
     relabel_grid,
+    uniform_program,
 )
 from ffc import config, search
 from ffc.matrix import charpoly_int_coeffs
 from ffc.perms import _sample_image
+from ffc.poly import _int_primitive
 from ffc.graphs import MAX_CERTIFY_SIDE, _deflate_int, _gram, deflate_trivial, union_grid
 from ffc.search import (
     _ConditionalAverager,
@@ -44,17 +46,19 @@ from ffc.search import (
     _conditional_poly,
     _fired_wins,
     _placed_key,
+    _sampled_suffixes,
     _union_charpoly,
     _union_image,
 )
 from ffc.serial import dumps, poly_to_obj, search_report_to_obj
-from ffc.sturm import _positive_int
+from ffc.sturm import _positive_int, _proved_top_cell
 from support import (
     bipartite_program_st,
     conditional_average_oracle,
     dilation_conditional_oracle,
     fired_wins_oracle,
     grid_matrix,
+    sampled_suffixes_oracle,
     subprocess_env,
     swap_average_oracle,
     swap_program_st,
@@ -354,6 +358,63 @@ class TestInterlacingDescent:
         )
         assert traces() == fast
 
+    @pytest.mark.parametrize("m, i", [(m, i) for m in range(1, 5) for i in range(m)])
+    def test_sampled_suffixes_are_the_oracles_from_the_deciding_program_on(self, m, i):
+        """The deciding program's suffix and every later one are the draws of
+        the step that drew them all, and the generator ends where that step
+        left it whenever a later program was drawn."""
+        program = uniform_program(6)
+        for seed, samples, j in itertools.product(range(4), (1, 2, 3), (0, 9, 30)):
+            fast_rng, slow_rng = SplitMix64(seed), SplitMix64(seed)
+            fast = _sampled_suffixes(program, m, i, j, fast_rng, samples)
+            slow = sampled_suffixes_oracle(program, m, i, j, slow_rng, samples)
+            assert fast == [None] * i + slow[i:]
+            if i < m - 1:
+                assert fast_rng.next_u64() == slow_rng.next_u64()
+
+    @pytest.mark.parametrize("mode, d", [("nonbipartite", 4), ("nonbipartite", 6), ("bipartite", 3)])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_sampled_descents_match_drawing_every_suffix(self, monkeypatch, mode, d, m):
+        """Skipping the draws of the programs a step pins, or only advancing
+        the generator past them, changes no step and no report: descents
+        match those of the step that drew every suffix, over many seeds and
+        sample counts.  At m = 4 the generator is advanced at i = 1 and 2."""
+
+        def digests():
+            return [
+                descent_digest(
+                    interlacing_descent(
+                        mode, d, m, strategy="sampled", seed=seed,
+                        samples_per_program=samples,
+                    ),
+                    seed,
+                )
+                for seed in range(6)
+                for samples in (1, 2, 3)
+            ]
+
+        fast = digests()
+        monkeypatch.setattr(search, "_sampled_suffixes", sampled_suffixes_oracle)
+        assert digests() == fast
+
+    def test_a_descent_past_the_degree_limit_is_refused_up_front(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("built a program past the degree limit")
+
+        monkeypatch.setattr(search, "uniform_program", unreachable)
+        monkeypatch.setattr(search, "bipartite_uniform_program", unreachable)
+        m = search.MAX_SEARCH_DEGREE + 1
+        for mode, strategy in itertools.product(("nonbipartite", "bipartite"), ("exact", "sampled")):
+            with pytest.raises(BudgetError, match=rf"^degree {m} exceeds the budget of 32$"):
+                interlacing_descent(mode, 2, m, strategy=strategy)
+
+    def test_a_descent_at_the_degree_limit_is_certified(self):
+        m = search.MAX_SEARCH_DEGREE
+        report = interlacing_descent(
+            "bipartite", 2, m, strategy="sampled", seed=1, samples_per_program=1
+        )
+        assert report.certificate == certify(report.graph)
+
     def test_swap_budget_is_enforced(self, monkeypatch):
         # uniform_program(4) has 7 swaps
         monkeypatch.setattr(config, "MAX_SWAPS", 2)
@@ -412,19 +473,27 @@ class TestInterlacingDescent:
             interlacing_descent("bipartite", 2, 3, strategy="greedy")
 
 
-def clear_charpoly_tables():
+def clear_descent_tables():
     search._union_charpoly.cache_clear()
     search._grid_charpoly.cache_clear()
+    search._conditional_top_cell.cache_clear()
+
+
+def normalised(coeffs):
+    """Primitive coefficients with a positive leading one: one tuple per
+    polynomial up to a nonzero rational factor."""
+    primitive = _int_primitive(coeffs)
+    return primitive if primitive[-1] > 0 else tuple(-c for c in primitive)
 
 
 class TestConditionalCache:
     @pytest.fixture(autouse=True)
     def cold_table(self):
-        """Each test starts from an empty charpoly table, whatever ran
-        before it in the process, and leaves none of its entries behind."""
-        clear_charpoly_tables()
+        """Each test starts from empty charpoly and cell tables, whatever ran
+        before it in the process, and leaves none of their entries behind."""
+        clear_descent_tables()
         yield
-        clear_charpoly_tables()
+        clear_descent_tables()
 
     @pytest.fixture
     def charpolys(self, monkeypatch):
@@ -471,10 +540,39 @@ class TestConditionalCache:
         assert len(charpolys) < len(multisets) == 802
         assert averager.det_evals == 830
 
+    def test_each_distinct_conditional_is_proved_once(self, monkeypatch):
+        """Over a run of seeded descents the cell table proves the top cell
+        of each distinct conditional it is asked for once, however often the
+        conditional is compared, and answers every other lookup itself."""
+        looked_up, proved = [], []
+        table = search._conditional_top_cell
+
+        def lookup(coeffs):
+            looked_up.append(coeffs)
+            return table(coeffs)
+
+        def prove(coeffs):
+            proved.append(coeffs)
+            return _proved_top_cell(coeffs)
+
+        monkeypatch.setattr(search, "_conditional_top_cell", lookup)
+        monkeypatch.setattr(search, "_proved_top_cell", prove)
+        for seed in range(12):
+            interlacing_descent(
+                "nonbipartite", 6, 3, strategy="sampled", seed=seed, samples_per_program=2
+            )
+        distinct = {normalised(c) for c in looked_up}
+        assert len(proved) == len(distinct)
+        assert {normalised(c) for c in proved} == distinct
+        assert table.cache_info().misses == len(proved)
+        assert table.cache_info().hits == len(looked_up) - len(proved)
+        assert table.cache_info().hits > len(proved)
+
     def test_a_warm_table_changes_no_document(self):
         """One seeded sampled descent gives the same document and step trace
-        on a cold table, on the table it warmed itself, after a clear, and
-        in a fresh interpreter."""
+        on cold charpoly and cell tables, on the tables it warmed itself,
+        with only the cell table cleared, after a clear of both, and in a
+        fresh interpreter."""
         args = ("nonbipartite", 6, 3)
         kwargs = dict(strategy="sampled", seed=5, samples_per_program=2)
 
@@ -483,8 +581,12 @@ class TestConditionalCache:
 
         cold = digest()
         assert search._union_charpoly.cache_info().currsize > 0
+        assert search._conditional_top_cell.cache_info().currsize > 0
         assert digest() == cold
-        clear_charpoly_tables()
+        assert search._conditional_top_cell.cache_info().hits > 0
+        search._conditional_top_cell.cache_clear()
+        assert digest() == cold
+        clear_descent_tables()
         assert digest() == cold
         script = (
             "from ffc import interlacing_descent\n"
