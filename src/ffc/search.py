@@ -14,28 +14,29 @@ conditional expected characteristic polynomial has the smaller largest
 nontrivial root.
 
 Each step runs on integers.  A conditional is one call of
-``quadrature.weighted_charpoly_sum`` over the per-program suffix
-distributions: integer coefficients and one denominator, with no RatPoly.
-A term's characteristic polynomial depends only on the matchings it
-places, so each distribution's images are merged by a canonical key (the
-matching with its pairs sorted in plain mode, the placed permutation in
-bipartite mode), their weights added, and each term is read from one
-bounded, process-wide table keyed by the sorted keys (``_union_charpoly``).
-An exact plain d=4 suffix of 24 images places 3 matchings, so the initial
-conditional of an exact plain d=4, m=3 descent has 27 terms, not 13 824.  Many image multisets place one
-union: a sampled plain d=6, m=3 descent averages about 800 multisets, but
-d=6 has only 15 matchings and so at most 680 unions, and a run of such
-descents computes each of them once.  A lookup builds no grid; a miss
-builds ``graphs.union_grid`` and computes it once per grid.  Bipartite
-conditionals average char(N N^T) of the d x d Gram matrix.  The trivial
-root is divided out of the integers by ``graphs._deflate_int``, m in plain
-mode and m**2 in the Gram variable in bipartite mode, before x**2 is
-substituted; the quotient is exact because x - m and y - m**2 are monic.
-The two candidates are compared on their primitive integer coefficients
-(``_fired_wins``), by proved top-root cells first, and only the winner
-becomes a RatPoly, for the step's record.  The cells come from a second
-process-wide table (``_conditional_top_cell``), so each distinct
-conditional's cell is proved once, however often it is compared.
+``quadrature.weighted_charpoly_sum`` (``_conditional_average``) over the
+per-program distributions of placed keys: integer coefficients and one
+denominator, with no RatPoly.  A term's characteristic polynomial depends
+only on the matchings it places, so each suffix image is composed onto its
+prefix and keyed canonically (``_keyed``: the matching with its pairs
+sorted in plain mode, the placed permutation in bipartite mode), the
+weights of one key added up, and each term is read from one bounded,
+process-wide table keyed by the sorted keys (``_union_charpoly``).  An
+exact plain d=4 suffix of 24 images places 3 matchings, so the initial
+conditional of an exact plain d=4, m=3 descent has 27 terms, not 13 824.
+Many image multisets place one union: a sampled plain d=6, m=3 descent
+averages about 800 multisets, but d=6 has only 15 matchings and so at most
+680 unions, and a run of such descents computes each of them once; a miss
+builds ``graphs.union_grid``.  Bipartite conditionals average char(N N^T)
+of the d x d Gram matrix.  The trivial root is divided out of the integers
+by ``graphs._deflate_int``, m in plain mode and m**2 in the Gram variable
+in bipartite mode, before x**2 is substituted; the quotient is exact
+because x - m and y - m**2 are monic.  The two candidates are compared on
+their primitive integer coefficients (``_fired_wins``), by proved top-root
+cells first, and only the winner becomes a RatPoly, for the step's record.
+The cells come from a second process-wide table
+(``_conditional_top_cell``), so each distinct conditional's cell is proved
+once, however often it is compared.
 
 A sampled step (i, j) draws only the suffixes its conditionals read
 (``_sampled_suffixes``): the deciding program's from swap j + 1 on and a
@@ -50,16 +51,18 @@ one loop on the generator.
 In exact strategy the conditionals are full leaf enumerations and the
 greedy choice provably never increases that root, so the terminal graph
 beats the expected polynomial; this is exponential and meant for tiny
-sizes, and a descent whose conditionals would need more than
-``config.MAX_DET_EVALS`` evaluations in all is refused before the first
-one.  The sampled strategy substitutes per-program empirical suffix
+sizes.  The sampled strategy substitutes per-program empirical suffix
 distributions.  These are not products of independent swaps, so the
 averages form no interlacing family and need not be real-rooted, or have
-any real root; the strategy offers no guarantee.
+any real root; the strategy offers no guarantee.  Either strategy is
+refused before its first conditional when they would need more than
+``config.MAX_DET_EVALS`` terms in all, counted by keys
+(``_check_descent_budget``).
 """
 
 from __future__ import annotations
 
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -96,7 +99,7 @@ from .perms import (
     uniform_program,
 )
 from .poly import RatPoly, _int_primitive
-from .quadrature import _enumeration_size, weighted_charpoly_sum
+from .quadrature import weighted_charpoly_sum
 from .rng import SplitMix64, derive_seed
 from .sturm import _chain_from_coeffs, _compare_int, _proved_top_cell
 from .transforms import matching_fold
@@ -249,11 +252,11 @@ def _union_image(mode: str, d: int, image: tuple[int, ...]) -> tuple[int, ...]:
 # Bounds on the process-wide caches below.  A plain d=6, m=3 descent places
 # 15 matchings and at most C(17, 3) = 680 unions, and a bipartite d=4, m=3
 # one at most C(26, 3) = 2600, so a run of such descents fills the charpoly
-# table once and then only reads it.  Full, the three caches of keys and
-# charpolys hold about 25 MiB at d = 20, the largest side a sampled m = 3
-# descent admits, most of it in the tupled grids (tracemalloc, CPython
-# 3.11), and the cell table at most about 7 MiB more (the 39 coefficients
-# of a bipartite d = 20 conditional, sys.getsizeof).
+# table once and then only reads it.  Full, the tables of keys and of
+# charpolys hold about 7 MiB at bipartite d = 20, m = 3, the largest side a
+# sampled m = 3 descent admits (tracemalloc, CPython 3.11), and the cell
+# table at most about 7 MiB more (the 39 coefficients of a bipartite
+# d = 20 conditional, sys.getsizeof).
 _CACHE_SIZE = 4096
 
 
@@ -279,16 +282,8 @@ def _union_charpoly(mode: str, d: int, key: tuple[tuple[int, ...], ...]) -> tupl
     ``_placed_key``s in ``key`` make: of the adjacency in plain mode, of the
     Gram matrix N N^T in bipartite mode.  It depends on the multiset of
     matchings placed and on nothing else, so one table serves every descent
-    of the process.  Two multisets can place one grid (two 1-factorizations
-    of one 3-regular graph, say), so a miss builds the grid and looks it up
-    in ``_grid_charpoly`` before any charpoly is computed."""
+    of the process."""
     grid = union_grid(mode, d, key)
-    return _grid_charpoly(mode, tuple(map(tuple, grid)))
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _grid_charpoly(mode: str, grid: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """``_union_charpoly``'s value, computed once per grid."""
     return charpoly_int_coeffs(grid if mode == "nonbipartite" else _gram(grid))
 
 
@@ -301,72 +296,84 @@ def _conditional_top_cell(coeffs: tuple[int, ...]) -> tuple[int, int] | None:
     return _proved_top_cell(coeffs)
 
 
-class _ConditionalAverager:
-    """Exact average of the union's characteristic polynomial over
-    per-program image distributions, on integers.  Each distribution's
-    images are merged by their ``_placed_key``, and each term's charpoly is
-    read from the process-wide table ``_union_charpoly`` under the sorted
-    keys, so no grid is built on a hit."""
-
-    def __init__(self, mode: str, d: int) -> None:
-        self.mode = mode
-        self.d = d
-        self.det_evals = 0
-
-    def _charpoly(self, placed: tuple[tuple[int, ...], ...]) -> tuple:
-        return _union_charpoly(self.mode, self.d, tuple(sorted(placed)))
-
-    def _merged(self, dist: dict) -> dict[tuple[int, ...], Fraction]:
-        """The distribution of ``_placed_key``s: the weights of images that
-        place one matching added up.  Most keys are met once, and a plain
-        store costs no Fraction addition."""
-        merged: dict[tuple[int, ...], Fraction] = {}
-        for img, pr in dist.items():
-            key = _placed_key(self.mode, self.d, img)
-            if key in merged:
-                merged[key] += pr
-            else:
-                merged[key] = pr
-        return merged
-
-    def average(self, dists: list[dict[tuple[int, ...], Fraction]]) -> tuple[list[int], int]:
-        """Integer coefficients, ascending, and one positive denominator of
-        the average: of char(A) in plain mode, and of char(N N^T), in the
-        Gram variable y with char(A)(x) = char(N N^T)(x**2), in bipartite
-        mode.
-
-        The product runs over each distribution's ``_placed_key``s, not its
-        images: at plain d=4 the 24 images of a full suffix place only 3
-        matchings.  The budget and ``det_evals`` still count the images, so
-        an enumeration of more images than what is left of
-        ``config.MAX_DET_EVALS`` raises BudgetError before any term is
-        evaluated."""
-        left = config.MAX_DET_EVALS - self.det_evals
-        terms = _enumeration_size(dists, left)
-        acc, den, _ = weighted_charpoly_sum(
-            [self._merged(dist).items() for dist in dists], self._charpoly, left
-        )
-        self.det_evals += terms
-        return acc, den
+def _keyed(mode: str, d: int, prefix: tuple[int, ...], dist) -> dict:
+    """The distribution of ``_placed_key``s of a program whose suffix
+    images, (image, probability) pairs in ``dist``, compose onto ``prefix``:
+    the weights of images that place one matching added up.  A None ``dist``
+    pins the program to its prefix.  Most keys are met once, and a plain
+    store costs no Fraction addition."""
+    if dist is None:
+        return {_placed_key(mode, d, prefix): Fraction(1)}
+    keyed: dict[tuple[int, ...], Fraction] = {}
+    for img, pr in dist:
+        key = _placed_key(mode, d, _compose_images(img, prefix))
+        if key in keyed:
+            keyed[key] += pr
+        else:
+            keyed[key] = pr
+    return keyed
 
 
-def _check_exact_budget(program: SwapProgram, m: int) -> None:
-    """Refuse an exact descent whose conditionals need more than
-    ``config.MAX_DET_EVALS`` evaluations in all, before the first one.  The
-    initial conditional has s0**m terms, s0 the program's leaf support; step
-    (i, j) compares two conditionals of |S_{j+1}| * s0**(m-1-i) terms each,
-    S_{j+1} the support of the suffix after swap j.  Terms are counted on
-    images, as ``_ConditionalAverager.det_evals`` counts them, though the
-    averager evaluates one per combination of placed keys."""
-    s0 = len(_suffix_distribution(program, 0))
-    suffixes = sum(
-        len(_suffix_distribution(program, j + 1)) for j in range(len(program.swaps))
+def _conditional_average(
+    mode: str, d: int, prefixes: list, suffixes: list
+) -> tuple[list[int], int]:
+    """Integer coefficients, ascending, and one positive denominator of the
+    union's average characteristic polynomial, with each program's suffix
+    images composed onto its prefix (``_keyed``): of char(A) in plain mode,
+    and of char(N N^T), in the Gram variable y with
+    char(A)(x) = char(N N^T)(x**2), in bipartite mode.  Each term is read
+    from ``_union_charpoly`` under the sorted keys."""
+    acc, den, _ = weighted_charpoly_sum(
+        [_keyed(mode, d, p, s).items() for p, s in zip(prefixes, suffixes)],
+        lambda keys: _union_charpoly(mode, d, tuple(sorted(keys))),
+        config.MAX_DET_EVALS,
     )
-    need = s0**m + 2 * suffixes * sum(s0**k for k in range(m))
+    return acc, den
+
+
+def _check_descent_budget(
+    mode: str, d: int, m: int, n_swaps: int, samples: int, program: SwapProgram | None
+) -> None:
+    """Refuse a descent whose suffix draws or conditionals need more than
+    ``config.MAX_DET_EVALS`` evaluations in all, before the first of them.
+
+    A conditional has one term per combination of placed keys.  A suffix
+    places at most min(support, K) keys, K = (d - 1)!! matchings in plain
+    mode and d! placed permutations in bipartite mode.  With s_k that bound
+    for the swaps from k on, the initial conditional has s_0**m terms and
+    step (i, j) compares two of s_{j+1} * s_0**(m-1-i) each.  An exact
+    descent passes its ``program``, whose suffixes' supports are their leaf
+    supports.  A sampled one passes None: its supports are ``samples``, so
+    the count needs no program, and its draws are counted first, each as
+    one evaluation.
+    """
+    if program is None:
+        # m suffixes before the first step and m per step, each drawn
+        # samples times, bound the draws (a step skips the suffixes of the
+        # programs before its own)
+        draws = samples * m * (1 + m * n_swaps)
+        if draws > config.MAX_DET_EVALS:
+            raise BudgetError(
+                f"sampled descent draws {draws} suffixes, determinant budget "
+                f"allows {config.MAX_DET_EVALS}"
+            )
+    # the swap or the draw check has kept d <= 24, so K costs nothing
+    keys = math.factorial(d) if mode == "bipartite" else math.prod(range(d - 1, 0, -2))
+    if program is None:
+        s0 = min(samples, keys)
+        tails = n_swaps * s0
+        strategy, hint = "sampled", f"use fewer than {samples} samples per program"
+    else:
+        s0, *rest = (
+            min(len(_suffix_distribution(program, j)), keys) for j in range(n_swaps + 1)
+        )
+        tails = sum(rest)
+        strategy, hint = "exact", "use strategy='sampled'"
+    need = s0**m + 2 * tails * sum(s0**k for k in range(m))
     if need > config.MAX_DET_EVALS:
         raise BudgetError(
-            f"exact descent needs {need} determinant evaluations, budget "
-            f"allows {config.MAX_DET_EVALS}; use strategy='sampled'"
+            f"{strategy} descent needs {need} determinant evaluations, budget "
+            f"allows {config.MAX_DET_EVALS}; {hint}"
         )
 
 
@@ -460,13 +467,12 @@ def interlacing_descent(
     every program's suffix in turn.
 
     A degree past ``graphs.MAX_SEARCH_DEGREE``, which the certificate would
-    refuse, is refused first.  A program too long for the swap budget
-    (exact) or the determinant budget (sampled) is refused before it is
-    built, and so are more suffix draws than the determinant budget allows
-    (sampled) and conditionals that need more evaluations in all (exact,
-    before the first).  The budgets are ``config.MAX_SWAPS`` and
-    ``config.MAX_DET_EVALS``; the draw count is that of drawing every
-    program's suffix at every step.
+    refuse, is refused first.  An exact program longer than
+    ``config.MAX_SWAPS`` swaps is refused before it is built.  Then
+    ``_check_descent_budget`` refuses, before the first draw or
+    conditional, a descent whose draws (sampled) or whose conditionals'
+    terms in all exceed ``config.MAX_DET_EVALS``; a sampled descent's count
+    needs no program, so it is refused before its program is built.
     """
     check_shape(mode, d, m)
     if strategy not in ("exact", "sampled"):
@@ -476,32 +482,19 @@ def interlacing_descent(
     if m > MAX_SEARCH_DEGREE:
         raise BudgetError(f"degree {m} exceeds the budget of {MAX_SEARCH_DEGREE}")
     # refuse before building a program of 2**(d-1) - 1 (plain) or 2**d - 2
-    # (bipartite) swaps; each step averages two conditionals of >= 1 term
+    # (bipartite) swaps
     n_swaps = (1 << (d - 1)) - 1 if mode == "nonbipartite" else (1 << d) - 2
     if strategy == "exact" and n_swaps > config.MAX_SWAPS:
         raise BudgetError(
             f"program has {n_swaps} swaps, budget allows {config.MAX_SWAPS}; "
             "use strategy='sampled'"
         )
-    if strategy == "sampled" and 1 + 2 * m * n_swaps > config.MAX_DET_EVALS:
-        raise BudgetError(
-            f"sampled descent needs at least {1 + 2 * m * n_swaps} determinant "
-            f"evaluations, budget allows {config.MAX_DET_EVALS}"
-        )
-    # m suffixes before the first step and m per step, each drawn
-    # samples_per_program times, bound the draws (a step skips the suffixes
-    # of the programs before its own); each draw counts as one evaluation
-    draws = samples_per_program * m * (1 + m * n_swaps)
-    if strategy == "sampled" and draws > config.MAX_DET_EVALS:
-        raise BudgetError(
-            f"sampled descent draws {draws} suffixes, determinant budget "
-            f"allows {config.MAX_DET_EVALS}"
-        )
     start = time.perf_counter()
+    if strategy == "sampled":
+        _check_descent_budget(mode, d, m, n_swaps, samples_per_program, None)
     program = (uniform_program if mode == "nonbipartite" else bipartite_uniform_program)(d)
     if strategy == "exact":
-        _check_exact_budget(program, m)
-    averager = _ConditionalAverager(mode, d)
+        _check_descent_budget(mode, d, m, n_swaps, samples_per_program, program)
     identity = tuple(range(program.dimension))
     fixed: list[tuple[int, ...]] = [identity] * m
     bipartite = mode == "bipartite"
@@ -517,19 +510,8 @@ def interlacing_descent(
         coefficients and one denominator for ``_conditional_poly``.  Every
         term's characteristic polynomial has the trivial root, and x - m and
         y - m**2 are monic, so the quotient is exact."""
-        try:
-            acc, den = averager.average([
-                {images[k]: Fraction(1)} if k < deciding
-                else {_compose_images(img, images[k]): pr for img, pr in dists[k]}
-                for k in range(m)
-            ])
-        except BudgetError as exc:
-            # an exact descent was refused up front, so only a sampled one
-            # reaches this: its enumeration grows with the sample count
-            raise BudgetError(
-                f"conditional {exc}; use fewer than {samples_per_program} "
-                "samples per program"
-            ) from None
+        suffixes = [None if k < deciding else dist for k, dist in enumerate(dists)]
+        acc, den = _conditional_average(mode, d, images, suffixes)
         return _deflate_int(acc, trivial), den
 
     # conditional expectation before any decision, for the descent trace
@@ -540,7 +522,7 @@ def interlacing_descent(
         dists = [
             _empirical_suffix(program, 0, rng0, samples_per_program) for _ in range(m)
         ]
-    initial = _conditional_poly(*conditional(-1, fixed, dists), bipartite)
+    initial = _conditional_poly(*conditional(0, fixed, dists), bipartite)
 
     steps: list[DescentStep] = []
     for step_index, (i, j) in enumerate(

@@ -402,7 +402,7 @@ def dilation_conditional_oracle(d: int, dists) -> tuple[RatPoly, int]:
 
 
 def conditional_average_oracle(mode: str, d: int, dists) -> tuple[RatPoly, int]:
-    """``search._ConditionalAverager.average`` before it returned integers:
+    """``search._conditional_average`` before it returned integers:
     the RatPoly of ``weighted_charpoly_average`` over the unions' integer
     characteristic polynomials (of N N^T in bipartite mode, with x**2
     substituted), and the number of terms."""

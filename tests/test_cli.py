@@ -5,6 +5,7 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -376,12 +377,13 @@ class TestDescend:
         assert code == 2
         assert "sample" in err
 
-    # the plain d=40 program has 2**39 - 1 swaps: building it exhausts memory;
+    # the plain d=40 program has 2**39 - 1 swaps: building it exhausts memory,
+    # and drawing 8 suffixes of it per program and step takes forever too;
     # plain d=6 with 10**9 samples a program would draw suffixes for hours
     OVERSIZED = [
         ("plain", "exact", "program has 549755813887 swaps, budget allows 22", ("--d", "40")),
-        ("plain", "sampled", "at least 3298534883323 determinant evaluations", ("--d", "40")),
-        ("bipartite", "sampled", "at least 6597069766645 determinant evaluations", ("--d", "40")),
+        ("plain", "sampled", "draws 39582418599888 suffixes", ("--d", "40")),
+        ("bipartite", "sampled", "draws 79164837199752 suffixes", ("--d", "40")),
         ("plain", "sampled", "draws 282000000000 suffixes", ("--d", "6", "--samples", "1000000000")),
     ]
 
@@ -398,27 +400,32 @@ class TestDescend:
         assert message in proc.stderr
 
     def test_an_oversized_exact_descent_is_refused_before_its_first_conditional(self):
-        # the running total used to refuse it after about 24 s of conditionals
+        # its conditionals have 170 677 094 terms in all, counted by keys
         proc = run_cli_with_timeout(
-            "descend", "--mode", "plain", "--d", "4", "--m", "5", "--strategy", "exact"
+            "descend", "--mode", "bipartite", "--d", "4", "--m", "5", "--strategy", "exact"
         )
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert proc.stderr == (
-            "budget exceeded: exact descent needs 54353558 determinant evaluations, "
+            "budget exceeded: exact descent needs 170677094 determinant evaluations, "
             "budget allows 10000000; use strategy='sampled'\n"
         )
 
     def test_too_many_samples_are_named_in_the_refusal(self):
-        # each conditional averages up to 1000**3 sampled terms
+        # 100 samples of the 120 placed permutations: 61 606 000 terms in all,
+        # which used to be refused only after 205 s of conditionals
+        start = time.perf_counter()
         proc = run_cli_with_timeout(
-            "descend", "--mode", "plain", "--d", "6", "--m", "3",
-            "--strategy", "sampled", "--samples", "1000",
+            "descend", "--mode", "bipartite", "--d", "5", "--m", "3",
+            "--strategy", "sampled", "--samples", "100",
         )
+        assert time.perf_counter() - start < 1
         assert proc.returncode == 3
-        assert proc.stderr.startswith("budget exceeded: conditional enumeration needs ")
-        assert proc.stderr.endswith("; use fewer than 1000 samples per program\n")
-        assert "strategy=" not in proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "budget exceeded: sampled descent needs 61606000 determinant evaluations, "
+            "budget allows 10000000; use fewer than 100 samples per program\n"
+        )
 
 
 class TestExpected:

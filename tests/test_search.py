@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -40,9 +41,10 @@ from ffc.matrix import charpoly_int_coeffs
 from ffc.perms import _sample_image
 from ffc.poly import _int_primitive
 from ffc.graphs import MAX_CERTIFY_SIDE, _deflate_int, _gram, deflate_trivial, union_grid
+from ffc.quadrature import weighted_charpoly_sum
 from ffc.search import (
-    _ConditionalAverager,
     _compose_images,
+    _conditional_average,
     _conditional_poly,
     _fired_wins,
     _placed_key,
@@ -71,6 +73,15 @@ def poly(*descending):
 
 def perms_of(d):
     return [Permutation(im) for im in itertools.permutations(range(d))]
+
+
+def keyed_average(mode, d, dists):
+    """``search._conditional_average`` of program image distributions, each
+    composed onto the identity."""
+    identity = tuple(range(d if mode == "nonbipartite" else 2 * d))
+    return _conditional_average(
+        mode, d, [identity] * len(dists), [dist.items() for dist in dists]
+    )
 
 
 def descent_digest(report, seed):
@@ -263,10 +274,8 @@ class TestInterlacingDescent:
     @given(data=st.data())
     def test_conditional_average_matches_the_retired_loop(self, data):
         mode, d, m, base, progs, dists = self.draw_conditional(data)
-        averager = _ConditionalAverager(mode, d)
-        expected, terms = swap_average_oracle([base] * m, progs)
-        assert _conditional_poly(*averager.average(dists), mode == "bipartite") == expected
-        assert averager.det_evals == terms
+        expected, _ = swap_average_oracle([base] * m, progs)
+        assert _conditional_poly(*keyed_average(mode, d, dists), mode == "bipartite") == expected
 
     @given(data=st.data())
     def test_integer_deflation_matches_the_fraction_route(self, data):
@@ -275,7 +284,7 @@ class TestInterlacingDescent:
         average."""
         mode, d, m, _, _, dists = self.draw_conditional(data)
         bipartite = mode == "bipartite"
-        acc, den = _ConditionalAverager(mode, d).average(dists)
+        acc, den = keyed_average(mode, d, dists)
         average, _ = conditional_average_oracle(mode, d, dists)
         deflated = _deflate_int(acc, m * m if bipartite else m)
         assert all(type(c) is int for c in deflated)
@@ -313,10 +322,8 @@ class TestInterlacingDescent:
                 counts = Counter(_sample_image(tail, rng, 0) for _ in range(draws))
                 outcomes = [(img, Fraction(c, draws)) for img, c in counts.items()]
             dists.append({_compose_images(img, onto): pr for img, pr in outcomes})
-        averager = _ConditionalAverager("bipartite", d)
-        expected, terms = dilation_conditional_oracle(d, dists)
-        assert _conditional_poly(*averager.average(dists), True) == expected
-        assert averager.det_evals == terms
+        expected, _ = dilation_conditional_oracle(d, dists)
+        assert _conditional_poly(*keyed_average("bipartite", d, dists), True) == expected
 
     # sha256 of each descent's search-report document and step trace, as the
     # dilation averager produced them
@@ -426,36 +433,70 @@ class TestInterlacingDescent:
         with pytest.raises(BudgetError, match="sampled"):
             interlacing_descent("bipartite", 3, 3)
 
-    def test_determinant_budget_covers_the_whole_descent(self, monkeypatch):
-        # the first conditional takes exactly 4**3 evaluations, the next 32 more
-        monkeypatch.setattr(config, "MAX_DET_EVALS", 64)
-        with pytest.raises(BudgetError, match="sampled"):
-            interlacing_descent("bipartite", 2, 3)
-
     @pytest.mark.parametrize(
-        "mode, d, m",
-        [("nonbipartite", 4, 2), ("nonbipartite", 4, 3), ("bipartite", 2, 3), ("bipartite", 3, 2)],
+        "mode, d, m, strategy, samples",
+        [
+            ("nonbipartite", 4, 2, "exact", 8),
+            ("nonbipartite", 4, 3, "exact", 8),
+            ("bipartite", 2, 3, "exact", 8),
+            ("bipartite", 3, 2, "exact", 8),
+            ("nonbipartite", 6, 3, "sampled", 2),
+            ("bipartite", 3, 3, "sampled", 3),
+            # more samples than the 3 matchings of d = 4
+            ("nonbipartite", 4, 3, "sampled", 5),
+        ],
     )
-    def test_the_exact_budget_is_the_whole_descent_up_front(self, monkeypatch, mode, d, m):
-        """The up-front count is the evaluations the descent makes: a budget
-        of exactly that admits it, and one less refuses it before any
-        conditional."""
-        averagers = []
+    def test_the_descent_budget_is_counted_up_front(
+        self, monkeypatch, mode, d, m, strategy, samples
+    ):
+        """The count the refusal names bounds the terms the descent's
+        conditionals evaluate: a budget of exactly that admits it, and one
+        less refuses it before any draw or conditional."""
 
-        class Recorded(_ConditionalAverager):
-            def __init__(self, *args):
-                super().__init__(*args)
-                averagers.append(self)
+        def descend():
+            return interlacing_descent(
+                mode, d, m, strategy=strategy, seed=3, samples_per_program=samples
+            )
 
-        monkeypatch.setattr(search, "_ConditionalAverager", Recorded)
-        interlacing_descent(mode, d, m)
-        need = averagers[0].det_evals
+        def refusal():
+            with pytest.raises(BudgetError) as refused:
+                descend()
+            return str(refused.value)
+
+        monkeypatch.setattr(config, "MAX_DET_EVALS", 0)
+        message = refusal()
+        if strategy == "sampled":
+            # the draws are refused first; past them, the terms
+            draws = re.search(r"draws (\d+) suffixes", message)
+            monkeypatch.setattr(config, "MAX_DET_EVALS", int(draws.group(1)))
+            message = refusal()
+        need = int(re.search(r"needs (\d+) determinant evaluations", message).group(1))
+        terms = []
+
+        def counted(dists, charpoly, max_evals):
+            acc, den, count = weighted_charpoly_sum(dists, charpoly, max_evals)
+            terms.append(count)
+            return acc, den, count
+
+        monkeypatch.setattr(search, "weighted_charpoly_sum", counted)
         monkeypatch.setattr(config, "MAX_DET_EVALS", need)
-        interlacing_descent(mode, d, m)
+        report = descend()
+        assert len(terms) == 1 + 2 * len(report.steps)
+        assert sum(terms) <= need
+
+        def no_work(*args):
+            raise AssertionError("work ran past a refused budget")
+
+        monkeypatch.setattr(search, "weighted_charpoly_sum", no_work)
+        monkeypatch.setattr(search, "_sample_image", no_work)
         monkeypatch.setattr(config, "MAX_DET_EVALS", need - 1)
-        with pytest.raises(BudgetError, match=f"needs {need} determinant evaluations"):
-            interlacing_descent(mode, d, m)
-        assert len(averagers) == 2
+        assert f"needs {need} determinant evaluations" in refusal()
+
+    def test_an_exact_descent_is_counted_by_keys(self):
+        """Exact plain d=4, m=5 has 54 353 558 image terms, but a suffix
+        places at most 3 matchings, so it is counted at 4 599 terms."""
+        report = interlacing_descent("nonbipartite", 4, 5)
+        assert report.certificate.is_ramanujan
 
     @pytest.mark.parametrize("samples", [0, -1])
     def test_sample_count_must_be_positive(self, samples):
@@ -475,7 +516,6 @@ class TestInterlacingDescent:
 
 def clear_descent_tables():
     search._union_charpoly.cache_clear()
-    search._grid_charpoly.cache_clear()
     search._conditional_top_cell.cache_clear()
 
 
@@ -507,38 +547,22 @@ class TestConditionalCache:
         monkeypatch.setattr(search, "charpoly_int_coeffs", counted)
         return calls
 
-    def test_multisets_placing_one_grid_share_a_charpoly(self, charpolys):
-        averager = _ConditionalAverager("nonbipartite", 4)
-        # each multiset pairs 0-1 and 2-3 once and 0-2 and 1-3 once
-        first = averager.average([{(0, 1, 2, 3): Fraction(1)}, {(0, 2, 1, 3): Fraction(1)}])
-        second = averager.average([{(1, 0, 3, 2): Fraction(1)}, {(2, 0, 3, 1): Fraction(1)}])
-        assert first == second
-        assert len(charpolys) == 1
-        assert averager.det_evals == 2
-
-    def test_a_sampled_descent_computes_each_grid_once(self, charpolys, monkeypatch):
-        averagers = []
+    def test_a_sampled_descent_computes_each_union_once(self, charpolys, monkeypatch):
+        """Each multiset of placed keys a conditional reaches misses the cold
+        charpoly table once and is computed once."""
         multisets = set()
 
-        class Recorded(_ConditionalAverager):
-            def __init__(self, *args):
-                super().__init__(*args)
-                averagers.append(self)
+        def recorded(dists, charpoly, max_evals):
+            multisets.update(
+                tuple(sorted(key for key, _ in combo)) for combo in itertools.product(*dists)
+            )
+            return weighted_charpoly_sum(dists, charpoly, max_evals)
 
-            def average(self, dists):
-                multisets.update(tuple(sorted(c)) for c in itertools.product(*dists))
-                return super().average(dists)
-
-        monkeypatch.setattr(search, "_ConditionalAverager", Recorded)
+        monkeypatch.setattr(search, "weighted_charpoly_sum", recorded)
         interlacing_descent(
             "nonbipartite", 6, 3, strategy="sampled", seed=11, samples_per_program=2
         )
-        assert len(charpolys) == len(set(charpolys))
-        assert search._grid_charpoly.cache_info().misses == len(charpolys)
-        (averager,) = averagers
-        # 802 image multisets place these grids, and 830 terms are averaged
-        assert len(charpolys) < len(multisets) == 802
-        assert averager.det_evals == 830
+        assert search._union_charpoly.cache_info().misses == len(charpolys) == len(multisets)
 
     def test_each_distinct_conditional_is_proved_once(self, monkeypatch):
         """Over a run of seeded descents the cell table proves the top cell
