@@ -21,7 +21,6 @@ from .graphs import (
     certify,
     deflate_trivial,
     float_filter,
-    inertia_verdict,
     jacobi_eigenvalues,
     sample_bipartite,
     sample_nonbipartite,

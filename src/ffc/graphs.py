@@ -16,10 +16,23 @@ characteristic polynomial q gives char(A) = q(x**2); the trivial root m**2
 is divided out of q.  In nonbipartite mode the trivial root m is divided out
 of char(A) and the Graeffe square of the rest has the squared eigenvalues as
 roots.  Both divisions are integer synthetic divisions of the integer
-characteristic polynomial.  ``inertia_verdict`` reaches the same verdict for
-less, when it can, from the inertia of the integer matrix G - 4(m-1) I,
-where G is that Gram matrix or A**2.  No library path calls
-``jacobi_eigenvalues`` or ``float_filter``; no verdict depends on them.
+characteristic polynomial.
+
+The characteristic polynomial of M = A (plain) or N N^T (bipartite) comes
+from one integer Krylov pass over the union's permutations
+(``union_terms``): a start vector x orthogonal to the all-ones vector, so
+the trivial eigenvector never enters, and n - 1 products, each a sum of
+permutation gathers with no grid and no modulus, give the terms
+s_k = <x, M**k x>.  They carry an exact Rayleigh-quotient witness
+(``witnessed_terms``): with t = 4(m-1), s_2j+2 > t s_2j or
+s_2j+1**2 > t s_2j**2 (plain), or s_k+1 > t s_k (bipartite, where M is
+positive semidefinite), proves a nontrivial eigenvalue past the bound,
+because each quotient averages the powers of eigenvalues that x reaches.
+``certify`` passes the same terms to ``char_poly``, whose Berlekamp-Massey
+step finds their minimal polynomial f; the divisor (x - m) f or
+(x - m**2) f then has degree n unless M repeats an eigenvalue.  No library
+path calls ``jacobi_eigenvalues`` or ``float_filter``; no verdict depends
+on them.
 """
 
 from __future__ import annotations
@@ -27,10 +40,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetError, ContractError, ParameterError
-from .matrix import RatMatrix, char_poly, dilation
+from .matrix import RatMatrix, char_poly, dilation, krylov_terms
 from .perms import Permutation, uniform_permutation
 from .poly import RatPoly
 from .quadfield import QuadScalar, as_quad
@@ -52,9 +65,10 @@ MAX_SAMPLE_ENTRIES = 1 << 20
 # The largest side d and degree m a union may have for ``certify``, and so
 # for a search trial or a descent.  A certificate is an exact integer
 # characteristic polynomial of a d x d matrix whose entries grow with m: a
-# plain one takes about 0.2 s at d = 256, m = 3 and 23 s at d = 1024 on one
-# core, one search trial at d = 256, m = 32 takes 7-9 s, and a bipartite
-# certificate at d = 256, m = 4096 took 26.6 s.
+# plain one takes about 0.19 s at d = 256, m = 3, 2.7 s at d = 512 and 25 s
+# at d = 1024 on one core, and one search trial at d = 256, m = 32 takes
+# 0.7-1.9 s.  Each product of the Krylov pass makes m permutation gathers (2m
+# in bipartite mode), so its time grows with m as well as d.
 MAX_CERTIFY_SIDE = 256
 MAX_SEARCH_DEGREE = 32
 
@@ -261,13 +275,75 @@ def _split_at(q: tuple[int, ...], t: int) -> tuple[int, int]:
     return n - above - at, at
 
 
-def certify(g: MatchingUnion) -> RamanujanCertificate:
+def _start_vector(n: int) -> list[int]:
+    """A fixed integer vector orthogonal to the all-ones vector: differences
+    of cyclically adjacent entries of a scrambled byte sequence."""
+    h = [(i + 1) * 0x9E3779B97F4A7C15 >> 56 & 0xFF for i in range(n)]
+    return [a - b for a, b in zip(h, h[1:] + h[:1])]
+
+
+def union_terms(g: MatchingUnion) -> Iterator[int]:
+    """The 2(n - 1) terms s_k = <x, M**k x> of M = A (plain) or N N^T
+    (bipartite), both of side n = d, for ``_start_vector(n)``, in order.
+
+    Each product sums the union's permutation gathers: A y adds y at each
+    matching's partner, N^T y gathers y through each permutation and N z
+    through each inverse.  The integers are exact, with no modulus.
+    """
+    d = g.d
+    if g.mode == "nonbipartite":
+        partners = []
+        for p in g.perms:
+            partner, im = [0] * d, p.image
+            for k in range(0, d, 2):
+                partner[im[k]], partner[im[k + 1]] = im[k + 1], im[k]
+            partners.append(partner)
+
+        def product(y: list[int]) -> list[int]:
+            return list(map(sum, zip(*(map(y.__getitem__, q) for q in partners))))
+    else:
+        images = [p.image for p in g.perms]
+        inverses = [sorted(range(d), key=im.__getitem__) for im in images]
+
+        def product(y: list[int]) -> list[int]:
+            z = list(map(sum, zip(*(map(y.__getitem__, q) for q in images))))
+            return list(map(sum, zip(*(map(z.__getitem__, q) for q in inverses))))
+
+    return krylov_terms(product, _start_vector(d), d - 1)
+
+
+def witnessed_terms(g: MatchingUnion) -> list[int] | None:
+    """The terms of ``union_terms(g)``, or None as soon as an exact
+    Rayleigh quotient of them proves a nontrivial eigenvalue past
+    2*sqrt(m-1), so that ``certify`` would find ``g`` NOT_RAMANUJAN.
+
+    Each quotient is a weighted average of the eigenvalues, or their
+    squares, that the start vector reaches, and it never reaches the
+    trivial eigenvector.
+    """
+    t = 4 * (g.m - 1)
+    terms: list[int] = []
+    plain = g.mode == "nonbipartite"
+    for k, s in enumerate(union_terms(g)):
+        if plain:
+            # s_2j+1**2 > t s_2j**2, or s_2j+2 > t s_2j
+            past = s * s > t * terms[k - 1] ** 2 if k % 2 else k and s > t * terms[k - 2]
+        else:
+            past = k and s > t * terms[k - 1]
+        if past:
+            return None
+        terms.append(s)
+    return terms
+
+
+def certify(g: MatchingUnion, terms: Sequence[int] | None = None) -> RamanujanCertificate:
     """Certify whether all nontrivial eigenvalues lie within 2*sqrt(m-1).
 
     All counts are exact root counts of integer polynomials in the squared
     eigenvalue y against 4(m-1).  Verdicts: strictly-ramanujan when every
     deflated root is interior, ramanujan-with-boundary when the rest sit
-    exactly at the bound, else not-ramanujan.  A side past
+    exactly at the bound, else not-ramanujan.  ``terms`` are those of
+    ``union_terms(g)`` when the caller already holds them.  A side past
     ``MAX_CERTIFY_SIDE`` or a degree past ``MAX_SEARCH_DEGREE`` is refused
     before any grid is built.
     """
@@ -275,10 +351,12 @@ def certify(g: MatchingUnion) -> RamanujanCertificate:
         raise BudgetError(f"side {g.d} exceeds the budget of {MAX_CERTIFY_SIDE}")
     if g.m > MAX_SEARCH_DEGREE:
         raise BudgetError(f"degree {g.m} exceeds the budget of {MAX_SEARCH_DEGREE}")
+    if terms is None:
+        terms = list(union_terms(g))
     # m = 1 degenerates to bound 0; the general formula needs m >= 2
     bound = ramanujan_bound(g.m) if g.m >= 2 else as_quad(0)
     if g.mode == "bipartite":
-        q = char_poly(_gram(g.grid()))
+        q = char_poly(_gram(g.grid()), terms)
         # one copy of the trivial eigenvalue m**2 of N N^T, i.e. of +-m
         squared = _deflate_int(_int_coeffs(q), g.m * g.m)
         cp = q.substitute_square()
@@ -287,7 +365,7 @@ def certify(g: MatchingUnion) -> RamanujanCertificate:
         # each squared singular value y stands for the pair +-sqrt(y)
         interior, boundary = 2 * below, 2 * at
     else:
-        cp = char_poly(g.grid())
+        cp = char_poly(g.grid(), terms)
         rest = _deflate_int(_int_coeffs(cp), g.m)
         deflated = RatPoly.from_coeffs(rest)
         interior, boundary = _split_at(_graeffe_square(rest), 4 * (g.m - 1))
@@ -308,44 +386,6 @@ def certify(g: MatchingUnion) -> RamanujanCertificate:
         boundary_count=boundary,
         verdict=verdict,
     )
-
-
-def inertia_verdict(g: MatchingUnion) -> str | None:
-    """STRICT or NOT_RAMANUJAN from the inertia of S = G - 4(m-1) I, or None
-    when the inertia test cannot tell and ``certify`` must decide.
-
-    G is the Gram matrix of ``g.grid()``: N N^T in bipartite mode, A**2 in
-    nonbipartite mode (A is symmetric), so its eigenvalues are the squared
-    eigenvalues the certificate compares against 4(m-1).  The trivial one
-    gives S the eigenvalue (m-2)**2 > 0 for m != 2, so the union is strictly
-    Ramanujan exactly when S has one positive eigenvalue and no zero one.
-    Fraction-free (Bareiss) elimination without pivoting yields the leading
-    principal minors D_k of S as its pivots, and by Jacobi's rule each sign
-    agreement of D_{k-1}, D_k counts one positive eigenvalue.  The second
-    one stops the elimination: by Cauchy interlacing the leading k x k block
-    already forces two positive eigenvalues on S.  A zero pivot (a boundary
-    eigenvalue, a singular leading minor, or m = 2) gives None.
-    """
-    s = _gram(g.grid())
-    t = 4 * (g.m - 1)
-    for i, row in enumerate(s):
-        row[i] -= t
-    # S stays symmetric under elimination, so only entries j >= i are updated;
-    # entry (i, k) below the diagonal is read as (k, i)
-    prev, positive = 1, 0
-    for k, rk in enumerate(s):
-        pivot = rk[k]
-        if not pivot:
-            return None
-        if (pivot > 0) == (prev > 0):
-            positive += 1
-            if positive == 2:
-                return NOT_RAMANUJAN
-        for i in range(k + 1, len(s)):
-            ri, f = s[i], rk[i]
-            ri[i:] = [(pivot * a - f * b) // prev for a, b in zip(ri[i:], rk[i:])]
-        prev = pivot
-    return STRICT if positive == 1 else None
 
 
 # cap on Jacobi sweeps; a screen that has not converged by then never skips

@@ -10,12 +10,18 @@ remainder step.  The result is exact, not probable, and it is checked
 against tr(A) and tr(A**2) before it is returned.
 
 Modulo p, a symmetric matrix of side n >= ``_KRYLOV_MIN_N`` takes
-Wiedemann's route: n sparse products give the 2n terms <x, A**k x> of a
-Krylov sequence, and Berlekamp-Massey finds their minimal polynomial f.
-f divides the minimal polynomial of A, which divides det(xI - A), so
-deg f = n proves f = det(xI - A).  When deg f is n - 1 or n - 2, the missing
-factor is rebuilt from the power sums tr(A) - p_1(f) and tr(A**2) - p_2(f)
-by Newton's identities.  A larger gap, a nonsymmetric matrix or a smaller
+Wiedemann's route: ``krylov_terms`` makes n sparse products for the 2n
+terms s_k = <x, A**k x> of a Krylov sequence, and Berlekamp-Massey finds
+their minimal polynomial f.  f divides the minimal polynomial of A, which
+divides det(xI - A), so deg f = n proves f = det(xI - A).  A caller that
+already holds integer terms passes them instead, at any side: the terms
+of a start vector x orthogonal to the all-ones vector, for a symmetric A
+whose rows all sum to r.  Then 1 is an eigenvector outside the Krylov
+space, which stays in its orthogonal complement, so the divisor is
+(x - r) * f, and n - 1 products gave the 2(n - 1) terms.  When the divisor
+falls short by one or two degrees, the missing factor is rebuilt from the
+power sums tr(A) - p_1 and tr(A**2) - p_2 of the divisor's roots by
+Newton's identities.  A larger gap, a nonsymmetric matrix or a smaller
 side goes to the O(n**3) Hessenberg reduction, whose recurrence gives the
 polynomial directly.
 
@@ -31,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 from operator import getitem, mul
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import BudgetError, ContractError, ParameterError
 from .poly import RatPoly, _as_fraction
@@ -154,53 +160,70 @@ _MERSENNE_EXPONENTS = (
 )
 
 
-# Below this side the Hessenberg kernel is faster: small unions are often
-# derogatory, so the Krylov route falls back anyway, and the Berlekamp-Massey
-# overhead outweighs the O(n**3) it saves.  On random m = 3 unions the two
-# routes cost the same at n = 11-12 (Krylov/Hessenberg time 1.47 at plain
-# n = 10, 1.06 at n = 12, 0.89 at n = 14; 0.98 at bipartite n = 11).
+# Below this side a grid that brings no Krylov terms goes to the Hessenberg
+# kernel, which is faster there: small unions are often derogatory, so the
+# Krylov route falls back anyway, and the Berlekamp-Massey overhead
+# outweighs the O(n**3) it saves.  On random m = 3 union grids the two
+# routes cost the same at n = 10-12 (Krylov/Hessenberg time modulo 2**61 - 1
+# 1.34 at plain n = 10, 1.03 at n = 12, 0.84 at n = 14; 0.94 at bipartite
+# n = 10, 0.89 at n = 11; best of 5 over 300 grids, CPython 3.11).
 _KRYLOV_MIN_N = 12
 
 
-def _charpoly_mod(rows: list[list[int]], p: int) -> list[int]:
+def _charpoly_mod(
+    rows: list[list[int]], p: int, terms: Sequence[int] | None = None
+) -> list[int]:
     """Ascending coefficients of det(xI - A) modulo the odd prime p.
 
-    A symmetric A of side at least ``_KRYLOV_MIN_N`` goes through the
-    minimal polynomial f of its Krylov sequence, which divides det(xI - A):
-    f is the answer when deg f = n, and a missing factor of degree at most
-    two is rebuilt from traces.  Anything else goes to ``_hessenberg_mod``.
+    With ``terms``, the integer Krylov terms of a start vector orthogonal
+    to the all-ones vector, A is symmetric with row sums r and the divisor
+    is (x - r) * f.  Without them, a symmetric A of side at least
+    ``_KRYLOV_MIN_N`` makes its own terms modulo p and the divisor is f,
+    where f is the minimal polynomial of the terms.  The divisor is the
+    answer when it has degree n, and a missing factor of degree at most two
+    is rebuilt from traces.  Anything else goes to ``_hessenberg_mod``.
     """
     n = len(rows)
-    if n >= _KRYLOV_MIN_N and all(tuple(r) == c for r, c in zip(rows, zip(*rows))):
-        f = _krylov_minpoly_mod(rows, p)
-        missing = n + 1 - len(f)
-        if not missing:
-            return f
-        if missing <= 2:
-            return _complete_by_traces(rows, f, missing, p)
+    if terms is not None:
+        r = sum(rows[0])
+        if any(sum(row) != r for row in rows):
+            raise ContractError("Krylov terms orthogonal to 1 need equal row sums")
+        f = _mul_mod([-r, 1], _berlekamp_massey([s % p for s in terms], p), p)
+    elif n >= _KRYLOV_MIN_N and all(tuple(r) == c for r, c in zip(rows, zip(*rows))):
+        entries = [(i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row) if v]
+
+        def product(x: list[int]) -> list[int]:
+            y = [0] * n
+            for i, j, v in entries:
+                y[i] += v * x[j]
+            return [v % p for v in y]
+
+        x = [(i + 1) * 0x9E3779B97F4A7C15 % p for i in range(n)]
+        f = _berlekamp_massey([s % p for s in krylov_terms(product, x, n)], p)
+    else:
+        return _hessenberg_mod(rows, p)
+    missing = n + 1 - len(f)
+    if not missing:
+        return f
+    if missing <= 2:
+        return _complete_by_traces(rows, f, missing, p)
     return _hessenberg_mod(rows, p)
 
 
-def _krylov_minpoly_mod(rows: list[list[int]], p: int) -> list[int]:
-    """Ascending coefficients of the minimal polynomial, modulo p, of the
-    sequence s_k = <x, A**k x> for a symmetric A and a fixed x.
+def krylov_terms(
+    product: Callable[[list[int]], list[int]], x: list[int], steps: int
+) -> Iterator[int]:
+    """The terms s_k = <x, M**k x>, k < 2 * steps, in order, where
+    ``product`` applies a symmetric M.
 
-    With x_k = A**k x, s_2k = <x_k, x_k> and s_2k+1 = <x_k, x_k+1>, so the
-    2n terms Berlekamp-Massey needs cost n sparse products.  The result
-    divides the minimal polynomial of A, hence det(xI - A).
+    With x_k = M**k x, s_2k = <x_k, x_k> and s_2k+1 = <x_k, x_k+1>, so the
+    terms cost ``steps`` products, and a caller can stop at any term.
     """
-    n = len(rows)
-    entries = [(i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row) if v]
-    x = [(i + 1) * 0x9E3779B97F4A7C15 % p for i in range(n)]
-    seq = []
-    for _ in range(n):
-        y = [0] * n
-        for i, j, v in entries:
-            y[i] += v * x[j]
-        y = [v % p for v in y]
-        seq += (sum(map(mul, x, x)) % p, sum(map(mul, x, y)) % p)
+    for _ in range(steps):
+        y = product(x)
+        yield sum(map(mul, x, x))
+        yield sum(map(mul, x, y))
         x = y
-    return _berlekamp_massey(seq, p)
 
 
 def _berlekamp_massey(s: list[int], p: int) -> list[int]:
@@ -232,26 +255,32 @@ def _berlekamp_massey(s: list[int], p: int) -> list[int]:
 
 
 def _complete_by_traces(rows: list[list[int]], f: list[int], r: int, p: int) -> list[int]:
-    """det(xI - A) modulo p from a divisor f of degree n - r, r <= 2, and a
-    symmetric A of side n >= 4.
+    """det(xI - A) modulo p from a monic divisor f of degree n - r, r <= 2,
+    and a symmetric A of side n.
 
     The cofactor h has power sums tr(A**k) - p_k(f) for k = 1, 2, and
     Newton's identities give its coefficients because p is odd.
     """
-    m = len(f) - 1
     tr1 = sum(row[i] for i, row in enumerate(rows))
     tr2 = sum(v * v for row in rows for v in row)
-    e1 = -f[m - 1]
+    # a divisor of degree below two has zero elementary symmetric functions past it
+    *_, c2, c1, _ = [0, 0] + f
+    e1 = -c1
     p1 = (tr1 - e1) % p
-    p2 = (tr2 - e1 * e1 + 2 * f[m - 2]) % p
+    p2 = (tr2 - e1 * e1 + 2 * c2) % p
     if r == 1:
         h = [-p1 % p, 1]
     else:
         h = [(p1 * p1 - p2) * pow(2, -1, p) % p, -p1 % p, 1]
-    out = [0] * (m + r + 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(h):
-            out[i + j] += a * b
+    return _mul_mod(f, h, p)
+
+
+def _mul_mod(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    """Product modulo p of two polynomials, ascending coefficients."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
     return [v % p for v in out]
 
 
@@ -309,8 +338,12 @@ def _grid_sum(grids: Iterable[list[list[int]]]) -> list[list[int]]:
     return [list(map(sum, zip(*rows))) for rows in zip(*grids)]
 
 
-def charpoly_int_coeffs(rows: list[list[int]]) -> tuple[int, ...]:
-    """Ascending coefficients of det(xI - A) for an integer matrix A.
+def charpoly_int_coeffs(
+    rows: list[list[int]], terms: Sequence[int] | None = None
+) -> tuple[int, ...]:
+    """Ascending coefficients of det(xI - A) for an integer matrix A;
+    ``terms`` are optional integer Krylov terms as ``_charpoly_mod`` takes
+    them.
 
     Its only limit is on the modulus: a coefficient bound past the largest
     listed Mersenne prime raises BudgetError.  Nothing limits its time,
@@ -333,7 +366,7 @@ def charpoly_int_coeffs(rows: list[list[int]]) -> tuple[int, ...]:
         )
     p = (1 << e) - 1
     half = p // 2
-    out = tuple(c - p if c > half else c for c in _charpoly_mod(rows, p))
+    out = tuple(c - p if c > half else c for c in _charpoly_mod(rows, p, terms))
     n = len(rows)
     tr = sum(map(getitem, rows, range(n)))
     if -out[n - 1] != tr:
@@ -356,13 +389,17 @@ def _clear_denominators(grids: Sequence[Sequence[Sequence]]) -> tuple[list, int]
     return [[[v.numerator * (s // v.denominator) for v in row] for row in g] for g in grids], s
 
 
-def char_poly(m: RatMatrix | Sequence[Sequence]) -> RatPoly:
+def char_poly(m: RatMatrix | Sequence[Sequence], terms: Sequence[int] | None = None) -> RatPoly:
     """Monic characteristic polynomial det(xI - M), exactly, of a
-    ``RatMatrix`` or a square grid of ints or Fractions."""
+    ``RatMatrix`` or a square grid of ints or Fractions.
+
+    ``terms`` are integer Krylov terms of an integer grid, as
+    ``_charpoly_mod`` takes them, which the caller already holds.
+    """
     rows = m.rows if isinstance(m, RatMatrix) else m
     n = len(rows)
     if not n or any(len(row) != n for row in rows):
         raise ParameterError("characteristic polynomial needs a square matrix")
     (scaled,), s = _clear_denominators([rows])
-    b = charpoly_int_coeffs(scaled)
+    b = charpoly_int_coeffs(scaled, terms)
     return RatPoly(tuple(Fraction(c, s ** (n - k)) for k, c in enumerate(b)))

@@ -1,10 +1,12 @@
 """Search strategies that produce certified Ramanujan matching unions.
 
 Two routes.  ``rejection_search`` samples unions of uniform matchings and
-decides each by the exact integer inertia test ``inertia_verdict``, leaving
-to ``certify`` only the union it returns and the trials the test cannot
-decide; existence holds with nonzero probability, so exhausting the trial
-budget is reported rather than raised.  A trial past
+makes one integer Krylov pass per trial (``graphs.witnessed_terms``): an
+exact Rayleigh quotient of its terms rejects a trial on the spot when it
+proves a nontrivial eigenvalue past the bound, and ``certify`` decides
+every other trial from the same terms.  Existence holds with nonzero
+probability, so exhausting the trial budget is reported rather than
+raised.  A trial past
 ``graphs.MAX_CERTIFY_SIDE`` or ``graphs.MAX_SEARCH_DEGREE`` is refused
 before anything is sampled, and a descent past the degree limit before its
 program is built.
@@ -75,7 +77,6 @@ from .graphs import (
     MAX_CERTIFY_SIDE,
     MAX_SEARCH_DEGREE,
     MODES,
-    NOT_RAMANUJAN,
     STRICT,
     WITH_BOUNDARY,
     MatchingUnion,
@@ -84,10 +85,10 @@ from .graphs import (
     _gram,
     certify,
     check_shape,
-    inertia_verdict,
     sample_bipartite,
     sample_nonbipartite,
     union_grid,
+    witnessed_terms,
 )
 from .matrix import charpoly_int_coeffs
 from .perms import (
@@ -150,8 +151,6 @@ class SearchReport:
     wall_time: float
     steps: tuple[DescentStep, ...] | None = None
     initial_deflated: RatPoly | None = None
-    # trials the inertia test left to ``certify``; not part of the document
-    fallbacks: int = 0
 
 
 def rejection_search(
@@ -165,9 +164,9 @@ def rejection_search(
     """Sample matching unions until one certifies Ramanujan, or give up.
 
     Trial t uses the substream derived from (seed, t), so the first success
-    and its graph are reproducible.  Each trial is decided by the exact
-    inertia test; ``certify`` runs only on the trial returned and on the
-    trials the test leaves undecided (boundary eigenvalues, m = 2), so every
+    and its graph are reproducible.  Each trial makes one integer Krylov
+    pass; a trial whose exact Rayleigh witness proves it NOT_RAMANUJAN stops
+    there, and every other one is certified from the same terms, so every
     returned success carries an exact certificate and no float is involved.
     """
     if mode not in MODES:
@@ -182,16 +181,13 @@ def rejection_search(
         )
     start = time.perf_counter()
     sampler = sample_bipartite if mode == "bipartite" else sample_nonbipartite
-    fallbacks = 0
     for trial in range(max_trials):
         rng = SplitMix64(derive_seed(seed, trial))
         g = sampler(d, m, rng)
-        verdict = inertia_verdict(g)
-        if verdict == NOT_RAMANUJAN:
+        terms = witnessed_terms(g)
+        if terms is None:
             continue
-        if verdict is None:
-            fallbacks += 1
-        cert = certify(g)
+        cert = certify(g, terms)
         if cert.verdict == STRICT or (allow_boundary and cert.verdict == WITH_BOUNDARY):
             return SearchReport(
                 mode=mode,
@@ -203,7 +199,6 @@ def rejection_search(
                 graph=g,
                 certificate=cert,
                 wall_time=time.perf_counter() - start,
-                fallbacks=fallbacks,
             )
     return SearchReport(
         mode=mode,
@@ -215,7 +210,6 @@ def rejection_search(
         graph=None,
         certificate=None,
         wall_time=time.perf_counter() - start,
-        fallbacks=fallbacks,
     )
 
 
@@ -362,7 +356,12 @@ def _check_descent_budget(
     if program is None:
         s0 = min(samples, keys)
         tails = n_swaps * s0
-        strategy, hint = "sampled", f"use fewer than {samples} samples per program"
+        strategy = "sampled"
+        hint = (
+            f"use fewer than {samples} samples per program"
+            if samples > 1
+            else "one sample per program is past it too; use a smaller d or m"
+        )
     else:
         s0, *rest = (
             min(len(_suffix_distribution(program, j)), keys) for j in range(n_swaps + 1)

@@ -8,14 +8,17 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial
 from pathlib import Path
 
+import pytest
 from hypothesis import strategies as st
 
 import ffc
+import ffc.matrix as matrix
 from ffc import (
     MatchingUnion,
     ParameterError,
@@ -27,6 +30,10 @@ from ffc import (
     SplitMix64,
     SwapProgram,
     as_quad,
+    char_poly,
+    derive_seed,
+    sample_bipartite,
+    sample_nonbipartite,
     dilation,
     count_roots_in_mult,
     deflate_trivial,
@@ -41,11 +48,21 @@ from ffc import (
     sturm_chain,
 )
 from ffc.convolution import _from_series, _series
-from ffc.graphs import NOT_RAMANUJAN, STRICT, WITH_BOUNDARY, _gram, union_grid
+from ffc.graphs import (
+    NOT_RAMANUJAN,
+    STRICT,
+    WITH_BOUNDARY,
+    _deflate_int,
+    _graeffe_square,
+    _gram,
+    _int_coeffs,
+    _split_at,
+    union_grid,
+)
 from ffc.matrix import _charpoly_mod, _grid_sum, charpoly_int_coeffs
 from ffc.perms import _sample_image
 from ffc.quadrature import weighted_charpoly_average
-from ffc.search import _union_image
+from ffc.search import SearchReport, _union_image
 from ffc.sturm import NEG_INF, POS_INF, _homogenised
 
 
@@ -311,6 +328,111 @@ def sturm_certify(g) -> RamanujanCertificate:
         boundary_count=boundary,
         verdict=verdict,
     )
+
+
+@contextmanager
+def kernel_calls():
+    """Count the calls ``_charpoly_mod`` makes to each of its kernels."""
+    calls = Counter()
+
+    def counted(name, real):
+        def run(*args):
+            calls[name] += 1
+            return real(*args)
+        return run
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_berlekamp_massey", "_complete_by_traces", "_hessenberg_mod"):
+            mp.setattr(matrix, name, counted(name, getattr(matrix, name)))
+        yield calls
+
+
+def grid_certify(g) -> RamanujanCertificate:
+    """``certify`` before the union's Krylov terms: the characteristic
+    polynomial of the grid alone, N N^T or A, by ``charpoly_int_coeffs``."""
+    bound = ramanujan_bound(g.m) if g.m >= 2 else as_quad(0)
+    if g.mode == "bipartite":
+        q = char_poly(_gram(g.grid()))
+        squared = _deflate_int(_int_coeffs(q), g.m * g.m)
+        cp = q.substitute_square()
+        deflated = RatPoly.from_coeffs(squared).substitute_square()
+        below, at = _split_at(squared, 4 * (g.m - 1))
+        interior, boundary = 2 * below, 2 * at
+    else:
+        cp = char_poly(g.grid())
+        rest = _deflate_int(_int_coeffs(cp), g.m)
+        deflated = RatPoly.from_coeffs(rest)
+        interior, boundary = _split_at(_graeffe_square(rest), 4 * (g.m - 1))
+    if interior == deflated.degree:
+        verdict = STRICT
+    elif boundary and interior + boundary == deflated.degree:
+        verdict = WITH_BOUNDARY
+    else:
+        verdict = NOT_RAMANUJAN
+    return RamanujanCertificate(
+        mode=g.mode,
+        d=g.d,
+        m=g.m,
+        char_poly=cp,
+        deflated=deflated,
+        bound=bound,
+        interior_count=interior,
+        boundary_count=boundary,
+        verdict=verdict,
+    )
+
+
+def inertia_verdict(g) -> str | None:
+    """STRICT or NOT_RAMANUJAN from the inertia of S = G - 4(m-1) I, or None
+    when the inertia test cannot tell and ``certify`` must decide.
+
+    G is the Gram matrix of ``g.grid()``: N N^T in bipartite mode, A**2 in
+    nonbipartite mode (A is symmetric), so its eigenvalues are the squared
+    eigenvalues the certificate compares against 4(m-1).  The trivial one
+    gives S the eigenvalue (m-2)**2 > 0 for m != 2, so the union is strictly
+    Ramanujan exactly when S has one positive eigenvalue and no zero one.
+    Fraction-free (Bareiss) elimination without pivoting yields the leading
+    principal minors D_k of S as its pivots, and by Jacobi's rule each sign
+    agreement of D_{k-1}, D_k counts one positive eigenvalue.  The second
+    one stops the elimination: by Cauchy interlacing the leading k x k block
+    already forces two positive eigenvalues on S.  A zero pivot (a boundary
+    eigenvalue, a singular leading minor, or m = 2) gives None.
+    """
+    s = _gram(g.grid())
+    t = 4 * (g.m - 1)
+    for i, row in enumerate(s):
+        row[i] -= t
+    # S stays symmetric under elimination, so only entries j >= i are updated;
+    # entry (i, k) below the diagonal is read as (k, i)
+    prev, positive = 1, 0
+    for k, rk in enumerate(s):
+        pivot = rk[k]
+        if not pivot:
+            return None
+        if (pivot > 0) == (prev > 0):
+            positive += 1
+            if positive == 2:
+                return NOT_RAMANUJAN
+        for i in range(k + 1, len(s)):
+            ri, f = s[i], rk[i]
+            ri[i:] = [(pivot * a - f * b) // prev for a, b in zip(ri[i:], rk[i:])]
+        prev = pivot
+    return STRICT if positive == 1 else None
+
+
+def inertia_search(mode, d, m, max_trials, seed, allow_boundary=False) -> SearchReport:
+    """``rejection_search`` before the Krylov pass: the Bareiss inertia test
+    skips the trials it proves NOT_RAMANUJAN, and ``grid_certify`` decides
+    the rest.  The wall time reads 0."""
+    sampler = sample_bipartite if mode == "bipartite" else sample_nonbipartite
+    for trial in range(max_trials):
+        g = sampler(d, m, SplitMix64(derive_seed(seed, trial)))
+        if inertia_verdict(g) == NOT_RAMANUJAN:
+            continue
+        cert = grid_certify(g)
+        if cert.verdict == STRICT or (allow_boundary and cert.verdict == WITH_BOUNDARY):
+            return SearchReport(mode, d, m, trial + 1, 1, trial, g, cert, 0.0)
+    return SearchReport(mode, d, m, max_trials, 0, None, None, None, 0.0)
 
 
 # The loops the permutation averages ran before the integer weighted-average

@@ -427,6 +427,21 @@ class TestDescend:
             "budget allows 10000000; use fewer than 100 samples per program\n"
         )
 
+    def test_one_sample_past_the_budget_asks_for_a_smaller_request(self):
+        # d = 24 has 2**23 - 1 swaps, so even one sample per program is too
+        # many; the hint never asks for fewer than one
+        proc = run_cli_with_timeout(
+            "descend", "--mode", "plain", "--d", "24", "--m", "1",
+            "--strategy", "sampled", "--samples", "1",
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "budget exceeded: sampled descent needs 16777215 determinant evaluations, "
+            "budget allows 10000000; one sample per program is past it too; "
+            "use a smaller d or m\n"
+        )
+
 
 class TestExpected:
     def test_prints_a_polynomial(self, capsys):

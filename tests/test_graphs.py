@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ffc import graphs, search
+from ffc import graphs, search, serial
 from ffc import (
     BudgetError,
     ContractError,
@@ -30,6 +30,7 @@ from ffc import (
     rejection_search,
     sample_bipartite,
     sample_nonbipartite,
+    uniform_permutation,
 )
 from ffc.graphs import (
     MAX_CERTIFY_SIDE,
@@ -39,10 +40,17 @@ from ffc.graphs import (
     STRICT,
     WITH_BOUNDARY,
     _gram,
-    inertia_verdict,
 )
 from ffc.poly import to_primitive_int
-from support import deflate_trivial_oracle, fractions_st, grid_matrix, sturm_certify
+from support import (
+    deflate_trivial_oracle,
+    fractions_st,
+    grid_certify,
+    grid_matrix,
+    inertia_search,
+    kernel_calls,
+    sturm_certify,
+)
 
 
 def poly(*descending):
@@ -369,71 +377,47 @@ def _timeless(report):
     return dataclasses.replace(report, wall_time=0.0)
 
 
-class _WatchedRow(list):
-    """Grid row that counts its writes."""
+def disjoint_union(mode, d, m, rng):
+    """A union whose matchings each keep the halves of {0, ..., d-1}
+    apart, so it is disconnected and its eigenvalue m is repeated."""
+    h = d // 2
+    perms = []
+    for _ in range(m):
+        left, right = uniform_permutation(h, rng), uniform_permutation(h, rng)
+        perms.append(Permutation(left.image + tuple(h + v for v in right.image)))
+    return MatchingUnion(mode, d, m, tuple(perms))
 
-    writes = 0
 
-    def __setitem__(self, key, value):
-        self.writes += 1
-        super().__setitem__(key, value)
+def dense_terms(g):
+    """<x, M**k x> for k < 2(d - 1), M the grid (plain) or its Gram matrix
+    (bipartite), by dense products."""
+    rows = g.grid() if g.mode == "nonbipartite" else _gram(g.grid())
+    x = y = graphs._start_vector(g.d)
+    out = []
+    for _ in range(2 * (g.d - 1)):
+        out.append(sum(a * b for a, b in zip(x, y)))
+        y = [sum(a * b for a, b in zip(row, y)) for row in rows]
+    return out
 
 
-class TestInertiaVerdict:
-    """The Bareiss inertia test against the certificate it stands in for."""
+class TestUnionTerms:
+    def test_start_vector_is_orthogonal_to_the_ones_vector(self):
+        assert graphs._start_vector(1) == [0]
+        for n in range(2, MAX_CERTIFY_SIDE + 1):
+            x = graphs._start_vector(n)
+            assert sum(x) == 0 and any(x), n
 
-    def test_sampled_unions_agree_with_certify(self):
-        rng = SplitMix64(2026)
-        seen = Counter()
-        for mode, ds in (("bipartite", range(1, 13)), ("nonbipartite", range(2, 17, 2))):
-            for d in ds:
-                for m in range(1, 6):
-                    for _ in range(4):
-                        g = sampler(mode)(d, m, rng)
-                        verdict, exact = inertia_verdict(g), certify(g).verdict
-                        seen[verdict, exact] += 1
-                        if verdict is not None:
-                            assert verdict == exact, (mode, d, m, g.perms)
-                        if exact == WITH_BOUNDARY or m == 2:
-                            assert verdict is None, (mode, d, m, g.perms)
-        assert sum(seen.values()) == 400
-        assert {exact for _, exact in seen} == {STRICT, WITH_BOUNDARY, NOT_RAMANUJAN}
-        assert seen[STRICT, STRICT] >= 100 and seen[NOT_RAMANUJAN, NOT_RAMANUJAN] >= 100
+    @pytest.mark.parametrize("mode", ["bipartite", "nonbipartite"])
+    def test_terms_are_the_krylov_sequence_of_the_grid(self, mode):
+        rng = SplitMix64(41)
+        for d in range(2, 15, 2):
+            for m in (1, 2, 3, 5):
+                g = sampler(mode)(d, m, rng)
+                assert list(graphs.union_terms(g)) == dense_terms(g), (mode, d, m)
 
-    def test_every_bipartite_boundary_case_falls_back(self):
-        images = [Permutation(p) for p in permutations(range(4))]
-        verdicts = Counter()
-        for p in images:
-            for q in images:
-                g = MatchingUnion("bipartite", 4, 2, (p, q))
-                assert inertia_verdict(g) is None
-                verdicts[certify(g).verdict] += 1
-        assert verdicts[WITH_BOUNDARY] > 0
-
-    def test_small_fixed_unions(self):
-        assert inertia_verdict(MIXED) == STRICT
-        assert inertia_verdict(ALIGNED) == NOT_RAMANUJAN
-        assert inertia_verdict(MatchingUnion("bipartite", 1, 1, (Permutation((0,)),))) == STRICT
-
-    def test_second_positive_pivot_stops_the_elimination(self, monkeypatch):
-        # a full elimination writes the last row once for the shift by
-        # 4(m-1) and once per earlier pivot
-        grids = []
-
-        def watched(n):
-            grids.append([_WatchedRow(row) for row in _gram(n)])
-            return grids[-1]
-
-        monkeypatch.setattr(graphs, "_gram", watched)
-        early = 0
-        for seed in range(20):
-            g = sample_bipartite(12, 3, SplitMix64(seed))
-            verdict = inertia_verdict(g)
-            last = grids[-1][-1]
-            if verdict == NOT_RAMANUJAN and last.writes < len(grids[-1]):
-                early += 1
-            assert verdict == certify(g).verdict
-        assert early > 0
+    def test_a_one_point_side_has_no_terms(self):
+        g = MatchingUnion("bipartite", 1, 1, (Permutation((0,)),))
+        assert list(graphs.union_terms(g)) == [] == graphs.witnessed_terms(g)
 
     @given(
         st.lists(
@@ -445,24 +429,176 @@ class TestInertiaVerdict:
     def test_sparse_gram_matches_the_dense_product(self, n):
         assert _gram(n) == [[sum(a * b for a, b in zip(ri, rj)) for rj in n] for ri in n]
 
-    def test_search_certifies_only_successes_and_fallbacks(self, monkeypatch):
-        certified = []
-        monkeypatch.setattr(search, "certify", lambda g: certified.append(g) or certify(g))
-        decided = rejection_search("bipartite", 10, 3, 100, 0)
-        assert decided.fallbacks == 0
-        assert len(certified) == decided.successes + decided.fallbacks == 1
-        # m = 2 puts the trivial eigenvalue on the bound: every trial falls
-        # back, and the returned one is among the fallbacks
+
+class TestRayleighWitness:
+    """The exact Rayleigh witness against the grid certificate: it rejects
+    only unions that are not Ramanujan."""
+
+    def check(self, g) -> bool:
+        """Whether the witness rejects g, after checking it against the
+        oracle certificate."""
+        terms = graphs.witnessed_terms(g)
+        exact = grid_certify(g).verdict
+        if terms is None:
+            assert exact == NOT_RAMANUJAN, (g.mode, g.d, g.m, g.perms)
+        else:
+            assert terms == list(graphs.union_terms(g))
+        return terms is None
+
+    def test_every_bipartite_d4_m2_pair_passes(self):
+        images = [Permutation(p) for p in permutations(range(4))]
+        verdicts = Counter()
+        for p in images:
+            for q in images:
+                g = MatchingUnion("bipartite", 4, 2, (p, q))
+                assert not self.check(g)
+                verdicts[grid_certify(g).verdict] += 1
+        assert verdicts[WITH_BOUNDARY] > 0 and verdicts[STRICT] > 0
+
+    def test_plain_m2_unions_pass(self):
+        images = [Permutation(p) for p in permutations(range(4))]
+        for p in images:
+            for q in images:
+                assert not self.check(MatchingUnion("nonbipartite", 4, 2, (p, q)))
+        rng = SplitMix64(7)
+        for d in range(6, 41, 2):
+            for _ in range(5):
+                assert not self.check(sample_nonbipartite(d, 2, rng))
+                assert not self.check(disjoint_union("nonbipartite", 4 * (d // 4), 2, rng))
+
+    def test_plain_m1_unions_are_rejected(self):
+        # a single matching has eigenvalues +-1 past the bound 0
+        for d in range(2, 41, 2):
+            g = sample_nonbipartite(d, 1, SplitMix64(d))
+            assert self.check(g), d
+
+    def test_sampled_unions(self):
+        rng = SplitMix64(2026)
+        seen = Counter()
+        for mode, ds in (("bipartite", range(1, 25)), ("nonbipartite", range(2, 33, 2))):
+            for d in ds:
+                for m in range(1, 6):
+                    for _ in range(3):
+                        g = sampler(mode)(d, m, rng)
+                        seen[self.check(g), grid_certify(g).verdict] += 1
+        assert sum(seen.values()) == 600
+        assert not seen[True, STRICT] and not seen[True, WITH_BOUNDARY]
+        assert seen[True, NOT_RAMANUJAN] >= 100 and seen[False, STRICT] >= 100
+
+    def test_a_rejection_stops_the_pass(self, monkeypatch):
+        consumed = []
+
+        def counted(g):
+            consumed.append(0)
+            for s in real(g):
+                consumed[-1] += 1
+                yield s
+
+        real = graphs.union_terms
+        monkeypatch.setattr(graphs, "union_terms", counted)
+        rng = SplitMix64(5)
+        short = 0
+        for _ in range(40):
+            g = sample_bipartite(20, 3, rng)
+            if graphs.witnessed_terms(g) is None:
+                short += consumed[-1] < 2 * (g.d - 1)
+            else:
+                assert consumed[-1] == 2 * (g.d - 1)
+        assert short > 0
+
+
+class TestSharedTerms:
+    """``certify`` from the union's Krylov terms against the grid
+    certificate it replaced."""
+
+    def test_sampled_unions_match_the_grid_certificate(self):
+        rng = SplitMix64(99)
+        with kernel_calls() as routes:
+            for mode, ds in (("bipartite", range(1, 41)), ("nonbipartite", range(2, 41, 2))):
+                for d in ds:
+                    for m in range(1, 6):
+                        g = sampler(mode)(d, m, rng)
+                        assert certify(g) == grid_certify(g), (mode, d, m, g.perms)
+        assert routes["_complete_by_traces"] > 0 and routes["_hessenberg_mod"] > 0
+
+    def test_fixed_unions(self):
+        one = MatchingUnion("bipartite", 1, 1, (Permutation((0,)),))
+        for g in (ALIGNED, MIXED, one):
+            assert certify(g) == grid_certify(g)
+        assert certify(one).verdict == STRICT
+
+    def test_the_terms_the_caller_holds_are_used(self, monkeypatch):
+        g = sample_bipartite(20, 3, SplitMix64(3))
+        terms = list(graphs.union_terms(g))
+        monkeypatch.setattr(graphs, "union_terms", lambda g: pytest.fail("terms recomputed"))
+        assert certify(g, terms) == grid_certify(g)
+
+    def test_a_zero_start_vector(self, monkeypatch):
+        monkeypatch.setattr(graphs, "_start_vector", lambda n: [0] * n)
+        rng = SplitMix64(12)
+        with kernel_calls() as routes:
+            for mode, ds in (("bipartite", range(1, 15)), ("nonbipartite", range(2, 15, 2))):
+                for d in ds:
+                    for m in (1, 2, 3):
+                        g = sampler(mode)(d, m, rng)
+                        assert set(graphs.union_terms(g)) <= {0}
+                        assert certify(g) == grid_certify(g), (mode, d, m)
+        # only the trivial factor is known: sides 2 and 3 are completed
+        # from traces, and the rest go to Hessenberg
+        assert routes["_complete_by_traces"] > 0 and routes["_hessenberg_mod"] > 0
+
+    @pytest.mark.parametrize("mode", ["bipartite", "nonbipartite"])
+    def test_disconnected_and_derogatory_unions_take_the_ladder(self, mode):
+        rng = SplitMix64(17)
+        unions = [disjoint_union(mode, d, m, rng) for d in (8, 12, 16, 24) for m in (2, 3, 4)]
+        # every matching the same one: M is m (or m**2) times a matching's
+        unions += [
+            MatchingUnion(mode, d, m, (uniform_permutation(d, rng),) * m)
+            for d in (4, 8, 12) for m in (2, 3)
+        ]
+        with kernel_calls() as routes:
+            for g in unions:
+                assert certify(g) == grid_certify(g), (g.d, g.m, g.perms)
+        assert routes["_complete_by_traces"] > 0 and routes["_hessenberg_mod"] > 0
+
+
+class TestRejectionSearch:
+    def test_reports_match_the_inertia_search(self):
+        for mode in ("bipartite", "nonbipartite"):
+            for d in (10, 12, 20, 24):
+                for m in (2, 3, 4):
+                    for allow in (False, True):
+                        for seed in range(5):
+                            got = rejection_search(mode, d, m, 50, seed, allow_boundary=allow)
+                            want = inertia_search(mode, d, m, 50, seed, allow_boundary=allow)
+                            assert _timeless(got) == want, (mode, d, m, allow, seed)
+                            assert serial.dumps(serial.search_report_to_obj(got, seed)) == (
+                                serial.dumps(serial.search_report_to_obj(want, seed))
+                            )
+
+    def test_certify_gets_every_trial_the_witness_passes(self, monkeypatch):
+        witnessed, certified = [], []
+
+        def witness(g):
+            witnessed.append(graphs.witnessed_terms(g))
+            return witnessed[-1]
+
+        monkeypatch.setattr(search, "witnessed_terms", witness)
+        monkeypatch.setattr(search, "certify", lambda g, t: certified.append(t) or certify(g, t))
+        report = rejection_search("bipartite", 20, 3, 100, 0)
+        assert len(witnessed) == report.trials_run
+        assert certified == [t for t in witnessed if t is not None]
+        assert None in witnessed
+        # m = 2 puts the trivial eigenvalue on the bound: the witness never
+        # fires, and every trial is certified
+        witnessed.clear()
         certified.clear()
         boundary = rejection_search("bipartite", 4, 2, 100, 0, allow_boundary=True)
         assert boundary.certificate.verdict == WITH_BOUNDARY
-        assert len(certified) == boundary.fallbacks == boundary.trials_run
-        # the Jacobi sweep cap no longer reaches the search
+        assert len(certified) == boundary.trials_run == len(witnessed)
+        # the Jacobi sweep cap does not reach the search
         monkeypatch.setattr(graphs, "_JACOBI_SWEEPS", 0)
-        certified.clear()
-        capped = rejection_search("bipartite", 10, 3, 100, 0)
-        assert len(certified) == 1
-        assert _timeless(capped) == _timeless(decided)
+        assert _timeless(rejection_search("bipartite", 20, 3, 100, 0)) == _timeless(report)
 
     @pytest.mark.parametrize("mode, d", [("bipartite", 10), ("nonbipartite", 12)])
     def test_search_uses_no_float(self, monkeypatch, mode, d):

@@ -30,12 +30,14 @@ from ffc.matrix import (
     _charpoly_mod,
     _hessenberg_mod,
     charpoly_int_coeffs,
+    krylov_terms,
 )
 from support import (
     charpoly_crt_oracle,
     faddeev_leverrier,
     fractions_st,
     grid_matrix,
+    kernel_calls,
     squarefree_part,
     symmetric_grid_st,
 )
@@ -64,9 +66,9 @@ def moduli():
     used = []
     real = matrix._charpoly_mod
 
-    def recorded(rows, p):
+    def recorded(rows, p, terms=None):
         used.append(p)
-        return real(rows, p)
+        return real(rows, p, terms)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(matrix, "_charpoly_mod", recorded)
@@ -182,26 +184,6 @@ def jacobi(diag, off=1):
 
 
 P = MERSENNE_61
-KERNELS = ("_krylov_minpoly_mod", "_complete_by_traces", "_hessenberg_mod")
-
-
-@contextmanager
-def kernel_calls():
-    """Count the calls ``_charpoly_mod`` makes to each of its kernels."""
-    calls = Counter()
-
-    def counted(name, real):
-        def run(*args):
-            calls[name] += 1
-            return real(*args)
-        return run
-
-    with pytest.MonkeyPatch.context() as mp:
-        for name in KERNELS:
-            mp.setattr(matrix, name, counted(name, getattr(matrix, name)))
-        yield calls
-
-
 def route(rows) -> str:
     """The route ``_charpoly_mod`` takes on rows modulo P, after checking
     its answer against the Hessenberg kernel."""
@@ -212,7 +194,7 @@ def route(rows) -> str:
         return "completion"
     if calls["_hessenberg_mod"]:
         return "hessenberg"
-    assert calls["_krylov_minpoly_mod"] == 1
+    assert calls["_berlekamp_massey"] == 1
     return "krylov"
 
 
@@ -281,7 +263,7 @@ class TestKrylovRoute:
             got = charpoly_int_coeffs(rows)
         assert got == faddeev_leverrier(rows)
         assert len(used) == 1 and used[0] > MERSENNE_61
-        assert calls == Counter(_krylov_minpoly_mod=1)
+        assert calls == Counter(_berlekamp_massey=1)
 
     def test_union_adjacencies_agree_with_hessenberg(self):
         rng = SplitMix64(3)
@@ -291,6 +273,54 @@ class TestKrylovRoute:
                 _gram(sample_bipartite(20, 3, rng).grid()),
             ):
                 assert _charpoly_mod(rows, P) == _hessenberg_mod(rows, P)
+
+
+@st.composite
+def regular_with_terms_st(draw):
+    """A symmetric integer grid whose rows all sum to one r (its diagonal
+    fills each row up), and the integer Krylov terms of a start vector
+    orthogonal to the all-ones vector, zero or not; the off-diagonal part is
+    drawn small enough, or in repeated blocks, that many grids repeat an
+    eigenvalue."""
+    rows = draw(st.one_of(symmetric_int_st(1, 14, span=2), repeated_blocks_st()))
+    n = len(rows)
+    r = draw(st.integers(min_value=-5, max_value=5))
+    for i, row in enumerate(rows):
+        row[i] = r - sum(v for j, v in enumerate(row) if j != i)
+    h = draw(st.lists(st.integers(min_value=-3, max_value=3), min_size=n, max_size=n))
+    x = [a - b for a, b in zip(h, h[1:] + h[:1])]
+
+    def product(y):
+        return [sum(map(lambda a, b: a * b, row, y)) for row in rows]
+
+    return rows, list(krylov_terms(product, x, n - 1))
+
+
+class TestHeldTerms:
+    """Integer Krylov terms the caller already holds, of a start vector
+    orthogonal to the all-ones vector of a grid with equal row sums."""
+
+    @settings(max_examples=300)
+    @given(regular_with_terms_st())
+    def test_terms_give_the_characteristic_polynomial(self, case):
+        rows, terms = case
+        assert charpoly_int_coeffs(rows, terms) == faddeev_leverrier(rows)
+        assert char_poly(rows, terms) == char_poly(rows)
+
+    def test_every_route_of_the_ladder(self):
+        # with a zero start vector only the trivial factor x - r is known
+        for n, want in ((1, "krylov"), (2, "completion"), (3, "completion"), (4, "hessenberg")):
+            rows = [[1] * n for _ in range(n)]
+            with kernel_calls() as calls:
+                got = _charpoly_mod(rows, P, [0] * (2 * n - 2))
+            assert got == _hessenberg_mod(rows, P)
+            assert calls["_berlekamp_massey"] == 1
+            assert calls["_complete_by_traces"] == (want == "completion")
+            assert calls["_hessenberg_mod"] == (want == "hessenberg")
+
+    def test_unequal_row_sums_are_refused(self):
+        with pytest.raises(ContractError, match="equal row sums"):
+            charpoly_int_coeffs([[1, 0], [0, 2]], [])
 
 
 @st.composite
@@ -366,8 +396,8 @@ class TestCoefficientChecks:
     def test_a_corrupted_coefficient_is_caught(self, monkeypatch, index, message, n):
         real = matrix._charpoly_mod
 
-        def corrupted(rows, p):
-            out = real(rows, p)
+        def corrupted(rows, p, terms=None):
+            out = real(rows, p, terms)
             out[len(rows) - index] = (out[len(rows) - index] + 1) % p
             return out
 
