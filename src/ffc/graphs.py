@@ -43,7 +43,7 @@ from math import sqrt
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetError, ContractError, ParameterError
-from .matrix import RatMatrix, char_poly, dilation, krylov_terms
+from .matrix import RatMatrix, _start_vector, char_poly, dilation, krylov_terms
 from .perms import Permutation, uniform_permutation
 from .poly import RatPoly
 from .quadfield import QuadScalar, as_quad
@@ -273,13 +273,6 @@ def _split_at(q: tuple[int, ...], t: int) -> tuple[int, int]:
     signs = [v > 0 for v in c[at:] if v]
     above = sum(a != b for a, b in zip(signs, signs[1:]))
     return n - above - at, at
-
-
-def _start_vector(n: int) -> list[int]:
-    """A fixed integer vector orthogonal to the all-ones vector: differences
-    of cyclically adjacent entries of a scrambled byte sequence."""
-    h = [(i + 1) * 0x9E3779B97F4A7C15 >> 56 & 0xFF for i in range(n)]
-    return [a - b for a, b in zip(h, h[1:] + h[:1])]
 
 
 def union_terms(g: MatchingUnion) -> Iterator[int]:

@@ -9,21 +9,21 @@ Lucas-Lehmer, so nothing is searched for, and one modulus needs no Chinese
 remainder step.  The result is exact, not probable, and it is checked
 against tr(A) and tr(A**2) before it is returned.
 
-Modulo p, a symmetric matrix of side n >= ``_KRYLOV_MIN_N`` takes
-Wiedemann's route: ``krylov_terms`` makes n sparse products for the 2n
-terms s_k = <x, A**k x> of a Krylov sequence, and Berlekamp-Massey finds
-their minimal polynomial f.  f divides the minimal polynomial of A, which
-divides det(xI - A), so deg f = n proves f = det(xI - A).  A caller that
-already holds integer terms passes them instead, at any side: the terms
-of a start vector x orthogonal to the all-ones vector, for a symmetric A
-whose rows all sum to r.  Then 1 is an eigenvector outside the Krylov
-space, which stays in its orthogonal complement, so the divisor is
-(x - r) * f, and n - 1 products gave the 2(n - 1) terms.  When the divisor
-falls short by one or two degrees, the missing factor is rebuilt from the
-power sums tr(A) - p_1 and tr(A**2) - p_2 of the divisor's roots by
-Newton's identities.  A larger gap, a nonsymmetric matrix or a smaller
-side goes to the O(n**3) Hessenberg reduction, whose recurrence gives the
-polynomial directly.
+Every Krylov pass works one way.  For a symmetric A whose rows all sum
+to r, it takes the integer terms s_k = <x, A**k x>, k < 2(n - 1), of
+``_start_vector(n)``, which is orthogonal to the all-ones vector.  Then 1
+is an eigenvector outside the Krylov space, which stays in its orthogonal
+complement, so with f the minimal polynomial of the terms modulo p, found
+by Berlekamp-Massey, (x - r) * f divides det(xI - A), and deg f = n - 1
+proves them equal.  A caller that already holds the terms passes them, at
+any side (a union's permutation gathers, ``graphs.union_terms``); a grid
+of side n >= ``_KRYLOV_MIN_N`` makes them itself by n - 1 sparse integer
+products (``krylov_terms``).  When the divisor falls short by one or two
+degrees, the missing factor is rebuilt from the power sums tr(A) - p_1 and
+tr(A**2) - p_2 of the divisor's roots by Newton's identities.  A larger
+gap, and any other matrix (nonsymmetric, with unequal row sums, or smaller
+and without terms), goes to the O(n**3) Hessenberg reduction, whose
+recurrence gives the polynomial directly.
 
 ``char_poly`` takes a ``RatMatrix`` or a plain square grid of ints or
 Fractions, so integer callers pass their grids straight through.  Rational
@@ -164,10 +164,19 @@ _MERSENNE_EXPONENTS = (
 # kernel, which is faster there: small unions are often derogatory, so the
 # Krylov route falls back anyway, and the Berlekamp-Massey overhead
 # outweighs the O(n**3) it saves.  On random m = 3 union grids the two
-# routes cost the same at n = 10-12 (Krylov/Hessenberg time modulo 2**61 - 1
-# 1.34 at plain n = 10, 1.03 at n = 12, 0.84 at n = 14; 0.94 at bipartite
-# n = 10, 0.89 at n = 11; best of 5 over 300 grids, CPython 3.11).
+# routes cost about the same at n = 10-12 (integer Krylov/Hessenberg time
+# modulo 2**61 - 1, the range of three runs on a shared 2-core host:
+# 0.80-0.97 at plain n = 10, 0.90-1.08 at n = 12, 0.52-0.69 at n = 14;
+# 0.85-1.02 at bipartite n = 10, 0.68-0.97 at n = 12; best of 5 over 300
+# grids, CPython 3.11).
 _KRYLOV_MIN_N = 12
+
+
+def _start_vector(n: int) -> list[int]:
+    """A fixed integer vector orthogonal to the all-ones vector: differences
+    of cyclically adjacent entries of a scrambled byte sequence."""
+    h = [(i + 1) * 0x9E3779B97F4A7C15 >> 56 & 0xFF for i in range(n)]
+    return [a - b for a, b in zip(h, h[1:] + h[:1])]
 
 
 def _charpoly_mod(
@@ -175,33 +184,33 @@ def _charpoly_mod(
 ) -> list[int]:
     """Ascending coefficients of det(xI - A) modulo the odd prime p.
 
-    With ``terms``, the integer Krylov terms of a start vector orthogonal
-    to the all-ones vector, A is symmetric with row sums r and the divisor
-    is (x - r) * f.  Without them, a symmetric A of side at least
-    ``_KRYLOV_MIN_N`` makes its own terms modulo p and the divisor is f,
-    where f is the minimal polynomial of the terms.  The divisor is the
+    ``terms`` are the integer Krylov terms of ``_start_vector(n)`` for a
+    symmetric A whose rows all sum to r.  Without them, such an A of side at
+    least ``_KRYLOV_MIN_N`` makes its own by sparse integer products.  The
+    divisor (x - r) * f, f the minimal polynomial of the terms, is the
     answer when it has degree n, and a missing factor of degree at most two
     is rebuilt from traces.  Anything else goes to ``_hessenberg_mod``.
     """
-    n = len(rows)
+    n, r = len(rows), sum(rows[0])
     if terms is not None:
-        r = sum(rows[0])
         if any(sum(row) != r for row in rows):
             raise ContractError("Krylov terms orthogonal to 1 need equal row sums")
-        f = _mul_mod([-r, 1], _berlekamp_massey([s % p for s in terms], p), p)
-    elif n >= _KRYLOV_MIN_N and all(tuple(r) == c for r, c in zip(rows, zip(*rows))):
-        entries = [(i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row) if v]
+    elif (
+        n >= _KRYLOV_MIN_N
+        and all(sum(row) == r for row in rows)
+        and all(tuple(a) == b for a, b in zip(rows, zip(*rows)))
+    ):
+        sparse = [
+            ([j for j, v in enumerate(row) if v], [v for v in row if v]) for row in rows
+        ]
 
         def product(x: list[int]) -> list[int]:
-            y = [0] * n
-            for i, j, v in entries:
-                y[i] += v * x[j]
-            return [v % p for v in y]
+            return [sum(map(mul, vals, map(x.__getitem__, cols))) for cols, vals in sparse]
 
-        x = [(i + 1) * 0x9E3779B97F4A7C15 % p for i in range(n)]
-        f = _berlekamp_massey([s % p for s in krylov_terms(product, x, n)], p)
+        terms = krylov_terms(product, _start_vector(n), n - 1)
     else:
         return _hessenberg_mod(rows, p)
+    f = _mul_mod([-r, 1], _berlekamp_massey([s % p for s in terms], p), p)
     missing = n + 1 - len(f)
     if not missing:
         return f

@@ -96,7 +96,6 @@ class FourierReport:
 def weighted_charpoly_average(
     dists: Sequence[Iterable[tuple]],
     charpoly: Callable[[tuple], Sequence[int]],
-    max_evals: int,
     scale: int = 1,
 ) -> tuple[RatPoly, int]:
     """Exact sum, over one outcome drawn from each distribution, of the
@@ -109,7 +108,7 @@ def weighted_charpoly_average(
     and is divided once at the end, coefficient k also by scale**(n - k).
     Returns the polynomial and the number of terms.
     """
-    acc, denominator, count = weighted_charpoly_sum(dists, charpoly, max_evals)
+    acc, denominator, count = weighted_charpoly_sum(dists, charpoly)
     n = len(acc) - 1
     poly = RatPoly.from_coeffs(
         Fraction(c, denominator * scale ** (n - k)) for k, c in enumerate(acc)
@@ -120,18 +119,18 @@ def weighted_charpoly_average(
 def weighted_charpoly_sum(
     dists: Sequence[Iterable[tuple]],
     charpoly: Callable[[tuple], Sequence[int]],
-    max_evals: int,
 ) -> tuple[list[int], int, int]:
     """The integer core of ``weighted_charpoly_average``: coefficients acc
     and one positive denominator with sum_k acc[k] x**k / denominator the
     weighted sum of the polynomials ``charpoly`` returns, and the number of
     terms.
 
-    Work over the budget is refused before any evaluation.  Each
-    distribution's weights are put over their common denominator, whose
-    product is the denominator, so the sum runs on integers.
+    More terms than ``config.MAX_DET_EVALS`` are refused before any
+    evaluation.  Each distribution's weights are put over their common
+    denominator, whose product is the denominator, so the sum runs on
+    integers.
     """
-    count = _enumeration_size(dists, max_evals)
+    count = _enumeration_size(dists)
     integer_dists = []
     denominator = 1
     for dist in dists:
@@ -154,16 +153,16 @@ def weighted_charpoly_sum(
     return acc, denominator, count
 
 
-def _enumeration_size(dists: Sequence, max_evals: int) -> int:
-    """The number of terms, refused when it exceeds max_evals."""
+def _enumeration_size(dists: Sequence) -> int:
+    """The number of terms, refused when it exceeds ``config.MAX_DET_EVALS``."""
     sizes = [len(dist) for dist in dists]
     count = math.prod(sizes)
-    if count > max_evals:
+    if count > config.MAX_DET_EVALS:
         # a size of sys.maxsize is _Uniform's clamp, not a count
         need = f"more than {sys.maxsize}" if sys.maxsize in sizes else count
         raise BudgetError(
             f"enumeration needs {need} determinant evaluations, "
-            f"budget allows {max_evals}"
+            f"budget allows {config.MAX_DET_EVALS}"
         )
     return count
 
@@ -218,7 +217,7 @@ def check_quadrature_budget(d: int, bipartite: bool) -> None:
     any d, so a caller can run it before drawing a matrix."""
     if d < 2:
         raise ParameterError("need dimension at least 2")
-    _enumeration_size([_Uniform(d)] * (1 + bipartite), config.MAX_DET_EVALS)
+    _enumeration_size([_Uniform(d)] * (1 + bipartite))
 
 
 # -- exact enumeration ------------------------------------------------------------
@@ -230,9 +229,7 @@ def expected_charpoly_perm(matrices: Sequence[RatMatrix]) -> ExpectedPoly:
     grids, s = _grids(matrices)
     n = len(grids[0])
     dists = [[(tuple(range(n)), 1)]] + [_Uniform(n)] * (len(grids) - 1)
-    poly, terms = weighted_charpoly_average(
-        dists, _conjugated_sum_charpoly(grids), config.MAX_DET_EVALS, s
-    )
+    poly, terms = weighted_charpoly_average(dists, _conjugated_sum_charpoly(grids), s)
     return ExpectedPoly(poly=poly, terms=terms, method="enumeration")
 
 
@@ -255,9 +252,7 @@ def expected_charpoly_swaps(
         [(p.image, pr) for p, pr in leaf_distribution(prog).items()]
         for prog in programs
     ]
-    poly, terms = weighted_charpoly_average(
-        dists, _conjugated_sum_charpoly(grids), config.MAX_DET_EVALS, s
-    )
+    poly, terms = weighted_charpoly_average(dists, _conjugated_sum_charpoly(grids), s)
     return ExpectedPoly(poly=poly, terms=terms, method="swaps")
 
 
@@ -317,7 +312,7 @@ def verify_bip_quadrature(a: RatMatrix, b: RatMatrix) -> QuadratureReport:
         return charpoly_int_coeffs(_gram(n))
 
     gram_avg, terms = weighted_charpoly_average(
-        [_Uniform(d), _Uniform(d)], gram_charpoly, config.MAX_DET_EVALS, s * s
+        [_Uniform(d), _Uniform(d)], gram_charpoly, s * s
     )
     lhs = gram_avg.substitute_square()
     p = deflate_trivial(char_poly(a @ a.transpose()), ra * ra, bipartite=False)

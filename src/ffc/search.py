@@ -57,9 +57,10 @@ sizes.  The sampled strategy substitutes per-program empirical suffix
 distributions.  These are not products of independent swaps, so the
 averages form no interlacing family and need not be real-rooted, or have
 any real root; the strategy offers no guarantee.  Either strategy is
-refused before its first conditional when they would need more than
-``config.MAX_DET_EVALS`` terms in all, counted by keys
-(``_check_descent_budget``).
+refused before its program is built when its conditionals would need more
+than ``config.MAX_DET_EVALS`` terms in all (``_check_descent_budget``),
+counted by keys: every suffix is charged K keys, the matchings or placed
+permutations an image can place, or min(K, samples) when it is sampled.
 """
 
 from __future__ import annotations
@@ -320,28 +321,24 @@ def _conditional_average(
     acc, den, _ = weighted_charpoly_sum(
         [_keyed(mode, d, p, s).items() for p, s in zip(prefixes, suffixes)],
         lambda keys: _union_charpoly(mode, d, tuple(sorted(keys))),
-        config.MAX_DET_EVALS,
     )
     return acc, den
 
 
-def _check_descent_budget(
-    mode: str, d: int, m: int, n_swaps: int, samples: int, program: SwapProgram | None
-) -> None:
+def _check_descent_budget(mode: str, d: int, m: int, n_swaps: int, samples: int | None) -> None:
     """Refuse a descent whose suffix draws or conditionals need more than
-    ``config.MAX_DET_EVALS`` evaluations in all, before the first of them.
+    ``config.MAX_DET_EVALS`` evaluations in all, before any program is
+    built.
 
-    A conditional has one term per combination of placed keys.  A suffix
-    places at most min(support, K) keys, K = (d - 1)!! matchings in plain
-    mode and d! placed permutations in bipartite mode.  With s_k that bound
-    for the swaps from k on, the initial conditional has s_0**m terms and
-    step (i, j) compares two of s_{j+1} * s_0**(m-1-i) each.  An exact
-    descent passes its ``program``, whose suffixes' supports are their leaf
-    supports.  A sampled one passes None: its supports are ``samples``, so
-    the count needs no program, and its draws are counted first, each as
-    one evaluation.
+    A conditional has one term per combination of placed keys, and every
+    suffix is charged c keys: c = K for an exact descent (``samples`` None)
+    and c = min(K, samples) for a sampled one, K = (d - 1)!! matchings in
+    plain mode and d! placed permutations in bipartite mode.  The initial
+    conditional has c**m terms and step (i, j) compares two of c**(m - i)
+    each, so the count is c**m + 2 n_swaps sum_{k=1..m} c**k.  A sampled
+    descent's draws are counted first, each as one evaluation.
     """
-    if program is None:
+    if samples is not None:
         # m suffixes before the first step and m per step, each drawn
         # samples times, bound the draws (a step skips the suffixes of the
         # programs before its own)
@@ -353,22 +350,16 @@ def _check_descent_budget(
             )
     # the swap or the draw check has kept d <= 24, so K costs nothing
     keys = math.factorial(d) if mode == "bipartite" else math.prod(range(d - 1, 0, -2))
-    if program is None:
-        s0 = min(samples, keys)
-        tails = n_swaps * s0
-        strategy = "sampled"
+    if samples is None:
+        c, strategy, hint = keys, "exact", "use strategy='sampled'"
+    else:
+        c, strategy = min(samples, keys), "sampled"
         hint = (
             f"use fewer than {samples} samples per program"
             if samples > 1
             else "one sample per program is past it too; use a smaller d or m"
         )
-    else:
-        s0, *rest = (
-            min(len(_suffix_distribution(program, j)), keys) for j in range(n_swaps + 1)
-        )
-        tails = sum(rest)
-        strategy, hint = "exact", "use strategy='sampled'"
-    need = s0**m + 2 * tails * sum(s0**k for k in range(m))
+    need = c**m + 2 * n_swaps * sum(c**k for k in range(1, m + 1))
     if need > config.MAX_DET_EVALS:
         raise BudgetError(
             f"{strategy} descent needs {need} determinant evaluations, budget "
@@ -468,10 +459,9 @@ def interlacing_descent(
     A degree past ``graphs.MAX_SEARCH_DEGREE``, which the certificate would
     refuse, is refused first.  An exact program longer than
     ``config.MAX_SWAPS`` swaps is refused before it is built.  Then
-    ``_check_descent_budget`` refuses, before the first draw or
-    conditional, a descent whose draws (sampled) or whose conditionals'
-    terms in all exceed ``config.MAX_DET_EVALS``; a sampled descent's count
-    needs no program, so it is refused before its program is built.
+    ``_check_descent_budget`` refuses, before the program is built, a
+    descent whose draws (sampled) or whose conditionals' terms in all,
+    counted by keys, exceed ``config.MAX_DET_EVALS``.
     """
     check_shape(mode, d, m)
     if strategy not in ("exact", "sampled"):
@@ -489,51 +479,46 @@ def interlacing_descent(
             "use strategy='sampled'"
         )
     start = time.perf_counter()
-    if strategy == "sampled":
-        _check_descent_budget(mode, d, m, n_swaps, samples_per_program, None)
+    _check_descent_budget(
+        mode, d, m, n_swaps, None if strategy == "exact" else samples_per_program
+    )
     program = (uniform_program if mode == "nonbipartite" else bipartite_uniform_program)(d)
-    if strategy == "exact":
-        _check_descent_budget(mode, d, m, n_swaps, samples_per_program, program)
     identity = tuple(range(program.dimension))
     fixed: list[tuple[int, ...]] = [identity] * m
     bipartite = mode == "bipartite"
     # the trivial root: m of char(A), or m**2 of char(N N^T) in bipartite mode
     trivial = m * m if bipartite else m
 
-    def conditional(
-        deciding: int, images: list, dists: list
-    ) -> tuple[tuple[int, ...], int]:
-        """Average over programs >= ``deciding`` still random (their suffix
-        distribution in ``dists`` composed onto the prefix image), earlier
-        ones fully fixed, with its trivial root divided out on integers:
-        coefficients and one denominator for ``_conditional_poly``.  Every
-        term's characteristic polynomial has the trivial root, and x - m and
-        y - m**2 are monic, so the quotient is exact."""
-        suffixes = [None if k < deciding else dist for k, dist in enumerate(dists)]
-        acc, den = _conditional_average(mode, d, images, suffixes)
+    def suffixes(step: int, i: int, j: int) -> list:
+        """The suffix distributions step (i, j) reads: None for the programs
+        before i, pinned to their images, the deciding program's from swap
+        j + 1 on, and a full one for each later program.  The initial
+        conditional is step -1 at (0, -1)."""
+        if strategy == "sampled":
+            rng = SplitMix64(derive_seed(seed, step + 1))
+            return _sampled_suffixes(program, m, i, j, rng, samples_per_program)
+        full = _suffix_distribution(program, 0)
+        return [None] * i + [_suffix_distribution(program, j + 1)] + [full] * (m - 1 - i)
+
+    def conditional(images: list, dists: list) -> tuple[tuple[int, ...], int]:
+        """Average over the programs still random (their suffix distribution
+        in ``dists`` composed onto the prefix image), the pinned ones fixed,
+        with its trivial root divided out on integers: coefficients and one
+        denominator for ``_conditional_poly``.  Every term's characteristic
+        polynomial has the trivial root, and x - m and y - m**2 are monic,
+        so the quotient is exact."""
+        acc, den = _conditional_average(mode, d, images, dists)
         return _deflate_int(acc, trivial), den
 
     # conditional expectation before any decision, for the descent trace
-    if strategy == "exact":
-        dists = [_suffix_distribution(program, 0)] * m
-    else:
-        rng0 = SplitMix64(derive_seed(seed, 0))
-        dists = [
-            _empirical_suffix(program, 0, rng0, samples_per_program) for _ in range(m)
-        ]
-    initial = _conditional_poly(*conditional(0, fixed, dists), bipartite)
+    initial = _conditional_poly(*conditional(fixed, suffixes(-1, 0, -1)), bipartite)
 
     steps: list[DescentStep] = []
     for step_index, (i, j) in enumerate(
         (i, j) for i in range(m) for j in range(n_swaps)
     ):
         sw = program.swaps[j]
-        if strategy == "exact":
-            tail = _suffix_distribution(program, j + 1)
-            dists = [tail if k == i else _suffix_distribution(program, 0) for k in range(m)]
-        else:
-            rng_step = SplitMix64(derive_seed(seed, step_index + 1))
-            dists = _sampled_suffixes(program, m, i, j, rng_step, samples_per_program)
+        dists = suffixes(step_index, i, j)
         candidates = {}
         for fired in (False, True):
             img = (
@@ -543,7 +528,7 @@ def interlacing_descent(
             )
             trial_images = list(fixed)
             trial_images[i] = img
-            coeffs, den = conditional(i, trial_images, dists)
+            coeffs, den = conditional(trial_images, dists)
             # the comparison needs only the roots: the primitive part, in x
             primitive = _int_primitive(coeffs)
             candidates[fired] = (

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import ffc
 import ffc.matrix as matrix
+from ffc import config
 from ffc import (
     MatchingUnion,
     ParameterError,
@@ -30,6 +31,7 @@ from ffc import (
     SplitMix64,
     SwapProgram,
     as_quad,
+    bipartite_uniform_program,
     char_poly,
     derive_seed,
     sample_bipartite,
@@ -46,6 +48,7 @@ from ffc import (
     isolate_real_roots,
     root_multiplicity_at,
     sturm_chain,
+    uniform_program,
 )
 from ffc.convolution import _from_series, _series
 from ffc.graphs import (
@@ -59,7 +62,7 @@ from ffc.graphs import (
     _split_at,
     union_grid,
 )
-from ffc.matrix import _charpoly_mod, _grid_sum, charpoly_int_coeffs
+from ffc.matrix import _grid_sum, _hessenberg_mod, charpoly_int_coeffs
 from ffc.perms import _sample_image
 from ffc.quadrature import weighted_charpoly_average
 from ffc.search import SearchReport, _union_image
@@ -262,8 +265,8 @@ def _prime(i: int) -> int:
 
 def charpoly_crt_oracle(rows) -> tuple:
     """The integer characteristic polynomial the library computed before one
-    Mersenne modulus: ``_charpoly_mod`` modulo as many primes below 2**62 as
-    the row-norm bound needs, glued by the Chinese remainder theorem."""
+    Mersenne modulus: ``_hessenberg_mod`` modulo as many primes below 2**62
+    as the row-norm bound needs, glued by the Chinese remainder theorem."""
     bound = 1
     for row in rows:
         sq = sum(v * v for v in row)
@@ -274,7 +277,7 @@ def charpoly_crt_oracle(rows) -> tuple:
     while modulus <= 2 * bound:
         p = _prime(i)
         i += 1
-        residues = _charpoly_mod(rows, p)
+        residues = _hessenberg_mod(rows, p)
         if coeffs:
             inv = pow(modulus, -1, p)
             coeffs = [a + modulus * ((b - a) * inv % p) for a, b in zip(coeffs, residues)]
@@ -349,17 +352,22 @@ def kernel_calls():
 
 def grid_certify(g) -> RamanujanCertificate:
     """``certify`` before the union's Krylov terms: the characteristic
-    polynomial of the grid alone, N N^T or A, by ``charpoly_int_coeffs``."""
+    polynomial of the grid alone, N N^T or A, by ``charpoly_int_coeffs``,
+    with the Krylov route closed so that it shares no Krylov code with
+    ``certify``: every grid takes the Hessenberg kernel."""
     bound = ramanujan_bound(g.m) if g.m >= 2 else as_quad(0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrix, "_KRYLOV_MIN_N", sys.maxsize)
+        grid = g.grid() if g.mode == "nonbipartite" else _gram(g.grid())
+        q = char_poly(grid)
     if g.mode == "bipartite":
-        q = char_poly(_gram(g.grid()))
         squared = _deflate_int(_int_coeffs(q), g.m * g.m)
         cp = q.substitute_square()
         deflated = RatPoly.from_coeffs(squared).substitute_square()
         below, at = _split_at(squared, 4 * (g.m - 1))
         interior, boundary = 2 * below, 2 * at
     else:
-        cp = char_poly(g.grid())
+        cp = q
         rest = _deflate_int(_int_coeffs(cp), g.m)
         deflated = RatPoly.from_coeffs(rest)
         interior, boundary = _split_at(_graeffe_square(rest), 4 * (g.m - 1))
@@ -518,9 +526,9 @@ def dilation_conditional_oracle(d: int, dists) -> tuple[RatPoly, int]:
     def charpoly(images):
         return charpoly_int_coeffs(_grid_sum([relabel_grid(base, im) for im in images]))
 
-    return weighted_charpoly_average(
-        [dist.items() for dist in dists], charpoly, max_evals=10**9
-    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(config, "MAX_DET_EVALS", 10**9)
+        return weighted_charpoly_average([dist.items() for dist in dists], charpoly)
 
 
 def conditional_average_oracle(mode: str, d: int, dists) -> tuple[RatPoly, int]:
@@ -534,7 +542,9 @@ def conditional_average_oracle(mode: str, d: int, dists) -> tuple[RatPoly, int]:
         return charpoly_int_coeffs(grid if mode == "nonbipartite" else _gram(grid))
 
     placed = [[(_union_image(mode, d, im), pr) for im, pr in dist.items()] for dist in dists]
-    poly, terms = weighted_charpoly_average(placed, charpoly, max_evals=10**9)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(config, "MAX_DET_EVALS", 10**9)
+        poly, terms = weighted_charpoly_average(placed, charpoly)
     return (poly if mode == "nonbipartite" else poly.substitute_square()), terms
 
 
@@ -910,6 +920,28 @@ def sampled_suffixes_oracle(program: SwapProgram, m, i, j, rng, samples) -> list
 
     tail = empirical(j + 1)
     return [tail if k == i else empirical(0) for k in range(m)]
+
+
+def leaf_support_descent_count(mode: str, d: int, m: int) -> int:
+    """The terms an exact descent was counted at before every suffix was
+    charged K keys: with s_k = min(|S_k|, K), S_k the leaf support of the
+    suffix from swap k on and K the keys an image can place ((d - 1)!!
+    matchings, or d! permutations), s_0**m + 2 sum_j s_(j+1) sum_(k<m) s_0**k."""
+    s0, tails = _leaf_supports(mode, d)
+    return s0**m + 2 * tails * sum(s0**k for k in range(m))
+
+
+@functools.lru_cache(maxsize=None)
+def _leaf_supports(mode: str, d: int) -> tuple[int, int]:
+    """s_0 and the sum of s_(j+1) over the swaps, for
+    ``leaf_support_descent_count``."""
+    program = (uniform_program if mode == "nonbipartite" else bipartite_uniform_program)(d)
+    keys = factorial(d) if mode == "bipartite" else math.prod(range(d - 1, 0, -2))
+    s0, *rest = (
+        min(len(leaf_distribution(SwapProgram(program.dimension, program.swaps[j:]))), keys)
+        for j in range(len(program.swaps) + 1)
+    )
+    return s0, sum(rest)
 
 
 # The float rotation-degree probe the exact nine-point check replaced.

@@ -400,16 +400,39 @@ class TestDescend:
         assert message in proc.stderr
 
     def test_an_oversized_exact_descent_is_refused_before_its_first_conditional(self):
-        # its conditionals have 170 677 094 terms in all, counted by keys
+        # its conditionals have 240 609 696 terms in all, counted by keys
         proc = run_cli_with_timeout(
             "descend", "--mode", "bipartite", "--d", "4", "--m", "5", "--strategy", "exact"
         )
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert proc.stderr == (
-            "budget exceeded: exact descent needs 170677094 determinant evaluations, "
+            "budget exceeded: exact descent needs 240609696 determinant evaluations, "
             "budget allows 10000000; use strategy='sampled'\n"
         )
+
+    # requests that run long when admitted: exact bipartite d=4, m=4
+    # thrashed the charpoly table for 64 s, sampled d=4, m=4 with 24 samples
+    # ran 30 s and sampled d=6, m=2 with 300 samples 388 s
+    LONG = [
+        (("--d", "4", "--m", "4", "--strategy", "exact"),
+         "exact descent needs 10025376 determinant evaluations"),
+        (("--d", "4", "--m", "4", "--strategy", "sampled", "--samples", "24"),
+         "sampled descent needs 10025376 determinant evaluations"),
+        (("--d", "6", "--m", "2", "--strategy", "sampled", "--samples", "300"),
+         "sampled descent needs 11287200 determinant evaluations"),
+    ]
+
+    @pytest.mark.parametrize(
+        "args, message", LONG, ids=["exact-d4-m4", "sampled-d4-m4", "sampled-d6-m2"]
+    )
+    def test_long_bipartite_descents_are_refused_at_once(self, args, message):
+        start = time.perf_counter()
+        proc = run_cli_with_timeout("descend", "--mode", "bipartite", *args)
+        assert time.perf_counter() - start < 1
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"budget exceeded: {message}, budget allows 10000000; ")
 
     def test_too_many_samples_are_named_in_the_refusal(self):
         # 100 samples of the 120 placed permutations: 61 606 000 terms in all,

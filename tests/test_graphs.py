@@ -41,6 +41,7 @@ from ffc.graphs import (
     WITH_BOUNDARY,
     _gram,
 )
+from ffc.matrix import _start_vector
 from ffc.poly import to_primitive_int
 from support import (
     deflate_trivial_oracle,
@@ -392,7 +393,7 @@ def dense_terms(g):
     """<x, M**k x> for k < 2(d - 1), M the grid (plain) or its Gram matrix
     (bipartite), by dense products."""
     rows = g.grid() if g.mode == "nonbipartite" else _gram(g.grid())
-    x = y = graphs._start_vector(g.d)
+    x = y = _start_vector(g.d)
     out = []
     for _ in range(2 * (g.d - 1)):
         out.append(sum(a * b for a, b in zip(x, y)))
@@ -402,9 +403,9 @@ def dense_terms(g):
 
 class TestUnionTerms:
     def test_start_vector_is_orthogonal_to_the_ones_vector(self):
-        assert graphs._start_vector(1) == [0]
+        assert _start_vector(1) == [0]
         for n in range(2, MAX_CERTIFY_SIDE + 1):
-            x = graphs._start_vector(n)
+            x = _start_vector(n)
             assert sum(x) == 0 and any(x), n
 
     @pytest.mark.parametrize("mode", ["bipartite", "nonbipartite"])
@@ -536,13 +537,17 @@ class TestSharedTerms:
     def test_a_zero_start_vector(self, monkeypatch):
         monkeypatch.setattr(graphs, "_start_vector", lambda n: [0] * n)
         rng = SplitMix64(12)
+        unions = [
+            sampler(mode)(d, m, rng)
+            for mode, ds in (("bipartite", range(1, 15)), ("nonbipartite", range(2, 15, 2)))
+            for d in ds
+            for m in (1, 2, 3)
+        ]
+        expected = [grid_certify(g) for g in unions]
         with kernel_calls() as routes:
-            for mode, ds in (("bipartite", range(1, 15)), ("nonbipartite", range(2, 15, 2))):
-                for d in ds:
-                    for m in (1, 2, 3):
-                        g = sampler(mode)(d, m, rng)
-                        assert set(graphs.union_terms(g)) <= {0}
-                        assert certify(g) == grid_certify(g), (mode, d, m)
+            for g, want in zip(unions, expected):
+                assert set(graphs.union_terms(g)) <= {0}
+                assert certify(g) == want, (g.mode, g.d, g.m)
         # only the trivial factor is known: sides 2 and 3 are completed
         # from traces, and the rest go to Hessenberg
         assert routes["_complete_by_traces"] > 0 and routes["_hessenberg_mod"] > 0
@@ -556,9 +561,10 @@ class TestSharedTerms:
             MatchingUnion(mode, d, m, (uniform_permutation(d, rng),) * m)
             for d in (4, 8, 12) for m in (2, 3)
         ]
+        expected = [grid_certify(g) for g in unions]
         with kernel_calls() as routes:
-            for g in unions:
-                assert certify(g) == grid_certify(g), (g.d, g.m, g.perms)
+            for g, want in zip(unions, expected):
+                assert certify(g) == want, (g.d, g.m, g.perms)
         assert routes["_complete_by_traces"] > 0 and routes["_hessenberg_mod"] > 0
 
 

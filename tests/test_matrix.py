@@ -29,6 +29,7 @@ from ffc.matrix import (
     _MERSENNE_EXPONENTS,
     _charpoly_mod,
     _hessenberg_mod,
+    _start_vector,
     charpoly_int_coeffs,
     krylov_terms,
 )
@@ -142,6 +143,22 @@ def symmetric_int_st(min_n: int, max_n: int, span: int = 9):
     )
 
 
+def regular(grid, r):
+    """The grid with its diagonal refilled so that every row sums to r; a
+    symmetric grid stays symmetric."""
+    for i, row in enumerate(grid):
+        row[i] = r - sum(v for j, v in enumerate(row) if j != i)
+    return grid
+
+
+def regular_int_st(min_n: int, max_n: int, span: int = 9):
+    """Symmetric integer grids of side min_n..max_n whose rows all sum to one
+    r: the grids the Krylov route takes."""
+    return st.tuples(
+        symmetric_int_st(min_n, max_n, span), st.integers(min_value=-span, max_value=span)
+    ).map(lambda case: regular(*case))
+
+
 def conjugated_sum(blocks, perm):
     """The direct sum of square integer blocks, with rows and columns both
     permuted by perm: a matrix similar to the direct sum."""
@@ -158,15 +175,17 @@ def conjugated_sum(blocks, perm):
 @st.composite
 def repeated_blocks_st(draw):
     """A symmetric block B repeated 2-3 times beside a symmetric block C,
-    conjugated by a random permutation: each eigenvalue of B is repeated,
-    so det(xI - A) has square factors."""
+    all with rows summing to one r, conjugated by a random permutation: each
+    eigenvalue of B is repeated, r included, so det(xI - A) has square
+    factors."""
     k = draw(st.integers(min_value=1, max_value=3))
     reps = draw(st.integers(min_value=2, max_value=3))
     rest = draw(st.integers(min_value=max(0, _KRYLOV_MIN_N - k * reps), max_value=_KRYLOV_MIN_N))
-    b = draw(symmetric_grid_st(k, 3)).int_rows()
+    r = draw(st.integers(min_value=-3, max_value=3))
+    b = regular(draw(symmetric_grid_st(k, 3)).int_rows(), r)
     blocks = [b] * reps
     if rest:
-        blocks.append(draw(symmetric_grid_st(rest, 3)).int_rows())
+        blocks.append(regular(draw(symmetric_grid_st(rest, 3)).int_rows(), r))
     perm = draw(st.permutations(range(k * reps + rest)))
     return conjugated_sum(blocks, perm)
 
@@ -198,18 +217,41 @@ def route(rows) -> str:
     return "krylov"
 
 
+def krylov_rank(rows) -> int:
+    """The dimension of the Krylov space of ``_start_vector(n)`` under the
+    grid, by Fraction elimination of x, A x, ..., A**(n-1) x."""
+    x = _start_vector(len(rows))
+    basis: list[list[Fraction]] = []
+    for _ in rows:
+        v = list(map(Fraction, x))
+        for b in basis:
+            lead = next(k for k, c in enumerate(b) if c)
+            if v[lead]:
+                f = v[lead] / b[lead]
+                v = [a - f * c for a, c in zip(v, b)]
+        if not any(v):
+            break
+        basis.append(v)
+        x = [sum(a * b for a, b in zip(row, x)) for row in rows]
+    return len(basis)
+
+
 def expected_route(rows) -> str:
-    """The route a symmetric grid of side at least the cutoff should take:
-    its minimal polynomial is the square-free part of its characteristic
-    polynomial, and the Krylov sequence finds all of it."""
+    """The route a symmetric grid with equal row sums, of side at least the
+    cutoff, should take: (x - r) times the minimal polynomial of the Krylov
+    terms has degree one more than the Krylov space, and the gap to n picks
+    the route.  The space lies in the complement of the all-ones vector, so
+    it is at most the square-free part of det(xI - A) / (x - r)."""
     chi = RatPoly.from_coeffs(faddeev_leverrier(rows))
-    gap = chi.degree - squarefree_part(chi).degree
+    rank = krylov_rank(rows)
+    assert rank <= squarefree_part(chi.div_exact(poly(1, -sum(rows[0])))).degree
+    gap = len(rows) - 1 - rank
     return "krylov" if not gap else "completion" if gap <= 2 else "hessenberg"
 
 
 class TestKrylovRoute:
-    @given(symmetric_int_st(_KRYLOV_MIN_N, _KRYLOV_MIN_N + 4))
-    def test_symmetric_grids_at_and_above_the_cutoff(self, rows):
+    @given(regular_int_st(_KRYLOV_MIN_N, _KRYLOV_MIN_N + 4))
+    def test_regular_grids_at_and_above_the_cutoff(self, rows):
         assert charpoly_int_coeffs(rows) == faddeev_leverrier(rows)
         assert route(rows) == expected_route(rows)
 
@@ -218,36 +260,43 @@ class TestKrylovRoute:
         assert charpoly_int_coeffs(rows) == faddeev_leverrier(rows)
         assert route(rows) == expected_route(rows)
 
+    # each block has its diagonal refilled so that its rows sum to 2: a path
+    # on k vertices then has the simple eigenvalues 2 cos(pi j / k), and 2 is
+    # an eigenvalue once per block, which the divisor (x - 2) f holds twice
     @pytest.mark.parametrize(
         "blocks, want",
         [
-            # a Jacobi matrix alone: all n eigenvalues simple
-            ([jacobi([3, -1, 0, 2, 1, 1, -2, 0, 4, 1, -3, 2, 0])], "krylov"),
-            # the path on 13 vertices has a simple zero eigenvalue
+            # one path: all n eigenvalues simple
             ([jacobi([0] * 13)], "krylov"),
-            # one eigenvalue twice: r = 1
-            ([[[5]], [[5]], jacobi([1, 0, -1, 2, 0, 1, -2, 0, 1, 1])], "completion"),
-            # zero three times: r = 2 with a factor x**2 missing
-            ([[[0]], [[0]], [[0]], jacobi([1, 2, -1, 3, 1, -2, 2, 1, 1, 3])], "completion"),
-            # a 2x2 block with irrational eigenvalues, twice: r = 2
-            ([[[1, 1], [1, 0]]] * 2 + [jacobi([3, 0, -1, 2, 1, 0, -2, 3, 1])], "completion"),
-            # a 3x3 block twice: r = 3, so Hessenberg runs
-            ([jacobi([1, 0, 2])] * 2 + [jacobi([3, -1, 0, 2, 4, -2, 1])], "hessenberg"),
-            # the identity: r = n - 1
-            ([[[1]]] * 14, "hessenberg"),
+            # two paths: only 2 repeats
+            ([jacobi([0] * 6), jacobi([0] * 7)], "krylov"),
+            # 2 three times: one factor x - 2 missing
+            ([[[0]]] * 2 + [jacobi([0] * 10)], "completion"),
+            # 2 four times: a factor (x - 2)**2 missing
+            ([[[0]]] * 3 + [jacobi([0] * 9)], "completion"),
+            # a 2x2 block with eigenvalues 2 and 0, twice: x - 2 and x missing
+            ([[[1, 1], [1, 1]]] * 2 + [jacobi([0] * 9)], "completion"),
+            # the path on 3 vertices (2, 1, -1) twice: three factors missing
+            ([jacobi([0] * 3)] * 2 + [jacobi([0] * 7)], "hessenberg"),
+            # 2 I: x is an eigenvector, so the divisor is (x - 2)**2
+            ([[[0]]] * 14, "hessenberg"),
         ],
     )
     def test_forced_routes(self, blocks, want):
+        blocks = [regular([row[:] for row in b], 2) for b in blocks]
         n = sum(map(len, blocks))
         rows = conjugated_sum(blocks, uniform_permutation(n, SplitMix64(n)).image)
         assert route(rows) == want == expected_route(rows)
         assert charpoly_int_coeffs(rows) == faddeev_leverrier(rows)
 
-    def test_small_or_nonsymmetric_grids_skip_krylov(self):
-        small = jacobi(list(range(_KRYLOV_MIN_N - 1)))
-        skew = jacobi(list(range(_KRYLOV_MIN_N + 2)))
+    def test_small_nonsymmetric_or_irregular_grids_skip_krylov(self):
+        small = regular(jacobi(list(range(_KRYLOV_MIN_N - 1))), 1)
+        skew = regular(jacobi(list(range(_KRYLOV_MIN_N + 2))), 1)
         skew[0][1] += 1
-        for rows in (small, skew):
+        skew[0][0] -= 1
+        # symmetric, but its rows sum to 1, 2, ..., n - 1 and n - 2
+        irregular = jacobi(list(range(_KRYLOV_MIN_N + 2)))
+        for rows in (small, skew, irregular):
             with kernel_calls() as calls:
                 assert charpoly_int_coeffs(rows) == faddeev_leverrier(rows)
             assert calls == Counter(_hessenberg_mod=1)
@@ -259,6 +308,7 @@ class TestKrylovRoute:
         for i in range(n):
             for j in range(i, n):
                 rows[i][j] = rows[j][i] = rng.below(2 * 10**15) - 10**15
+        regular(rows, 10**15)
         with kernel_calls() as calls, moduli() as used:
             got = charpoly_int_coeffs(rows)
         assert got == faddeev_leverrier(rows)
@@ -274,6 +324,20 @@ class TestKrylovRoute:
             ):
                 assert _charpoly_mod(rows, P) == _hessenberg_mod(rows, P)
 
+    @pytest.mark.parametrize("n", [12, 16, 24, 40, 64])
+    def test_dense_grids_agree_with_hessenberg(self, n):
+        rng = SplitMix64(n)
+        for _ in range(2):
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    rows[i][j] = rows[j][i] = rng.below(19) - 9
+            regular(rows, rng.below(19) - 9)
+            with kernel_calls() as calls:
+                got = _charpoly_mod(rows, P)
+            assert calls == Counter(_berlekamp_massey=1)
+            assert got == _hessenberg_mod(rows, P)
+
 
 @st.composite
 def regular_with_terms_st(draw):
@@ -284,9 +348,7 @@ def regular_with_terms_st(draw):
     eigenvalue."""
     rows = draw(st.one_of(symmetric_int_st(1, 14, span=2), repeated_blocks_st()))
     n = len(rows)
-    r = draw(st.integers(min_value=-5, max_value=5))
-    for i, row in enumerate(rows):
-        row[i] = r - sum(v for j, v in enumerate(row) if j != i)
+    regular(rows, draw(st.integers(min_value=-5, max_value=5)))
     h = draw(st.lists(st.integers(min_value=-3, max_value=3), min_size=n, max_size=n))
     x = [a - b for a, b in zip(h, h[1:] + h[:1])]
 
@@ -326,10 +388,11 @@ class TestHeldTerms:
 @st.composite
 def modulus_grids_st(draw):
     """Grids of side 1-20 with entries up to 10**60 in size, dense or sparse,
-    symmetric or not, and the repeated blocks that force each Krylov route,
-    scaled up so that they need large moduli too."""
+    symmetric or not, with equal row sums or not, and the repeated blocks
+    that force each Krylov route, scaled up so that they need large moduli
+    too."""
     top = draw(st.sampled_from([9, 10**6, 10**15, 10**60]))
-    kind = draw(st.sampled_from(["square", "symmetric", "blocks"]))
+    kind = draw(st.sampled_from(["square", "symmetric", "regular", "blocks"]))
     if kind == "blocks":
         scale = draw(st.integers(min_value=1, max_value=top))
         return [[v * scale for v in row] for row in draw(repeated_blocks_st())]
@@ -339,8 +402,10 @@ def modulus_grids_st(draw):
         entry = st.just(0) | entry
     cells = draw(st.lists(entry, min_size=n * n, max_size=n * n))
     rows = [cells[i * n:(i + 1) * n] for i in range(n)]
-    if kind == "symmetric":
+    if kind != "square":
         rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    if kind == "regular":
+        regular(rows, draw(entry))
     return rows
 
 
@@ -403,7 +468,7 @@ class TestCoefficientChecks:
 
         monkeypatch.setattr(matrix, "_charpoly_mod", corrupted)
         with pytest.raises(ContractError, match=message):
-            charpoly_int_coeffs(jacobi(list(range(n))))
+            charpoly_int_coeffs(regular(jacobi(list(range(n))), 1))
 
 
 class TestDilation:

@@ -60,6 +60,7 @@ from support import (
     dilation_conditional_oracle,
     fired_wins_oracle,
     grid_matrix,
+    leaf_support_descent_count,
     sampled_suffixes_oracle,
     subprocess_env,
     swap_average_oracle,
@@ -400,8 +401,12 @@ class TestInterlacingDescent:
                 for samples in (1, 2, 3)
             ]
 
+        def drawn_in_full(program, m, i, j, rng, samples):
+            # the conditionals pin the programs before i
+            return [None] * i + sampled_suffixes_oracle(program, m, i, j, rng, samples)[i:]
+
         fast = digests()
-        monkeypatch.setattr(search, "_sampled_suffixes", sampled_suffixes_oracle)
+        monkeypatch.setattr(search, "_sampled_suffixes", drawn_in_full)
         assert digests() == fast
 
     def test_a_descent_past_the_degree_limit_is_refused_up_front(self, monkeypatch):
@@ -473,8 +478,8 @@ class TestInterlacingDescent:
         need = int(re.search(r"needs (\d+) determinant evaluations", message).group(1))
         terms = []
 
-        def counted(dists, charpoly, max_evals):
-            acc, den, count = weighted_charpoly_sum(dists, charpoly, max_evals)
+        def counted(dists, charpoly):
+            acc, den, count = weighted_charpoly_sum(dists, charpoly)
             terms.append(count)
             return acc, den, count
 
@@ -494,9 +499,38 @@ class TestInterlacingDescent:
 
     def test_an_exact_descent_is_counted_by_keys(self):
         """Exact plain d=4, m=5 has 54 353 558 image terms, but a suffix
-        places at most 3 matchings, so it is counted at 4 599 terms."""
+        places at most 3 matchings, so it is counted at 5 325 terms."""
         report = interlacing_descent("nonbipartite", 4, 5)
         assert report.certificate.is_ramanujan
+
+    def test_exact_admission_matches_the_leaf_support_count(self):
+        """Charging every exact suffix K keys admits what counting each
+        suffix's leaf support admitted, at every size the swap budget
+        admits and every degree up to the limit, but for bipartite d=4,
+        m=4, which thrashes the charpoly table."""
+        sizes = [
+            (mode, d, n_swaps)
+            for mode, ds, swaps in (
+                ("nonbipartite", range(2, 12, 2), lambda d: (1 << (d - 1)) - 1),
+                ("bipartite", range(1, 12), lambda d: (1 << d) - 2),
+            )
+            for d in ds
+            if (n_swaps := swaps(d)) <= config.MAX_SWAPS
+        ]
+        assert [(mode, d) for mode, d, _ in sizes] == [
+            ("nonbipartite", 2), ("nonbipartite", 4),
+            ("bipartite", 1), ("bipartite", 2), ("bipartite", 3), ("bipartite", 4),
+        ]
+        for mode, d, n_swaps in sizes:
+            for m in range(1, search.MAX_SEARCH_DEGREE + 1):
+                try:
+                    search._check_descent_budget(mode, d, m, n_swaps, None)
+                    admitted = True
+                except BudgetError:
+                    admitted = False
+                before = leaf_support_descent_count(mode, d, m) <= config.MAX_DET_EVALS
+                assert admitted == (before and (mode, d, m) != ("bipartite", 4, 4)), (mode, d, m)
+        assert leaf_support_descent_count("bipartite", 4, 4) <= config.MAX_DET_EVALS
 
     @pytest.mark.parametrize("samples", [0, -1])
     def test_sample_count_must_be_positive(self, samples):
@@ -552,11 +586,11 @@ class TestConditionalCache:
         charpoly table once and is computed once."""
         multisets = set()
 
-        def recorded(dists, charpoly, max_evals):
+        def recorded(dists, charpoly):
             multisets.update(
                 tuple(sorted(key for key, _ in combo)) for combo in itertools.product(*dists)
             )
-            return weighted_charpoly_sum(dists, charpoly, max_evals)
+            return weighted_charpoly_sum(dists, charpoly)
 
         monkeypatch.setattr(search, "weighted_charpoly_sum", recorded)
         interlacing_descent(
